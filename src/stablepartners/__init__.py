@@ -12,7 +12,6 @@ from .core import (
     instance_to_dict,
     parse_instance,
     serialize_instance,
-    vector_op,
 )
 from .choice import (
     AxiomReport,
@@ -32,6 +31,7 @@ from .bipartite import (
     StabilityReport,
     apply_rotation,
     build_full_route,
+    climb,
     deferred_acceptance,
     find_rotations,
     is_stable,

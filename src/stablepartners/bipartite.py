@@ -8,10 +8,8 @@ minimum and the firm-optimal one is the maximum.
 
 import random
 
-import networkx as nx
-
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .choice import is_acceptable, is_interesting, prefers
+from .choice import prefers
 
 
 class StabilityReport:
@@ -39,27 +37,121 @@ def is_stable(inst, x):
     Blocking is only probed at edges whose two ends find ``x`` acceptable;
     unacceptable vertices already disqualify the vector and are reported
     separately.
+
+    This is the whole-instance check.  Once a vector is verified stable, a
+    shift along a closed walk changes only the stars of the walk's
+    vertices, so only those stars and the edges incident to them can make
+    the shifted vector unstable; :func:`climb` and :func:`find_rotations`
+    re-check exactly those (see :func:`_shift_holds`).
     """
     if not inst.in_box(x):
         raise InputError("vector is outside the capacity box")
-    star = {v: inst.star_vector(x, v) for v in inst.vertices}
+    vals = x.vals
+    star = {v: _star(inst, vals, v) for v in inst.vertices}
     unacceptable = tuple(
-        v for v in inst.vertices if not is_acceptable(inst.choice[v], star[v])
+        v for v in inst.vertices if inst.choice[v].choose_vals(star[v]) != star[v]
     )
     bad = set(unacceptable)
-    blocking = []
-    for e in inst.space.ids:
-        u, v = inst.ends(e)
-        if u in bad or v in bad:
-            continue
-        if x[e] >= inst.caps[e]:
-            continue
-        if is_interesting(inst.choice[u], star[u], e, inst.caps[e]) and is_interesting(
-            inst.choice[v], star[v], e, inst.caps[e]
-        ):
-            blocking.append(e)
+    blocking = tuple(
+        e
+        for e in inst.space.ids
+        if not bad.intersection(inst.edge_ends[e]) and _blocks(inst, vals, star, e)
+    )
     stable = not unacceptable and not blocking
-    return StabilityReport(stable, tuple(blocking), unacceptable)
+    return StabilityReport(stable, blocking, unacceptable)
+
+
+def _star(inst, vals, v):
+    """The raw star tuple of ``v`` in the raw vector ``vals``."""
+    return tuple(vals[p] for p in inst.star_positions[v])
+
+
+def _bumped(z, j):
+    """The raw star ``z`` with one more unit at position ``j``."""
+    return z[:j] + (z[j] + 1,) + z[j + 1 :]
+
+
+def _wants(inst, v, z, e):
+    """True iff ``v``, holding the acceptable star ``z``, takes one more ``e``.
+
+    The caller has checked that ``e`` has room below its capacity.
+    """
+    j = inst.star_space[v].index[e]
+    return inst.choice[v].choose_vals(_bumped(z, j))[j] > z[j]
+
+
+def _blocks(inst, vals, star, e):
+    """True iff both ends of ``e`` would take one more unit of it.
+
+    ``star`` maps each end of ``e`` to its (acceptable) star in ``vals``.
+    """
+    i = inst.space.index[e]
+    if vals[i] >= inst.caps.vals[i]:
+        return False
+    u, v = inst.edge_ends[e]
+    return _wants(inst, u, star[u], e) and _wants(inst, v, star[v], e)
+
+
+def _weakly_prefers(cf, z, other):
+    """Raw weak preference between two acceptable stars: equal, or ``z`` wins."""
+    return z == other or cf.choose_vals(tuple(map(max, z, other))) == z
+
+
+def _walk_frame(inst, steps):
+    """Raw data of a closed alternating walk given as ``(v, e)`` steps.
+
+    Returns the shift as ``(position, sign)`` pairs (edges at even steps
+    gain a unit, edges at odd steps lose one), the walk's vertices, and the
+    edges incident to them, both sorted so that checks run in a fixed order.
+    """
+    index = inst.space.index
+    shift = tuple((index[e], 1 - 2 * (i % 2)) for i, (_, e) in enumerate(steps))
+    touched = tuple(sorted({v for v, _ in steps}))
+    near = tuple(sorted({e for v in touched for e in inst.star_ids[v]}))
+    return shift, touched, near
+
+
+def _shifted(inst, vals, shift):
+    """``vals`` moved once along ``shift``, or None if that leaves the box."""
+    out = list(vals)
+    caps = inst.caps.vals
+    for i, s in shift:
+        out[i] += s
+        if not 0 <= out[i] <= caps[i]:
+            return None
+    return tuple(out)
+
+
+def _shift_holds(inst, x_vals, y_vals, touched, near):
+    """``is_stable(y).stable and precedes_F(x, y)``, decided locally.
+
+    ``x_vals`` must be verified stable and ``y_vals`` in the box, differing
+    from it only on edges whose ends all lie in ``touched``; ``near`` holds
+    the edges incident to ``touched``.  Stars outside ``touched`` are the
+    same in both vectors, so they stay acceptable, edges away from
+    ``touched`` stay unblocked and firms away from it see no change.
+    Returns at the first failure.
+    """
+    choice = inst.choice
+    star = {}
+    for v in touched:
+        z = _star(inst, y_vals, v)
+        if choice[v].choose_vals(z) != z:
+            return False
+        star[v] = z
+    for e in near:
+        for v in inst.edge_ends[e]:
+            if v not in star:
+                star[v] = _star(inst, y_vals, v)
+        if _blocks(inst, y_vals, star, e):
+            return False
+    firms = inst.parts[1]
+    for f in touched:
+        if f in firms and not _weakly_prefers(
+            choice[f], star[f], _star(inst, x_vals, f)
+        ):
+            return False
+    return True
 
 
 def precedes(inst, x, y, side):
@@ -113,26 +205,22 @@ def deferred_acceptance(inst, side):
     proposers = inst.parts[0] if side == "W" else inst.parts[1]
     receivers = inst.parts[1] if side == "W" else inst.parts[0]
 
-    bound = {e: inst.caps[e] for e in inst.space.ids}
-    offer = {e: 0 for e in inst.space.ids}
+    choice = inst.choice
+    positions = inst.star_positions
+    bound = list(inst.caps.vals)
+    offer = [0] * len(bound)
     rounds_left = inst.caps.total() + 2
     while True:
         for p in sorted(proposers):
-            zb = EdgeVector(
-                inst.star_space[p], (bound[e] for e in inst.star_ids[p])
-            )
-            sel = inst.choice[p].choose(zb)
-            for e in inst.star_ids[p]:
-                offer[e] = sel[e]
+            sel = choice[p].choose_vals(tuple(bound[i] for i in positions[p]))
+            for i, s in zip(positions[p], sel):
+                offer[i] = s
         rejected = False
         for r in sorted(receivers):
-            zo = EdgeVector(
-                inst.star_space[r], (offer[e] for e in inst.star_ids[r])
-            )
-            kept = inst.choice[r].choose(zo)
-            for e in inst.star_ids[r]:
-                if kept[e] < offer[e]:
-                    bound[e] = kept[e]
+            kept = choice[r].choose_vals(tuple(offer[i] for i in positions[r]))
+            for i, k in zip(positions[r], kept):
+                if k < offer[i]:
+                    bound[i] = k
                     rejected = True
         if not rejected:
             break
@@ -142,7 +230,7 @@ def deferred_acceptance(inst, side):
                 "proposal rounds did not converge; choice axioms are suspect"
             )
 
-    x = EdgeVector(inst.space, (offer[e] for e in inst.space.ids))
+    x = EdgeVector(inst.space, offer)
     report = is_stable(inst, x)
     if not report.stable:
         raise VerificationError(
@@ -242,6 +330,43 @@ class Rotation:
         return rot
 
 
+def _simple_cycles(succ):
+    """Every elementary cycle of a digraph, once each, as a list of nodes.
+
+    ``succ`` maps each node to its successors; nodes must be sortable.
+    Each cycle is reported from its least node: for every root in sorted
+    order, a depth-first search over the larger nodes that can reach the
+    root again reports each path that closes on it.
+    """
+    pred = {}
+    for v, ws in succ.items():
+        for w in ws:
+            pred.setdefault(w, []).append(v)
+    for root in sorted(set(succ) | set(pred)):
+        back = {root}
+        stack = [root]
+        while stack:
+            for v in pred.get(stack.pop(), ()):
+                if v > root and v not in back:
+                    back.add(v)
+                    stack.append(v)
+        path = [root]
+        on_path = {root}
+        branches = [iter(succ.get(root, ()))]
+        while branches:
+            for w in branches[-1]:
+                if w == root:
+                    yield list(path)
+                elif w in back and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(succ.get(w, ())))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
+
+
 def _candidate_walks(inst, x):
     """Closed alternating walks assembled from single-unit exchange links.
 
@@ -249,42 +374,51 @@ def _candidate_walks(inst, x):
     edge while bumping exactly one unit of another; a negative link follows
     a worker holding a unit it could drop, toward an edge whose extra unit
     the worker would refuse outright.  Cycles of links that traverse
-    distinct edges are the rotation candidates.
+    distinct edges are the rotation candidates.  ``x`` must be stable.
     """
     w_side, f_side = inst.parts
-    digraph = nx.DiGraph()
-    star = {v: inst.star_vector(x, v) for v in inst.vertices}
+    vals = x.vals
+    caps = inst.caps.vals
+    index = inst.space.index
+    star = {v: _star(inst, vals, v) for v in inst.vertices}
+    links = {}
 
     for e in inst.space.ids:
+        if vals[index[e]] >= caps[index[e]]:
+            continue
         u, v = inst.ends(e)
         f = v if v in f_side else u
-        if x[e] >= inst.caps[e]:
+        z = star[f]
+        j = inst.star_space[f].index[e]
+        menu = _bumped(z, j)
+        kept = inst.choice[f].choose_vals(menu)
+        if kept[j] <= z[j]:
             continue
-        cf = inst.choice[f]
-        if not is_interesting(cf, star[f], e, inst.caps[e]):
+        dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
+        if len(dropped) != 1 or dropped[0] == j:
             continue
-        menu = star[f].add_unit(e)
-        deficit = menu.minus(cf.choose(menu))
-        dropped = deficit.support()
-        if len(dropped) == 1 and deficit[dropped[0]] == 1 and dropped[0] != e:
-            digraph.add_edge(("+", e), ("-", dropped[0]))
+        k = dropped[0]
+        if menu[k] == kept[k] + 1:
+            links.setdefault(("+", e), []).append(("-", inst.star_ids[f][k]))
 
     for w in sorted(w_side):
         ids = inst.star_ids[w]
+        z = star[w]
         cw = inst.choice[w]
-        droppable = [e for e in ids if x[e] >= 1]
+        droppable = [e for e, a in zip(ids, z) if a >= 1]
         refusable = [
             e
-            for e in ids
-            if x[e] < inst.caps[e] and cw.choose(star[w].add_unit(e)) == star[w]
+            for j, e in enumerate(ids)
+            if z[j] < caps[index[e]]
+            and cw.choose_vals(_bumped(z, j)) == z
         ]
         for e1 in droppable:
             for e2 in refusable:
                 if e1 != e2:
-                    digraph.add_edge(("-", e1), ("+", e2))
+                    links.setdefault(("-", e1), []).append(("+", e2))
 
     walks = []
-    for cycle in nx.simple_cycles(digraph):
+    for cycle in _simple_cycles(links):
         edge_ids = [e for _, e in cycle]
         if len(set(edge_ids)) != len(edge_ids):
             continue
@@ -307,6 +441,14 @@ def _candidate_walks(inst, x):
     return walks
 
 
+def _walk_holds(inst, x, steps):
+    """True iff the walk ``steps`` shifts the stable ``x`` to a stable vector
+    strictly above it on the firm side; decided by :func:`_shift_holds`."""
+    shift, touched, near = _walk_frame(inst, steps)
+    y_vals = _shifted(inst, x.vals, shift)
+    return y_vals is not None and _shift_holds(inst, x.vals, y_vals, touched, near)
+
+
 def find_rotations(inst, x):
     """All rotations applicable at the stable vector ``x``.
 
@@ -323,17 +465,11 @@ def find_rotations(inst, x):
             "rotations are only defined at stable vectors: {!r}".format(report)
         )
 
-    candidates = []
-    for steps in _candidate_walks(inst, x):
-        rot = Rotation(inst, steps)
-        y = x.plus(rot.chi)
-        if not inst.in_box(y):
-            continue
-        if not is_stable(inst, y).stable:
-            continue
-        if not precedes_F(inst, x, y):
-            continue
-        candidates.append(rot)
+    candidates = [
+        Rotation(inst, steps)
+        for steps in _candidate_walks(inst, x)
+        if _walk_holds(inst, x, steps)
+    ]
 
     by_chi = {}
     for rot in candidates:
@@ -369,61 +505,98 @@ def find_rotations(inst, x):
 
 def _verify_aggregate_exchange(inst, x, rot):
     """Each firm must swap the rotation's gains exactly for its losses."""
-    _, f_side = inst.parts
-    for f in sorted(f_side):
-        positions = inst.star_positions[f]
-        sub = rot.chi.restrict(inst.star_space[f], positions)
-        if not sub.support():
-            continue
-        gains = EdgeVector(sub.space, (max(v, 0) for v in sub.vals))
-        losses = EdgeVector(sub.space, (max(-v, 0) for v in sub.vals))
-        menu = inst.star_vector(x, f).plus(gains)
-        want = menu.minus(losses)
-        if inst.choice[f].choose(menu) != want:
+    firms = inst.parts[1]
+    chi = rot.chi.vals
+    for f in sorted({v for v, _ in rot.steps} & firms):
+        z = _star(inst, x.vals, f)
+        d = _star(inst, chi, f)
+        menu = tuple(a + max(s, 0) for a, s in zip(z, d))
+        want = tuple(a + s for a, s in zip(z, d))
+        if inst.choice[f].choose_vals(menu) != want:
             raise VerificationError(
                 "firm {!r} does not exchange along the rotation".format(f)
             )
+
+
+def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
+    """Walk the ray ``x, x + chi, x + 2 chi, ...`` of a rotation once.
+
+    Returns ``(weight, y)`` with ``y = x + weight * chi``.  A step is taken
+    when it stays in the box and lands on a stable vector strictly above
+    the current one on the firm side; the walk stops at the first step that
+    fails, or after ``limit`` steps.  With a ``ceiling`` vector a step must
+    also not pass it: every firm weakly prefers its star in ``ceiling``.
+
+    ``x`` must be stable.  Unless the caller has just verified that
+    (``verified=True``, as after :func:`find_rotations` at ``x``), it is
+    checked here with the whole-instance :func:`is_stable`, and an
+    unstable ``x`` raises :class:`InputError`.  Every step then rests on a
+    verified stable vector, so it is decided locally: only the stars of the
+    rotation's vertices change, which leaves just those stars and the edges
+    incident to them to re-check, and only the rotation's firms to compare.
+    The verdict is exactly that of :func:`is_stable` and :func:`precedes_F`.
+    """
+    inst.check_vector(x)
+    if rot.chi.space != inst.space:
+        raise InputError("rotation does not live on this instance's edges")
+    if not verified:
+        report = is_stable(inst, x)
+        if not report.stable:
+            raise InputError(
+                "rotations act only at stable vectors: {!r}".format(report)
+            )
+    shift, touched, near = _walk_frame(inst, rot.steps)
+    firms = [f for f in touched if f in inst.parts[1]]
+    vals = x.vals
+    weight = 0
+    while limit is None or weight < limit:
+        nxt = _shifted(inst, vals, shift)
+        if nxt is None or not _shift_holds(inst, vals, nxt, touched, near):
+            break
+        if ceiling is not None and not _under(inst, nxt, ceiling, firms, weight):
+            break
+        weight += 1
+        vals = nxt
+    return weight, (EdgeVector(inst.space, vals) if weight else x)
+
+
+def _under(inst, vals, ceiling, firms, weight):
+    """True iff every firm weakly prefers its star in ``ceiling`` to ``vals``.
+
+    The first step of a climb compares every firm with :func:`precedes_F`.
+    After it, only the climbing rotation's ``firms`` can change their mind.
+    """
+    if weight == 0:
+        y = EdgeVector(inst.space, vals)
+        return y == ceiling or precedes_F(inst, y, ceiling)
+    return all(
+        _weakly_prefers(
+            inst.choice[f], _star(inst, ceiling.vals, f), _star(inst, vals, f)
+        )
+        for f in firms
+    )
 
 
 def max_feasible_weight(inst, x, rot):
     """Largest multiple of the rotation's shift that stays stable from ``x``.
 
     Raises :class:`InputError` when even a single application fails, i.e.
-    the rotation is not applicable at ``x``.
+    the rotation is not applicable at ``x``, or when ``x`` is not stable.
     """
-    inst.check_vector(x)
-    weight = 0
-    here = x
-    while True:
-        nxt = here.plus(rot.chi)
-        if not inst.in_box(nxt):
-            break
-        if not is_stable(inst, nxt).stable:
-            break
-        if not precedes_F(inst, here, nxt):
-            break
-        weight += 1
-        here = nxt
+    weight, _ = climb(inst, x, rot)
     if weight == 0:
         raise InputError("rotation is not applicable at this vector")
     return weight
 
 
 def apply_rotation(inst, x, rot, weight):
-    """Shift ``x`` along the rotation ``weight`` times, verifying each step."""
+    """Shift the stable ``x`` along the rotation ``weight`` times, each step checked."""
     if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
         raise InputError("weight must be a positive integer")
-    here = x
-    for _ in range(weight):
-        nxt = here.plus(rot.chi)
-        if (
-            not inst.in_box(nxt)
-            or not is_stable(inst, nxt).stable
-            or not precedes_F(inst, here, nxt)
-        ):
-            raise InputError("weight exceeds the feasible range of this rotation")
-        here = nxt
-    return here
+    done, y = climb(inst, x, rot, limit=weight)
+    if done < weight:
+        raise InputError("weight exceeds the feasible range of this rotation")
+    return y
 
 
 class RouteStep:
@@ -476,7 +649,7 @@ def build_full_route(inst, seed=0):
     firm-optimal vector.
     """
     rng = random.Random(seed)
-    x = deferred_acceptance(inst, "W")
+    start = x = deferred_acceptance(inst, "W")
     steps = []
     fuel = max(1, inst.caps.total()) * max(1, len(inst.space)) + 2
     while True:
@@ -484,8 +657,7 @@ def build_full_route(inst, seed=0):
         if not rots:
             break
         rot = rots[rng.randrange(len(rots))]
-        weight = max_feasible_weight(inst, x, rot)
-        y = apply_rotation(inst, x, rot, weight)
+        weight, y = climb(inst, x, rot, verified=True)
         steps.append(RouteStep(rot, weight, x, y))
         x = y
         fuel -= 1
@@ -496,5 +668,4 @@ def build_full_route(inst, seed=0):
         raise VerificationError(
             "route stalled before the firm-optimal vector"
         )
-    route = Route(deferred_acceptance(inst, "W"), steps)
-    return route
+    return Route(start, steps)

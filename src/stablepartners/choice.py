@@ -23,18 +23,21 @@ DEFAULT_AXIOM_BUDGET = 10**6
 def box_array(caps):
     """All integer vectors of the box ``0 <= z <= caps`` in lexicographic order.
 
-    Returns an ``(n, k)`` int16 array whose rows are sorted with the first
-    coordinate most significant.
+    Returns an ``(n, k)`` array whose rows are sorted with the first
+    coordinate most significant.  The dtype is int16 when every capacity
+    fits in it and int64 otherwise, so no value ever wraps.
     """
     caps = tuple(int(c) for c in caps)
     n = 1
     for c in caps:
         n *= c + 1
-    out = np.empty((n, len(caps)), dtype=np.int16)
+    small = all(c <= np.iinfo(np.int16).max for c in caps)
+    dtype = np.int16 if small else np.int64
+    out = np.empty((n, len(caps)), dtype=dtype)
     rep = n
     for j, c in enumerate(caps):
         rep //= c + 1
-        cycle = np.repeat(np.arange(c + 1, dtype=np.int16), rep)
+        cycle = np.repeat(np.arange(c + 1, dtype=dtype), rep)
         out[:, j] = np.tile(cycle, n // (rep * (c + 1)))
     return out
 

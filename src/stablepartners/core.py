@@ -170,25 +170,6 @@ class EdgeVector:
         return EdgeVector(subspace, (self.vals[p] for p in positions))
 
 
-def vector_op(kind, x, y):
-    """Apply a named componentwise operation to two vectors.
-
-    ``kind`` is one of ``join``, ``meet``, ``plus``, ``minus``.  This is a
-    thin dispatcher kept for symmetry with the serialized command surface;
-    library code calls the methods directly.
-    """
-    try:
-        method = {
-            "join": EdgeVector.join,
-            "meet": EdgeVector.meet,
-            "plus": EdgeVector.plus,
-            "minus": EdgeVector.minus,
-        }[kind]
-    except KeyError:
-        raise InputError("unknown vector operation {!r}".format(kind)) from None
-    return method(x, y)
-
-
 class Instance:
     """A finite graph with integer capacities and one choice function per vertex.
 

@@ -20,11 +20,10 @@ from .core import (
 from .bipartite import (
     Route,
     RouteStep,
-    apply_rotation,
+    climb,
     deferred_acceptance,
     find_rotations,
-    max_feasible_weight,
-    precedes_F,
+    is_stable,
 )
 
 DEFAULT_GRAPH_BUDGET = 200_000
@@ -131,8 +130,7 @@ def principal_graph(inst, budget=DEFAULT_GRAPH_BUDGET):
         acc = phi[x]
         used = Counter(occ.rotation.steps for occ in acc)
         for rot in rots:
-            weight = max_feasible_weight(inst, x, rot)
-            y = apply_rotation(inst, x, rot, weight)
+            weight, y = climb(inst, x, rot, verified=True)
             occ = Occurrence(rot, used[rot.steps])
             grown = dict(acc)
             grown[occ] = weight
@@ -335,8 +333,6 @@ def closed_from_vector(inst, order, x):
     applicable rotation and never past ``x`` on the firm side, recording
     how much of each occurrence gets used.
     """
-    from .bipartite import is_stable
-
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
@@ -347,18 +343,7 @@ def closed_from_vector(inst, order, x):
     while here != x:
         progressed = False
         for rot in find_rotations(inst, here):
-            lam = 0
-            probe = here
-            while True:
-                nxt = probe.plus(rot.chi)
-                if not inst.in_box(nxt) or not is_stable(inst, nxt).stable:
-                    break
-                if not precedes_F(inst, probe, nxt):
-                    break
-                if nxt != x and not precedes_F(inst, nxt, x):
-                    break
-                lam += 1
-                probe = nxt
+            lam, probe = climb(inst, here, rot, ceiling=x, verified=True)
             if lam > 0:
                 occ = Occurrence(rot, used[rot.steps])
                 used[rot.steps] += 1
@@ -389,8 +374,6 @@ def vector_from_closed(inst, order, weights):
         raise InputError("weight function is not closed for this order")
     if isinstance(weights, ClosedFunction):
         weights = weights.weights
-    from .bipartite import is_stable
-
     total = order.bottom
     for occ in order.occurrences:
         w = weights.get(occ, 0)

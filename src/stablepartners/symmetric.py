@@ -20,13 +20,7 @@ from .core import (
     VerificationError,
 )
 from .choice import RenamedCF
-from .bipartite import (
-    Rotation,
-    apply_rotation,
-    deferred_acceptance,
-    find_rotations,
-    max_feasible_weight,
-)
+from .bipartite import Rotation, climb, deferred_acceptance, find_rotations
 
 
 def _copy_name(name, i):
@@ -217,7 +211,7 @@ def run_qb(si, seed=0):
         if not fresh:
             break
         rot = fresh[rng.randrange(len(fresh))]
-        tau = max_feasible_weight(graph, x, rot)
+        tau, _ = climb(graph, x, rot, verified=True)
         if is_singular(si, rot):
             weight = tau // 2
             singular_used[rot.steps] = rot
@@ -226,7 +220,8 @@ def run_qb(si, seed=0):
         else:
             weight = tau
         if weight:
-            x = apply_rotation(graph, x, rot, weight)
+            # The climb to ``tau`` verified every step below it.
+            x = x.plus(rot.chi.scaled(weight))
         used.add(rot.steps)
         picks.append((rot, weight, tau))
         fuel -= 1

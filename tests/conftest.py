@@ -17,6 +17,8 @@ from stablepartners import (
     enumerate_stable,
     find_rotations,
     instance_from_dict,
+    is_stable,
+    precedes_F,
     rotation_order,
     symmetrize,
 )
@@ -563,6 +565,37 @@ def oracle_precedes_F(inst, x_vals, y_vals):
         if inst.choice[v].choose_vals(join) != tuple(y_vals[i] for i in spots):
             return False
     return True
+
+
+def oracle_two_pass_walk(inst, x, rot, ceiling=None):
+    """A rotation's ray walked twice with whole-instance checks at every step.
+
+    A first pass counts the steps that stay in the box, land on a stable
+    vector and rise strictly on the firm side (and, with a ``ceiling``,
+    never pass it); a second pass re-walks that many steps and re-verifies
+    each.  Returns ``(weight, landing)``.  It shares only the whole-instance
+    :func:`is_stable` and :func:`precedes_F` with the library, never the
+    local re-checks of :func:`climb`, so it is the reference for them.
+    """
+
+    def step_ok(here, nxt):
+        if not inst.in_box(nxt) or not is_stable(inst, nxt).stable:
+            return False
+        if not precedes_F(inst, here, nxt):
+            return False
+        return ceiling is None or nxt == ceiling or precedes_F(inst, nxt, ceiling)
+
+    weight = 0
+    here = x
+    while step_ok(here, here.plus(rot.chi)):
+        weight += 1
+        here = here.plus(rot.chi)
+    here = x
+    for _ in range(weight):
+        nxt = here.plus(rot.chi)
+        assert step_ok(here, nxt)
+        here = nxt
+    return weight, here
 
 
 def oracle_full_routes(inst, stable_vals, cap=2000):

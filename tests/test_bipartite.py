@@ -1,5 +1,6 @@
 """Two-sided machinery: stability, proposal rounds, rotations, routes."""
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from stablepartners import (
     precedes_F,
     precedes_W,
 )
+from stablepartners.bipartite import _simple_cycles
 
 from conftest import edgevec, random_bipartite_doc
 
@@ -217,3 +219,32 @@ def test_random_instances_agree_with_the_enumeration_oracle():
         succ = immediate_successors(inst, lo, stable)
         landed = {apply_rotation(inst, lo, rot, 1) for rot in find_rotations(inst, lo)}
         assert landed == set(succ)
+
+
+def brute_force_cycles(nodes, arcs):
+    """Every elementary cycle, as a node tuple starting at its least node."""
+    out = set()
+    for k in range(1, len(nodes) + 1):
+        for perm in itertools.permutations(nodes, k):
+            if perm[0] != min(perm):
+                continue
+            if all((a, b) in arcs for a, b in zip(perm, perm[1:] + perm[:1])):
+                out.add(perm)
+    return out
+
+
+def test_cycle_enumerator_matches_a_brute_force_oracle():
+    rng = random.Random(2718)
+    total = 0
+    for _ in range(300):
+        nodes = list(range(rng.randint(1, 6)))
+        density = rng.random()
+        arcs = {(a, b) for a in nodes for b in nodes if rng.random() < density}
+        succ = {}
+        for a, b in sorted(arcs):
+            succ.setdefault(a, []).append(b)
+        got = [tuple(c) for c in _simple_cycles(succ)]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force_cycles(nodes, arcs)
+        total += len(got)
+    assert total > 300

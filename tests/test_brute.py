@@ -1,16 +1,20 @@
 """Enumeration oracles: stable sets, lattice extremes, immediate successors."""
 
+import numpy as np
 import pytest
 
 from stablepartners import (
     BudgetError,
     VerificationError,
+    deferred_acceptance,
     enumerate_stable,
     immediate_successors,
+    instance_from_dict,
     lattice_extremes,
 )
+from stablepartners.choice import box_array
 
-from conftest import edgevec, oracle_stable_set
+from conftest import edgevec, oracle_stable_set, quota_doc
 
 
 def test_stable_counts_on_the_frozen_instances(b4, b4_scaled, triangle, path3):
@@ -58,3 +62,23 @@ def test_successors_step_one_cover_at_a_time(b4, b4_scaled):
     succ = immediate_successors(b4_scaled, lo, stable)
     assert len(succ) == 1
     assert succ[0] in mids
+
+
+def test_capacities_beyond_int16_do_not_wrap():
+    doc = quota_doc(
+        [("wf", "w", "f", 40000)],
+        {"w": 40000, "f": 40000},
+        {"w": ["wf"], "f": ["wf"]},
+        parts=(["w"], ["f"]),
+    )
+    inst = instance_from_dict(doc)
+    da = deferred_acceptance(inst, "W")
+    assert da.to_mapping() == {"wf": 40000}
+    assert enumerate_stable(inst) == [da]
+
+
+def test_small_boxes_keep_the_compact_dtype():
+    box = box_array((32767, 1))
+    assert box.dtype == np.int16
+    assert box[-1].tolist() == [32767, 1]
+    assert box_array((32768,)).dtype != np.int16

@@ -1,7 +1,11 @@
 """Command line behavior: outputs, formats, and the exit code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
+import stablepartners
 from stablepartners import instance_from_dict, instance_to_dict
 from stablepartners.cli import (
     EXIT_BUDGET,
@@ -213,3 +217,18 @@ def test_csv_output_for_tabular_commands(tmp_path, capsys):
     tri = write_json(tmp_path / "tri.json", triangle_doc())
     code, _ = run(capsys, "solve", "--instance", tri, "--format", "csv")
     assert code == EXIT_INPUT
+
+
+def test_importing_the_cli_leaves_networkx_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stablepartners.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, stablepartners.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -13,7 +13,6 @@ from stablepartners import (
     instance_to_dict,
     parse_instance,
     serialize_instance,
-    vector_op,
 )
 from stablepartners.choice import LinearOrderQuotaCF
 
@@ -48,21 +47,12 @@ def test_vector_basic_arithmetic():
     assert x["r"] == 2
 
 
-def test_vector_op_dispatch_matches_methods():
-    sp = space3()
-    x = EdgeVector(sp, (2, 1, 0))
-    y = EdgeVector(sp, (1, 1, 1))
-    for kind in ("join", "meet", "plus", "minus"):
-        assert vector_op(kind, x, y) == getattr(x, kind)(y)
-    with pytest.raises(InputError):
-        vector_op("xor", x, y)
-
-
-def test_vector_op_rejects_mismatched_spaces():
+def test_vector_arithmetic_rejects_mismatched_spaces():
     x = EdgeVector(space3(), (0, 0, 0))
     y = EdgeVector(EdgeSpace(["p", "q"]), (0, 0))
-    with pytest.raises(InputError):
-        vector_op("plus", x, y)
+    for op in (x.join, x.meet, x.plus, x.minus, x.le):
+        with pytest.raises(InputError):
+            op(y)
 
 
 def test_vector_mapping_round_trip_and_support():
