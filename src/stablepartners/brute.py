@@ -2,8 +2,9 @@
 
 These certify the constructive machinery at small scale by scanning the
 whole capacity box.  The scan is vectorized per vertex: acceptability and
-single-unit interest are evaluated on the distinct star patterns only and
-broadcast back to the full box.
+single-unit interest are evaluated once per star pattern, on the star's own
+box, and read back for every row of the full box through the row's
+mixed-radix code on the star's columns.
 """
 
 import numpy as np
@@ -34,7 +35,11 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
         cols = list(inst.star_positions[v])
         if not cols:
             continue
-        patterns, inv = np.unique(box[:, cols], axis=0, return_inverse=True)
+        # box_array lists the star's box in lexicographic order, so a row's
+        # pattern sits at its mixed-radix code with the star caps as radices.
+        caps = [inst.caps.vals[c] for c in cols]
+        patterns = box_array(caps)
+        inv = np.ravel_multi_index(box[:, cols].T, [c + 1 for c in caps])
         chosen = inst.choice[v].batch_vals(patterns)
         ok &= (chosen == patterns).all(axis=1)[inv]
         star_cache[v] = (patterns, inv)

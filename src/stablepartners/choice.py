@@ -13,9 +13,18 @@ comparable pairs within a configurable work budget and returns a report
 with a concrete witness when an axiom fails.
 """
 
+import math
+
 import numpy as np
 
-from .core import BudgetError, EdgeVector, InputError, InternalError
+from .core import (
+    BudgetError,
+    EdgeVector,
+    InputError,
+    InternalError,
+    _is_int,
+    _is_str_list,
+)
 
 DEFAULT_AXIOM_BUDGET = 10**6
 
@@ -290,14 +299,25 @@ def choice_from_dict(vertex, space, caps, spec):
             raise InputError(
                 "linear_order_quota at {!r} needs quota and order".format(vertex)
             )
+        if not _is_int(spec["quota"]):
+            raise InputError("quota at {!r} must be an integer".format(vertex))
+        if not _is_str_list(spec["order"]):
+            raise InputError("order at {!r} must be a list of edge ids".format(vertex))
         return LinearOrderQuotaCF(vertex, space, caps, spec["quota"], spec["order"])
     if kind == "table":
         if set(spec) != {"type", "entries"}:
             raise InputError("table at {!r} needs entries".format(vertex))
+        if not isinstance(spec["entries"], list):
+            raise InputError("table entries at {!r} must be a list".format(vertex))
         entries = []
         for entry in spec["entries"]:
             if not isinstance(entry, dict) or set(entry) != {"z", "c"}:
                 raise InputError("table entries at {!r} need z and c".format(vertex))
+            for vec in (entry["z"], entry["c"]):
+                if not isinstance(vec, dict) or not all(map(_is_int, vec.values())):
+                    raise InputError(
+                        "table entries at {!r} must map ids to integers".format(vertex)
+                    )
             z = EdgeVector.from_mapping(space, entry["z"])
             c = EdgeVector.from_mapping(space, entry["c"])
             entries.append((z.vals, c.vals))
@@ -451,21 +471,28 @@ def _check_pairwise(cf, axiom, budget):
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
     sizes = chosen.sum(axis=1, dtype=np.int64)
+    shape = tuple(c + 1 for c in cf.caps)
+    box_grid = box.reshape(shape + (len(shape),))
+    chosen_grid = chosen.reshape(box_grid.shape)
+    size_grid = sizes.reshape(shape)
     space = cf.space
     checked = 0
-    for i in range(len(box)):
-        below = np.nonzero((box <= box[i]).all(axis=1))[0]
-        checked += len(below)
+    for i, z in enumerate(box.tolist()):
+        # The rows below z are the sub-box [0, z_0] x ... x [0, z_(k-1)], a
+        # view in the same lexicographic order as the rows of the box.
+        below = tuple(slice(0, zj + 1) for zj in z)
+        checked += math.prod(zj + 1 for zj in z)
+        sub_box, sub_chosen = box_grid[below], chosen_grid[below]
         if axiom == "SUB":
-            bad = (np.minimum(chosen[i], box[below]) > chosen[below]).any(axis=1)
+            bad = (np.minimum(chosen[i], sub_box) > sub_chosen).any(axis=-1)
         elif axiom == "MON":
-            bad = sizes[below] > sizes[i]
+            bad = size_grid[below] > sizes[i]
         else:  # CON
-            applies = (box[below] >= chosen[i]).all(axis=1)
-            bad = applies & (chosen[below] != chosen[i]).any(axis=1)
-        hits = np.nonzero(bad)[0]
+            applies = (sub_box >= chosen[i]).all(axis=-1)
+            bad = applies & (sub_chosen != chosen[i]).any(axis=-1)
+        hits = np.flatnonzero(bad)
         if len(hits):
-            j = below[hits[0]]
+            j = np.ravel_multi_index(np.unravel_index(hits[0], np.shape(bad)), shape)
             witness = {
                 "z": EdgeVector(space, box[i]),
                 "zp": EdgeVector(space, box[j]),

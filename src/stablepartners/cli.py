@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 for unusable input, 2 when a verification or
 axiom check fails, 3 when a work budget is exceeded, 4 for internal
-assertion failures.  Output is deterministic: JSON is emitted with sorted
-keys and every listed collection is explicitly ordered.
+assertion failures and any other unexpected exception.  Output is
+deterministic: JSON is emitted with sorted keys and every listed collection
+is explicitly ordered.
 """
 
 import argparse
@@ -267,6 +268,10 @@ def main(argv=None):
         return EXIT_VERIFY
     except InternalError as exc:
         print("error: {}".format(exc), file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # Anything else is a bug: report it in the same one-line form.
+        print("error: {}: {}".format(type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -320,6 +320,15 @@ def parse_instance(text):
     return instance_from_dict(doc)
 
 
+def _is_int(value):
+    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def instance_from_dict(doc):
     """Build an :class:`Instance` from a decoded document."""
     from .choice import choice_from_dict
@@ -334,9 +343,7 @@ def instance_from_dict(doc):
         raise InputError("unknown document keys: {}".format(sorted(extra)))
 
     vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, str) for v in vertices
-    ):
+    if not _is_str_list(vertices):
         raise InputError("vertices must be a list of strings")
 
     edges = {}
@@ -352,9 +359,9 @@ def instance_from_dict(doc):
         if e in edges:
             raise InputError("duplicate edge id {!r}".format(e))
         ends = entry["ends"]
-        if not (isinstance(ends, list) and len(ends) == 2):
+        if not (_is_str_list(ends) and len(ends) == 2):
             raise InputError("edge {!r} needs two endpoints".format(e))
-        if not isinstance(entry["cap"], int) or isinstance(entry["cap"], bool):
+        if not _is_int(entry["cap"]):
             raise InputError("edge {!r} needs an integer capacity".format(e))
         edges[e] = tuple(ends)
         caps[e] = entry["cap"]
@@ -364,6 +371,8 @@ def instance_from_dict(doc):
         bp = doc["bipartition"]
         if not isinstance(bp, dict) or set(bp) != {"W", "F"}:
             raise InputError("bipartition needs exactly the keys W and F")
+        if not (_is_str_list(bp["W"]) and _is_str_list(bp["F"])):
+            raise InputError("bipartition sides must be lists of vertex ids")
         parts = (bp["W"], bp["F"])
 
     spec = doc["choice"]

@@ -9,6 +9,7 @@ code paths so that tests compare two independent computations.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from stablepartners import (
@@ -22,7 +23,7 @@ from stablepartners import (
     rotation_order,
     symmetrize,
 )
-from stablepartners.choice import TableCF
+from stablepartners.choice import AxiomReport, TableCF, box_array
 from stablepartners.core import EdgeSpace
 
 
@@ -74,6 +75,41 @@ def b4_doc(cap=1):
             "f2": ["w1f2", "w2f2"],
         },
         parts=(["w1", "w2"], ["f1", "f2"]),
+    )
+
+
+def bad_table_doc():
+    """Two-edge hub whose table keeps a unit it rejects alone: breaks SUB."""
+    entries = [
+        {"z": {"e1": 0, "e2": 0}, "c": {"e1": 0, "e2": 0}},
+        {"z": {"e1": 0, "e2": 1}, "c": {"e1": 0, "e2": 1}},
+        {"z": {"e1": 1, "e2": 0}, "c": {"e1": 0, "e2": 0}},
+        {"z": {"e1": 1, "e2": 1}, "c": {"e1": 1, "e2": 0}},
+    ]
+    return {
+        "vertices": ["hub", "n1", "n2"],
+        "edges": [
+            {"id": "e1", "ends": ["hub", "n1"], "cap": 1},
+            {"id": "e2", "ends": ["hub", "n2"], "cap": 1},
+        ],
+        "choice": {
+            "hub": {"type": "table", "entries": entries},
+            "n1": {"type": "linear_order_quota", "quota": 1, "order": ["e1"]},
+            "n2": {"type": "linear_order_quota", "quota": 1, "order": ["e2"]},
+        },
+    }
+
+
+def degenerate_doc():
+    """A zero-capacity edge beside a unit one, and an isolated vertex.
+
+    ``lone`` has an empty star, so its box is the single empty vector.
+    """
+    return quota_doc(
+        edges=[("wf", "w", "f", 1), ("wg", "w", "g", 0)],
+        quotas={"w": 1, "f": 1, "g": 1},
+        orders={"w": ["wg", "wf"], "f": ["wf"], "g": ["wg"]},
+        parts=(["w", "lone"], ["f", "g"]),
     )
 
 
@@ -662,3 +698,75 @@ def oracle_family(routes):
             fam.append((chi, k, weight))
         out.append(sorted(fam))
     return out
+
+
+def oracle_check_pairwise(cf, axiom):
+    """SUB, MON or CON by comparing every row with the whole box.
+
+    Finds the rows below each ``z`` with a full-box mask, O(n) per row, and
+    returns an :class:`AxiomReport` exactly as :func:`check_axiom` does.
+    It shares no indexing with the library's sub-box scan, so it is the
+    reference for its verdicts, pair counts and witnesses.
+    """
+    box = box_array(cf.caps)
+    chosen = cf.batch_vals(box)
+    sizes = chosen.sum(axis=1, dtype=np.int64)
+    checked = 0
+    for i in range(len(box)):
+        below = np.nonzero((box <= box[i]).all(axis=1))[0]
+        checked += len(below)
+        if axiom == "SUB":
+            bad = (np.minimum(chosen[i], box[below]) > chosen[below]).any(axis=1)
+        elif axiom == "MON":
+            bad = sizes[below] > sizes[i]
+        else:
+            applies = (box[below] >= chosen[i]).all(axis=1)
+            bad = applies & (chosen[below] != chosen[i]).any(axis=1)
+        hits = np.nonzero(bad)[0]
+        if len(hits):
+            j = below[hits[0]]
+            witness = {
+                "z": EdgeVector(cf.space, box[i]),
+                "zp": EdgeVector(cf.space, box[j]),
+            }
+            return AxiomReport(axiom, False, witness, checked)
+    return AxiomReport(axiom, True, None, checked)
+
+
+def oracle_enumerate_stable(inst):
+    """All stable vectors in lexicographic order, star patterns by sorting.
+
+    Each star's distinct patterns and the inverse index come from
+    ``np.unique`` on the star's columns, not from the mixed-radix code the
+    library uses, so this is the reference for :func:`enumerate_stable`.
+    """
+    box = box_array(inst.caps.vals)
+    ok = np.ones(len(box), dtype=bool)
+    star_cache = {}
+    for v in inst.vertices:
+        cols = list(inst.star_positions[v])
+        if not cols:
+            continue
+        patterns, inv = np.unique(box[:, cols], axis=0, return_inverse=True)
+        inv = inv.reshape(-1)
+        chosen = inst.choice[v].batch_vals(patterns)
+        ok &= (chosen == patterns).all(axis=1)[inv]
+        star_cache[v] = (patterns, inv)
+
+    def interest_mask(v, e):
+        patterns, inv = star_cache[v]
+        se = inst.star_ids[v].index(e)
+        room = patterns[:, se] < inst.caps[e]
+        mask = np.zeros(len(patterns), dtype=bool)
+        if room.any():
+            bumped = patterns[room].copy()
+            bumped[:, se] += 1
+            chosen = inst.choice[v].batch_vals(bumped)
+            mask[room] = chosen[:, se] > patterns[room, se]
+        return mask[inv]
+
+    unblocked = ok.copy()
+    for e in inst.space.ids:
+        u, v = inst.ends(e)
+        unblocked &= ~(interest_mask(u, e) & interest_mask(v, e))
+    return [EdgeVector(inst.space, row) for row in box[ok & unblocked].tolist()]

@@ -12,9 +12,16 @@ from stablepartners import (
     instance_from_dict,
     lattice_extremes,
 )
-from stablepartners.choice import box_array
+from stablepartners.choice import box_array, check_axiom
 
-from conftest import edgevec, oracle_stable_set, quota_doc
+from conftest import (
+    degenerate_doc,
+    edgevec,
+    oracle_check_pairwise,
+    oracle_enumerate_stable,
+    oracle_stable_set,
+    quota_doc,
+)
 
 
 def test_stable_counts_on_the_frozen_instances(b4, b4_scaled, triangle, path3):
@@ -82,3 +89,39 @@ def test_small_boxes_keep_the_compact_dtype():
     assert box.dtype == np.int16
     assert box[-1].tolist() == [32767, 1]
     assert box_array((32768,)).dtype != np.int16
+
+
+def test_enumeration_matches_the_sorting_oracle_on_both_corpora(
+    bipartite_artifacts, doubled_artifacts
+):
+    small = [
+        (inst, stable)
+        for inst, stable, _ in bipartite_artifacts
+        if inst.box_size() <= 10**4
+    ]
+    small += [
+        (si.graph, stable)
+        for _, si, _, stable in doubled_artifacts
+        if si.graph.box_size() <= 10**4
+    ]
+    assert len(small) >= 200
+    for inst, stable in small:
+        assert stable == oracle_enumerate_stable(inst)
+
+
+def test_empty_and_zero_capacity_stars_match_the_oracles():
+    inst = instance_from_dict(degenerate_doc())
+    assert inst.star_ids["lone"] == ()
+    assert box_array(inst.choice["lone"].caps).shape == (1, 0)
+    assert inst.caps["wg"] == 0
+    stable = enumerate_stable(inst)
+    assert stable == oracle_enumerate_stable(inst)
+    assert [x.to_mapping() for x in stable] == [{"wf": 1, "wg": 0}]
+    for v in inst.vertices:
+        for axiom in ("SUB", "MON", "CON"):
+            got = check_axiom(inst.choice[v], axiom)
+            want = oracle_check_pairwise(inst.choice[v], axiom)
+            assert got.holds and want.holds
+            assert got.pairs_checked == want.pairs_checked
+        assert check_axiom(inst.choice[v], "GL").holds
+    assert check_axiom(inst.choice["lone"], "SUB").pairs_checked == 1

@@ -18,7 +18,7 @@ from stablepartners.choice import (
 )
 from stablepartners.core import EdgeSpace, EdgeVector
 
-from conftest import gated_instance
+from conftest import gated_instance, oracle_check_pairwise
 
 
 def quota_cf(caps, quota, order=None):
@@ -329,6 +329,39 @@ def test_preference_is_transitive_under_the_axioms():
     for x, y, z in itertools.permutations(acceptable, 3):
         if prefers(cf, y, x) and prefers(cf, z, y):
             assert prefers(cf, z, x)
+
+
+def test_pairwise_checks_match_the_full_box_oracle_on_random_tables():
+    """Quota choices with about 30% of their rows shrunk by one unit or more:
+    verdict, pair count and witness all equal the oracle's, on holding and
+    on failing reports alike."""
+    rng = random.Random(8128)
+    verdicts = []
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        caps = [rng.randint(0, 3) for _ in range(k)]
+        base = quota_cf(caps, rng.randint(0, sum(caps)))
+        rows = []
+        for z in full_box(base):
+            c = list(base.choose_vals(z))
+            held = [j for j, cj in enumerate(c) if cj]
+            if held and rng.random() < 0.3:
+                j = rng.choice(held)
+                c[j] = rng.randrange(c[j])
+            rows.append((z, tuple(c)))
+        cf = TableCF("v", base.space, caps, rows)
+        for axiom in ("SUB", "MON", "CON"):
+            got = check_axiom(cf, axiom)
+            want = oracle_check_pairwise(cf, axiom)
+            assert (got.holds, got.pairs_checked, got.witness) == (
+                want.holds,
+                want.pairs_checked,
+                want.witness,
+            ), (caps, rows, axiom)
+            verdicts.append((axiom, got.holds))
+    for axiom in ("SUB", "MON", "CON"):
+        assert verdicts.count((axiom, False)) >= 50
+        assert verdicts.count((axiom, True)) >= 50
 
 
 def test_pairwise_budget_is_enforced_before_work_starts():

@@ -6,41 +6,27 @@ import subprocess
 import sys
 
 import stablepartners
-from stablepartners import instance_from_dict, instance_to_dict
+from stablepartners import cli, instance_from_dict, instance_to_dict
 from stablepartners.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VERIFY,
     main,
 )
 
-from conftest import b4_doc, cycle3_doc, gated_instance, triangle_doc
+from conftest import (
+    b4_doc,
+    bad_table_doc,
+    cycle3_doc,
+    degenerate_doc,
+    gated_instance,
+    triangle_doc,
+)
 
 B4_MIN = {"w1f1": 1, "w1f2": 0, "w2f1": 0, "w2f2": 1}
 B4_MAX = {"w1f1": 0, "w1f2": 1, "w2f1": 1, "w2f2": 0}
-
-
-def bad_table_doc():
-    """Two-edge hub whose table keeps a unit it rejects alone: breaks SUB."""
-    entries = [
-        {"z": {"e1": 0, "e2": 0}, "c": {"e1": 0, "e2": 0}},
-        {"z": {"e1": 0, "e2": 1}, "c": {"e1": 0, "e2": 1}},
-        {"z": {"e1": 1, "e2": 0}, "c": {"e1": 0, "e2": 0}},
-        {"z": {"e1": 1, "e2": 1}, "c": {"e1": 1, "e2": 0}},
-    ]
-    return {
-        "vertices": ["hub", "n1", "n2"],
-        "edges": [
-            {"id": "e1", "ends": ["hub", "n1"], "cap": 1},
-            {"id": "e2", "ends": ["hub", "n2"], "cap": 1},
-        ],
-        "choice": {
-            "hub": {"type": "table", "entries": entries},
-            "n1": {"type": "linear_order_quota", "quota": 1, "order": ["e1"]},
-            "n2": {"type": "linear_order_quota", "quota": 1, "order": ["e2"]},
-        },
-    }
 
 
 def write_json(path, doc):
@@ -85,6 +71,19 @@ def test_axiom_check_passes_on_quota_instances(tmp_path, capsys):
     assert list(json.loads(out)["vertices"]) == ["w1"]
 
 
+def test_axiom_check_covers_empty_and_zero_capacity_stars(tmp_path, capsys):
+    inst = write_json(tmp_path / "degenerate.json", degenerate_doc())
+    code, out = run(capsys, "check-axioms", "--instance", inst)
+    assert code == EXIT_OK
+    lone = json.loads(out)["vertices"]["lone"]
+    assert {axiom: lone[axiom]["pairs_checked"] for axiom in lone} == {
+        "SUB": 1,
+        "MON": 1,
+        "CON": 1,
+        "GL": 0,
+    }
+
+
 def test_axiom_check_flags_a_bad_table(tmp_path, capsys):
     inst = write_json(tmp_path / "hub.json", bad_table_doc())
     code, out = run(capsys, "check-axioms", "--instance", inst, "--vertex", "hub")
@@ -106,6 +105,22 @@ def test_unusable_input_exits_one(tmp_path, capsys):
     assert run(capsys, "bipartite-solve", "--instance", inst, "--side", "X")[0] == EXIT_INPUT
     assert run(capsys, "verify", "--instance", inst)[0] == EXIT_INPUT
     assert run(capsys, "check-axioms", "--instance", inst, "--vertex", "zz")[0] == EXIT_INPUT
+    doc = b4_doc()
+    doc["choice"]["w1"]["quota"] = "x"
+    inst = write_json(tmp_path / "quota.json", doc)
+    assert run(capsys, "solve", "--instance", inst)[0] == EXIT_INPUT
+
+
+def test_unexpected_exceptions_exit_four_with_an_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    def broken_solve(inst, seed):
+        raise KeyError("w9")
+
+    monkeypatch.setattr(cli, "solve", broken_solve)
+    inst = write_json(tmp_path / "b4.json", b4_doc())
+    assert main(["solve", "--instance", inst]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "error: KeyError: 'w9'\n"
 
 
 def test_budget_exhaustion_exits_three(tmp_path, capsys):

@@ -16,7 +16,7 @@ from stablepartners import (
 )
 from stablepartners.choice import LinearOrderQuotaCF
 
-from conftest import b4_doc, quota_doc
+from conftest import b4_doc, bad_table_doc, quota_doc
 
 
 def space3():
@@ -215,3 +215,32 @@ def test_parse_and_serialize_are_inverse(path3):
 def test_parse_rejects_malformed_json():
     with pytest.raises(InputError):
         parse_instance("{not json")
+
+
+# Each case: a function making a valid document, the path of one node in it,
+# and an ill-typed value for that node.
+MALFORMED = {
+    "quota-string": (b4_doc, ("choice", "w1", "quota"), "x"),
+    "quota-float": (b4_doc, ("choice", "w1", "quota"), 1.5),
+    "quota-bool": (b4_doc, ("choice", "w1", "quota"), True),
+    "order-int": (b4_doc, ("choice", "w1", "order"), 5),
+    "ends-nested-list": (b4_doc, ("edges", 0, "ends"), ["w1", ["f1"]]),
+    "bipartition-int": (b4_doc, ("bipartition", "W"), 3),
+    "table-entries-int": (bad_table_doc, ("choice", "hub", "entries"), 7),
+    "table-value-string": (
+        bad_table_doc,
+        ("choice", "hub", "entries", 0, "c", "e1"),
+        "q",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, path, value", MALFORMED.values(), ids=list(MALFORMED))
+def test_ill_typed_document_nodes_raise_input_error(build, path, value):
+    doc = build()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(InputError):
+        instance_from_dict(doc)

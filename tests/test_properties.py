@@ -1,0 +1,131 @@
+"""Property tests of the document boundary: fuzzed input and round trips.
+
+Both run a fixed, derandomized set of examples, so the suite stays
+deterministic; raise ``max_examples`` locally for a deeper search.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stablepartners import (
+    InputError,
+    instance_from_dict,
+    instance_to_dict,
+    parse_instance,
+    serialize_instance,
+)
+
+from conftest import b4_doc, bad_table_doc, path3_doc, triangle_doc
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+KEYS = ["z", "c", "W", "F", "e1", "w1f1"]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["", "x", "w1", "f1", "w1f1", "hub", "e1", "table"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(doc, path=()):
+    """Paths to every node of a decoded JSON document, the root included."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one node replaced by, or stripped of, a value."""
+    doc = draw(st.sampled_from([b4_doc, bad_table_doc, path3_doc, triangle_doc]))()
+    path = draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return draw(json_values)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@PROPERTY
+@given(mutated_documents())
+def test_the_parser_raises_input_error_or_nothing(doc):
+    try:
+        instance_from_dict(doc)
+    except InputError:
+        pass
+
+
+@st.composite
+def instance_documents(draw):
+    """Small valid documents: quota or table choices, optional bipartition."""
+    n = draw(st.integers(1, 4))
+    names = ["v{}".format(i) for i in range(n)]
+    sides = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bipartite = draw(st.booleans())
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        if bipartite and sides[i] == sides[j]:
+            continue
+        if draw(st.booleans()):
+            ends = [names[i], names[j]]
+            cap = draw(st.integers(0, 2))
+            edges.append({"id": "".join(ends), "ends": ends, "cap": cap})
+    caps = {e["id"]: e["cap"] for e in edges}
+    choice = {}
+    for v in names:
+        star = [e["id"] for e in edges if v in e["ends"]]
+        if draw(st.booleans()):
+            choice[v] = {
+                "type": "linear_order_quota",
+                "quota": draw(st.integers(0, 4)),
+                "order": draw(st.permutations(star)),
+            }
+            continue
+        entries = []
+        for z in itertools.product(*[range(caps[e] + 1) for e in star]):
+            c = [draw(st.integers(0, zj)) for zj in z]
+            entries.append({"z": dict(zip(star, z)), "c": dict(zip(star, c))})
+        choice[v] = {"type": "table", "entries": entries}
+    doc = {"vertices": names, "edges": edges, "choice": choice}
+    if bipartite:
+        doc["bipartition"] = {
+            "W": [v for v, s in zip(names, sides) if s],
+            "F": [v for v, s in zip(names, sides) if not s],
+        }
+    return doc
+
+
+@PROPERTY
+@given(instance_documents())
+def test_serialization_round_trips_exactly(doc):
+    inst = instance_from_dict(doc)
+    text = serialize_instance(inst)
+    again = parse_instance(text)
+    assert serialize_instance(again) == text
+    assert instance_to_dict(again) == instance_to_dict(inst)
+    assert again.vertices == inst.vertices
+    assert again.edge_ends == inst.edge_ends
+    assert again.caps == inst.caps
+    assert again.parts == inst.parts
+    for v in inst.vertices:
+        caps = inst.choice[v].caps
+        for z in itertools.product(*[range(c + 1) for c in caps]):
+            assert again.choice[v].choose_vals(z) == inst.choice[v].choose_vals(z)
