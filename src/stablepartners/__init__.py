@@ -21,7 +21,6 @@ from .choice import (
     TableCF,
     check_axiom,
     is_acceptable,
-    is_interesting,
     prefers,
 )
 from .bipartite import (
@@ -66,7 +65,6 @@ from .solver import (
     HalfPartnership,
     OddCycle,
     SolveResult,
-    VertexContext,
     cycle_rotation,
     lift_vector,
     project_cycle,

@@ -9,7 +9,7 @@ minimum and the firm-optimal one is the maximum.
 import random
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .choice import prefers
+from .choice import _weakly_prefers
 
 
 class StabilityReport:
@@ -92,11 +92,6 @@ def _blocks(inst, vals, star, e):
     return _wants(inst, u, star[u], e) and _wants(inst, v, star[v], e)
 
 
-def _weakly_prefers(cf, z, other):
-    """Raw weak preference between two acceptable stars: equal, or ``z`` wins."""
-    return z == other or cf.choose_vals(tuple(map(max, z, other))) == z
-
-
 def _walk_frame(inst, steps):
     """Raw data of a closed alternating walk given as ``(v, e)`` steps.
 
@@ -171,11 +166,14 @@ def precedes(inst, x, y, side):
         return False
     group = inst.parts[0] if side == "W" else inst.parts[1]
     for v in sorted(group):
-        xv = inst.star_vector(x, v)
-        yv = inst.star_vector(y, v)
+        xv = _star(inst, x.vals, v)
+        yv = _star(inst, y.vals, v)
         if xv == yv:
             continue
-        if not prefers(inst.choice[v], yv, xv):
+        cf = inst.choice[v]
+        if cf.choose_vals(yv) != yv or cf.choose_vals(xv) != xv:
+            raise InputError("preference is only defined between acceptable vectors")
+        if not _weakly_prefers(cf, yv, xv):
             return False
     return True
 

@@ -313,11 +313,6 @@ def choice_from_dict(vertex, space, caps, spec):
         for entry in spec["entries"]:
             if not isinstance(entry, dict) or set(entry) != {"z", "c"}:
                 raise InputError("table entries at {!r} need z and c".format(vertex))
-            for vec in (entry["z"], entry["c"]):
-                if not isinstance(vec, dict) or not all(map(_is_int, vec.values())):
-                    raise InputError(
-                        "table entries at {!r} must map ids to integers".format(vertex)
-                    )
             z = EdgeVector.from_mapping(space, entry["z"])
             c = EdgeVector.from_mapping(space, entry["c"])
             entries.append((z.vals, c.vals))
@@ -339,29 +334,14 @@ def prefers(cf, z, other):
     Both vectors must be acceptable.  Equal vectors are never strictly
     preferred.
     """
-    for w in (z, other):
-        if not is_acceptable(cf, w):
-            raise InputError(
-                "preference is only defined between acceptable vectors"
-            )
-    if z == other:
-        return False
-    return cf.choose(z.join(other)) == z
+    if not (is_acceptable(cf, z) and is_acceptable(cf, other)):
+        raise InputError("preference is only defined between acceptable vectors")
+    return z != other and _weakly_prefers(cf, z.vals, other.vals)
 
 
-def is_interesting(cf, z, e, cap):
-    """True iff the vertex would take one more unit of ``e`` on top of ``z``.
-
-    ``cap`` bounds the edge; at capacity the answer is False without
-    consulting the choice function.
-    """
-    if e not in cf.space:
-        raise InputError("edge {!r} is not in this star".format(e))
-    if not is_acceptable(cf, z):
-        raise InputError("interest is only defined at acceptable vectors")
-    if z[e] >= cap:
-        return False
-    return cf.choose(z.add_unit(e))[e] > z[e]
+def _weakly_prefers(cf, z, other):
+    """Raw weak preference between two acceptable stars: equal, or ``z`` wins."""
+    return z == other or cf.choose_vals(tuple(map(max, z, other))) == z
 
 
 # -- axiom checking ----------------------------------------------------------

@@ -60,13 +60,6 @@ def _load_json(path):
         raise InputError("invalid JSON in {!r}: {}".format(path, exc)) from None
 
 
-def _load_vector(inst, path):
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise InputError("vector document must map edge ids to integers")
-    return EdgeVector.from_mapping(inst.space, doc)
-
-
 def _emit(args, doc, rows=None):
     if args.format == "csv":
         if rows is None:
@@ -121,7 +114,7 @@ def cmd_bipartite_solve(args):
 def cmd_rotations(args):
     inst = _load_instance(args)
     if args.at:
-        x = _load_vector(inst, args.at)
+        x = EdgeVector.from_mapping(inst.space, _load_json(args.at))
     else:
         x = deferred_acceptance(inst, "W")
     rots = find_rotations(inst, x)

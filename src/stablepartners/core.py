@@ -83,10 +83,13 @@ class EdgeVector:
 
     @classmethod
     def from_mapping(cls, space, mapping, default=0):
+        """The vector of a document mapping edge ids to JSON integers."""
+        if not isinstance(mapping, dict) or not all(map(_is_int, mapping.values())):
+            raise InputError("a vector document must map edge ids to integers")
         unknown = set(mapping) - set(space.ids)
         if unknown:
             raise InputError("unknown edge ids: {}".format(sorted(unknown)))
-        return cls(space, (int(mapping.get(e, default)) for e in space.ids))
+        return cls(space, (mapping.get(e, default) for e in space.ids))
 
     def to_mapping(self):
         return {e: v for e, v in zip(self.space.ids, self.vals)}
@@ -154,20 +157,6 @@ class EdgeVector:
         vals = list(self.vals)
         vals[i] += amount
         return EdgeVector(self.space, vals)
-
-    def with_value(self, e, value):
-        i = self.space.index[e]
-        vals = list(self.vals)
-        vals[i] = int(value)
-        return EdgeVector(self.space, vals)
-
-    def support(self):
-        """Edge ids with a nonzero value, in space order."""
-        return tuple(e for e, v in zip(self.space.ids, self.vals) if v)
-
-    def restrict(self, subspace, positions):
-        """Project onto ``subspace`` using precomputed ``positions``."""
-        return EdgeVector(subspace, (self.vals[p] for p in positions))
 
 
 class Instance:
@@ -292,10 +281,6 @@ class Instance:
         self.check_vector(x)
         return x.is_nonnegative() and x.le(self.caps)
 
-    def star_vector(self, x, v):
-        """Restriction of ``x`` to the star of ``v``."""
-        return x.restrict(self.star_space[v], self.star_positions[v])
-
     def box_size(self):
         n = 1
         for c in self.caps.vals:
@@ -378,6 +363,9 @@ def instance_from_dict(doc):
     spec = doc["choice"]
     if not isinstance(spec, dict):
         raise InputError("choice must be an object keyed by vertex")
+    ghosts = set(spec) - set(vertices)
+    if ghosts:
+        raise InputError("choice given for unknown vertices: {}".format(sorted(ghosts)))
 
     # The stars are derivable before full validation; choice construction
     # needs them.  Build a skeleton star map mirroring Instance.__init__.

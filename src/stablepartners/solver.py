@@ -10,7 +10,7 @@ doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .bipartite import Rotation, is_stable
+from .bipartite import Rotation, _star, is_stable
 from .symmetric import is_singular, run_qb, symmetrize
 
 
@@ -114,39 +114,35 @@ class HalfPartnership:
     def from_dict(cls, inst, doc):
         if not isinstance(doc, dict) or "x" not in doc or "K" not in doc:
             raise InputError("solution document needs x and K")
+        if not isinstance(doc["K"], list):
+            raise InputError("K must be a list of cycles")
         x = EdgeVector.from_mapping(inst.space, doc["x"])
         cycles = [OddCycle.from_list(inst, item) for item in doc["K"]]
         return cls(x, cycles)
 
 
-class VertexContext:
-    """What one vertex sees of a half-partnership.
+def verify_half_partnership(inst, hp):
+    """Check the exchange conditions of a half-partnership, one by one.
 
-    ``incoming`` and ``outgoing`` hold one unit per cycle edge that enters
-    or leaves the vertex; ``visits`` lists, per cycle, the consecutive
-    (entering, leaving) edge pairs at this vertex.
+    Returns a report with a list of violations; an empty list means the
+    pair is genuine.  Malformed input (overlapping cycles, values outside
+    the box) raises :class:`InputError` instead of reporting violations.
+
+    The conditions, per vertex v with cycle-adjusted stars ``in(v)`` and
+    ``out(v)`` (its star in ``hp.x`` plus one unit per cycle edge entering,
+    respectively leaving, v):
+
+    * C1: both adjusted stars are acceptable, and for each cycle through
+      v the choice on ``out(v)`` plus the cycle's entering units returns
+      exactly the star with the cycle's leaving units removed;
+    * C2: each single entering unit bumps exactly its successor unit on
+      the cycle;
+    * C3: no edge below capacity is wanted from both of its ends, where
+      each end is probed on its own adjusted star whenever the probe
+      stays within capacity.
+
+    A menu outside the capacity box counts as a violation.
     """
-
-    __slots__ = ("vertex", "base", "incoming", "outgoing", "visits")
-
-    def __init__(self, vertex, base, incoming, outgoing, visits):
-        self.vertex = vertex
-        self.base = base
-        self.incoming = incoming
-        self.outgoing = outgoing
-        self.visits = visits
-
-    @property
-    def with_incoming(self):
-        return self.base.plus(self.incoming)
-
-    @property
-    def with_outgoing(self):
-        return self.base.plus(self.outgoing)
-
-
-def vertex_contexts(inst, hp):
-    """Per-vertex view of ``hp``; also validates its well-formedness."""
     inst.check_vector(hp.x)
     if not inst.in_box(hp.x):
         raise InputError("solution vector is outside the capacity box")
@@ -160,76 +156,40 @@ def vertex_contexts(inst, hp):
             )
         seen.update(cyc.edges)
 
-    contexts = {}
-    for v in inst.vertices:
-        space = inst.star_space[v]
-        contexts[v] = VertexContext(
-            v,
-            inst.star_vector(hp.x, v),
-            EdgeVector.zero(space),
-            EdgeVector.zero(space),
-            [],
-        )
+    # Stars are raw tuples in star order; a visit of a cycle to v is the
+    # star positions of its (entering, leaving) edges there.
+    star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
+    star_out = {v: list(z) for v, z in star_in.items()}
+    visits = {v: [] for v in inst.vertices}
     for cyc in hp.cycles:
         per_vertex = {}
         for j, (v, e_out) in enumerate(cyc.steps):
+            index = inst.star_space[v].index
             e_in = cyc.steps[j - 1][1]
-            per_vertex.setdefault(v, []).append((e_in, e_out))
+            per_vertex.setdefault(v, []).append((index[e_in], index[e_out]))
         for v, pairs in per_vertex.items():
-            ctx = contexts[v]
-            for e_in, e_out in pairs:
-                ctx.incoming = ctx.incoming.add_unit(e_in)
-                ctx.outgoing = ctx.outgoing.add_unit(e_out)
-            ctx.visits.append((cyc, tuple(pairs)))
-    return contexts
-
-
-def verify_half_partnership(inst, hp):
-    """Check the exchange conditions of a half-partnership, one by one.
-
-    Returns a report with a list of violations; an empty list means the
-    pair is genuine.  Malformed input (overlapping cycles, values outside
-    the box) raises :class:`InputError` instead of reporting violations.
-
-    The conditions, per vertex v with cycle-adjusted stars ``in(v)`` and
-    ``out(v)``:
-
-    * C1: both adjusted stars are acceptable, and for each cycle through
-      v the choice on ``out(v)`` plus the cycle's entering units returns
-      exactly the star with the cycle's leaving units removed;
-    * C2: each single entering unit bumps exactly its successor unit on
-      the cycle;
-    * C3: no edge below capacity is wanted from both of its ends, where
-      each end is probed on its own adjusted star whenever the probe
-      stays within capacity.
-    """
-    contexts = vertex_contexts(inst, hp)
+            for i, o in pairs:
+                star_in[v][i] += 1
+                star_out[v][o] += 1
+            visits[v].append((cyc, pairs))
+    star_in = {v: tuple(z) for v, z in star_in.items()}
+    star_out = {v: tuple(z) for v, z in star_out.items()}
     violations = []
 
     def attempt(v, menu):
-        if not menu.is_nonnegative() or any(
-            menu[e] > inst.caps[e] for e in menu.space.ids
-        ):
-            return None
-        return inst.choice[v].choose(menu)
+        cf = inst.choice[v]
+        return cf.choose_vals(menu) if cf.in_box(menu) else None
 
-    for v in sorted(contexts):
-        ctx = contexts[v]
-        for part, menu in (("in", ctx.with_incoming), ("out", ctx.with_outgoing)):
-            sel = attempt(v, menu)
-            if sel != menu:
+    for v in inst.vertices:
+        for part, menu in (("in", star_in[v]), ("out", star_out[v])):
+            if attempt(v, menu) != menu:
                 violations.append(
                     {"condition": "C1", "vertex": v, "part": part}
                 )
-        for cyc, pairs in ctx.visits:
-            gains = EdgeVector.zero(ctx.base.space)
-            losses = EdgeVector.zero(ctx.base.space)
-            for e_in, e_out in pairs:
-                gains = gains.add_unit(e_in)
-                losses = losses.add_unit(e_out)
-            menu = ctx.with_outgoing.plus(gains)
-            sel = attempt(v, menu)
-            if sel != menu.minus(losses):
+        out_v = star_out[v]
+        for cyc, pairs in visits[v]:
+            menu = _moved(out_v, [i for i, _ in pairs], 1)
+            if attempt(v, menu) != _moved(menu, [o for _, o in pairs], -1):
                 violations.append(
                     {
                         "condition": "C1",
@@ -238,38 +198,37 @@ def verify_half_partnership(inst, hp):
                         "cycle": cyc.to_list(),
                     }
                 )
-            for e_in, e_out in pairs:
-                menu = ctx.with_outgoing.add_unit(e_in)
-                sel = attempt(v, menu)
-                if sel != menu.add_unit(e_out, -1):
+            for i, o in pairs:
+                menu = _moved(out_v, [i], 1)
+                if attempt(v, menu) != _moved(menu, [o], -1):
                     violations.append(
                         {
                             "condition": "C2",
                             "vertex": v,
                             "cycle": cyc.to_list(),
-                            "enter": e_in,
-                            "leave": e_out,
+                            "enter": inst.star_ids[v][i],
+                            "leave": inst.star_ids[v][o],
                         }
                     )
 
-    for e in inst.space.ids:
-        if hp.x[e] >= inst.caps[e]:
+    caps = inst.caps.vals
+    for p, e in enumerate(inst.space.ids):
+        if hp.x.vals[p] >= caps[p]:
             continue
         u, w = inst.ends(e)
         for taker, keeper in ((u, w), (w, u)):
-            menu_t = contexts[taker].with_incoming
-            menu_k = contexts[keeper].with_outgoing
-            if menu_t[e] != menu_k[e]:
+            menu_t, menu_k = star_in[taker], star_out[keeper]
+            t = inst.star_space[taker].index[e]
+            k = inst.star_space[keeper].index[e]
+            if menu_t[t] != menu_k[k]:
                 raise InternalError(
                     "cycle bookkeeping split edge {!r}".format(e)
                 )
-            if menu_t[e] >= inst.caps[e]:
+            if menu_t[t] >= caps[p]:
                 continue
-            sel_t = attempt(taker, menu_t.add_unit(e))
-            sel_k = attempt(keeper, menu_k.add_unit(e))
-            refused_t = sel_t == menu_t
-            refused_k = sel_k == menu_k
-            if not (refused_t or refused_k):
+            sel_t = attempt(taker, _moved(menu_t, [t], 1))
+            sel_k = attempt(keeper, _moved(menu_k, [k], 1))
+            if sel_t != menu_t and sel_k != menu_k:
                 violations.append(
                     {
                         "condition": "C3",
@@ -279,6 +238,14 @@ def verify_half_partnership(inst, hp):
                 )
 
     return VerificationReport(not violations, tuple(violations))
+
+
+def _moved(z, positions, sign):
+    """The raw star ``z`` with ``sign`` added once per entry of ``positions``."""
+    out = list(z)
+    for j in positions:
+        out[j] += sign
+    return tuple(out)
 
 
 class VerificationReport:

@@ -69,8 +69,8 @@ def test_applicable_rotations_are_disjoint_and_shift_choices_cleanly(
             for rot in rots:
                 visited = {v for k, (v, _) in enumerate(rot.steps) if k % 2 == 1}
                 for f in visited:
-                    xf = inst.star_vector(x, f).vals
-                    chi = inst.star_vector(rot.chi, f).vals
+                    xf = tuple(x[e] for e in inst.star_ids[f])
+                    chi = tuple(rot.chi[e] for e in inst.star_ids[f])
                     menu = tuple(a + max(s, 0) for a, s in zip(xf, chi))
                     want = tuple(m - max(-s, 0) for m, s in zip(menu, chi))
                     assert inst.choice[f].choose_vals(menu) == want

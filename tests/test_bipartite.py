@@ -23,7 +23,7 @@ from stablepartners import (
 )
 from stablepartners.bipartite import _simple_cycles
 
-from conftest import edgevec, random_bipartite_doc
+from conftest import edgevec, oracle_precedes_F, random_bipartite_doc
 
 B4_MIN = {"w1f1": 1, "w2f2": 1}
 B4_MAX = {"w1f2": 1, "w2f1": 1}
@@ -62,6 +62,24 @@ def test_firm_order_is_strict_and_directed(b4):
     assert not precedes_F(b4, lo, lo)
     assert precedes_W(b4, hi, lo)
     assert not precedes_W(b4, lo, hi)
+    full = edgevec(b4, {e: 1 for e in b4.space.ids})
+    with pytest.raises(InputError):
+        precedes_F(b4, lo, full)
+
+
+def test_side_orders_match_the_oracle_and_oppose_on_stable_pairs(
+    bipartite_artifacts,
+):
+    """On every ordered pair of stable vectors of the corpus the firm order
+    equals the raw oracle, and the workers' order is its reverse."""
+    pairs = 0
+    for inst, stable, _ in bipartite_artifacts:
+        for x, y in itertools.product(stable, repeat=2):
+            above = precedes_F(inst, x, y)
+            assert above == oracle_precedes_F(inst, x.vals, y.vals)
+            assert precedes_W(inst, y, x) == above
+            pairs += 1
+    assert pairs >= 4000
 
 
 def test_stability_report_structure(b4):

@@ -13,7 +13,6 @@ from stablepartners.choice import (
     check_axiom,
     choice_from_dict,
     is_acceptable,
-    is_interesting,
     prefers,
 )
 from stablepartners.core import EdgeSpace, EdgeVector
@@ -213,18 +212,6 @@ def test_incomparable_vectors_prefer_neither_way():
     x = EdgeVector(sp, (0, 1, 0))
     y = EdgeVector(sp, (0, 0, 1))
     assert not prefers(cf, x, y) and not prefers(cf, y, x)
-
-
-def test_interest_means_a_unit_would_be_kept():
-    cf = quota_cf((2, 2), quota=2)
-    held = vec(cf, 1, 1)
-    assert is_interesting(cf, held, "e1", 2)
-    assert not is_interesting(cf, held, "e2", 2)
-    assert not is_interesting(cf, vec(cf, 2, 0), "e1", 2)
-    with pytest.raises(InputError):
-        is_interesting(cf, held, "zz", 2)
-    with pytest.raises(InputError):
-        is_interesting(cf, vec(cf, 2, 2), "e1", 2)
 
 
 # -- axiom checking -----------------------------------------------------------

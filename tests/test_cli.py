@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import stablepartners
 from stablepartners import cli, instance_from_dict, instance_to_dict
 from stablepartners.cli import (
@@ -109,6 +111,34 @@ def test_unusable_input_exits_one(tmp_path, capsys):
     doc["choice"]["w1"]["quota"] = "x"
     inst = write_json(tmp_path / "quota.json", doc)
     assert run(capsys, "solve", "--instance", inst)[0] == EXIT_INPUT
+
+
+TRI_ZERO = {"ab": 0, "bc": 0, "ca": 0}
+
+# Each case: a command, its instance document, the option naming the second
+# document, and that document, which is ill-typed.
+BAD_VECTOR_DOCUMENTS = {
+    "solution-x-string": ("verify", triangle_doc, "--solution", {"x": {"ab": "x"}, "K": []}),
+    "solution-x-float": ("verify", triangle_doc, "--solution", {"x": {"ab": 1.5}, "K": []}),
+    "solution-x-bool": ("verify", triangle_doc, "--solution", {"x": {"ab": True}, "K": []}),
+    "solution-k-int": ("verify", triangle_doc, "--solution", {"x": TRI_ZERO, "K": 5}),
+    "at-string": ("rotations", b4_doc, "--at", {"w1f1": "x"}),
+    "at-null": ("rotations", b4_doc, "--at", {"w1f1": None}),
+    "at-float": ("rotations", b4_doc, "--at", {"w1f1": 0.5}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, build, option, doc",
+    BAD_VECTOR_DOCUMENTS.values(),
+    ids=list(BAD_VECTOR_DOCUMENTS),
+)
+def test_ill_typed_vector_documents_exit_one(
+    tmp_path, capsys, command, build, option, doc
+):
+    inst = write_json(tmp_path / "inst.json", build())
+    arg = write_json(tmp_path / "arg.json", doc)
+    assert run(capsys, command, "--instance", inst, option, arg)[0] == EXIT_INPUT
 
 
 def test_unexpected_exceptions_exit_four_with_an_error_line(

@@ -59,7 +59,7 @@ def test_vector_mapping_round_trip_and_support():
     sp = space3()
     x = EdgeVector.from_mapping(sp, {"q": 2})
     assert x.to_mapping() == {"p": 0, "q": 2, "r": 0}
-    assert x.support() == ("q",)
+    assert repr(x) == "EdgeVector({'q': 2})"
     assert EdgeVector.from_mapping(sp, x.to_mapping()) == x
 
 
@@ -67,7 +67,7 @@ def test_vector_unit_and_value_edits_leave_original_alone():
     sp = space3()
     x = EdgeVector.zero(sp)
     y = x.add_unit("q")
-    z = y.with_value("r", 5)
+    z = y.add_unit("r", 5)
     assert x.vals == (0, 0, 0)
     assert y.vals == (0, 1, 0)
     assert z.vals == (0, 1, 5)
@@ -178,12 +178,6 @@ def test_unlabeled_instance_has_no_sides(triangle):
         triangle.side("a")
 
 
-def test_star_vector_restriction(b4):
-    x = EdgeVector.from_mapping(b4.space, {"w1f1": 1, "w2f2": 1})
-    z = b4.star_vector(x, "w1")
-    assert z.to_mapping() == {"w1f1": 1, "w1f2": 0}
-
-
 def test_in_box_and_check_vector(b4, path3):
     inside = EdgeVector.from_mapping(b4.space, {"w1f1": 1})
     outside = EdgeVector.from_mapping(b4.space, {"w1f1": 2})
@@ -201,8 +195,8 @@ def test_document_round_trip_preserves_structure(b4):
     assert again.caps == b4.caps
     assert again.parts == b4.parts
     for v in b4.vertices:
-        z = again.caps.restrict(again.star_space[v], again.star_positions[v])
-        assert again.choice[v].choose(z) == b4.choice[v].choose(z)
+        z = tuple(again.caps[e] for e in again.star_ids[v])
+        assert again.choice[v].choose_vals(z) == b4.choice[v].choose_vals(z)
 
 
 def test_parse_and_serialize_are_inverse(path3):
@@ -232,6 +226,7 @@ MALFORMED = {
         ("choice", "hub", "entries", 0, "c", "e1"),
         "q",
     ),
+    "choice-ghost-vertex": (b4_doc, ("choice", "ghost"), {"type": "nonsense"}),
 }
 
 

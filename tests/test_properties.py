@@ -1,6 +1,6 @@
-"""Property tests of the document boundary: fuzzed input and round trips.
+"""Property tests: fuzzed documents, round trips, and the solver's verdict.
 
-Both run a fixed, derandomized set of examples, so the suite stays
+All run a fixed, derandomized set of examples, so the suite stays
 deterministic; raise ``max_examples`` locally for a deeper search.
 """
 
@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablepartners import (
+    HalfPartnership,
     InputError,
+    enumerate_stable,
     instance_from_dict,
     instance_to_dict,
     parse_instance,
     serialize_instance,
+    solve,
+    verify_half_partnership,
 )
 
 from conftest import b4_doc, bad_table_doc, path3_doc, triangle_doc
@@ -47,10 +51,8 @@ def _nodes(doc, path=()):
         yield from _nodes(child, path + (key,))
 
 
-@st.composite
-def mutated_documents(draw):
-    """A valid document with one node replaced by, or stripped of, a value."""
-    doc = draw(st.sampled_from([b4_doc, bad_table_doc, path3_doc, triangle_doc]))()
+def _mutate(draw, doc):
+    """``doc`` with one node replaced by, or stripped of, a drawn value."""
     path = draw(st.sampled_from(list(_nodes(doc))))
     if not path:
         return draw(json_values)
@@ -64,11 +66,37 @@ def mutated_documents(draw):
     return doc
 
 
+@st.composite
+def mutated_documents(draw):
+    """A valid instance document with one node mutated."""
+    doc = draw(st.sampled_from([b4_doc, bad_table_doc, path3_doc, triangle_doc]))()
+    return _mutate(draw, doc)
+
+
 @PROPERTY
 @given(mutated_documents())
 def test_the_parser_raises_input_error_or_nothing(doc):
     try:
         instance_from_dict(doc)
+    except InputError:
+        pass
+
+
+TRIANGLE = instance_from_dict(triangle_doc())
+
+
+@st.composite
+def mutated_solutions(draw):
+    """The triangle's solution document with one node mutated."""
+    doc = {"x": {"ab": 0, "bc": 0, "ca": 0}, "K": [["a", "ca", "c", "bc", "b", "ab"]]}
+    return _mutate(draw, doc)
+
+
+@PROPERTY
+@given(mutated_solutions())
+def test_solution_documents_verify_or_raise_input_error(doc):
+    try:
+        verify_half_partnership(TRIANGLE, HalfPartnership.from_dict(TRIANGLE, doc))
     except InputError:
         pass
 
@@ -129,3 +157,56 @@ def test_serialization_round_trips_exactly(doc):
         caps = inst.choice[v].caps
         for z in itertools.product(*[range(c + 1) for c in caps]):
             assert again.choice[v].choose_vals(z) == inst.choice[v].choose_vals(z)
+
+
+@st.composite
+def quota_instances(draw):
+    """General graphs of 2-5 vertices with quota choices: caps 0-2, quotas 0-3.
+
+    Half of them are odd rings, chords allowed, with one cap and one quota
+    for all and every vertex preferring the vertices just ahead of it: free
+    draws are almost never unsolvable, such rings often are.
+    """
+    ring = draw(st.booleans())
+    n = draw(st.sampled_from([3, 5]) if ring else st.integers(2, 5))
+    caps = st.just(draw(st.integers(0, 2))) if ring else st.integers(0, 2)
+    quotas = st.just(draw(st.integers(0, 3))) if ring else st.integers(0, 3)
+    names = ["v{}".format(i) for i in range(n)]
+    edges = [
+        (i, j, draw(caps))
+        for i, j in itertools.combinations(range(n), 2)
+        if (ring and j - i in (1, n - 1)) or draw(st.booleans())
+    ]
+    choice = {}
+    for v in range(n):
+        # The star of v: each edge id with the index of its other end.
+        star = {names[i] + names[j]: i + j - v for i, j, _ in edges if v in (i, j)}
+        if ring:
+            order = sorted(star, key=lambda e: (star[e] - v) % n)
+        else:
+            order = draw(st.permutations(list(star)))
+        choice[names[v]] = {
+            "type": "linear_order_quota",
+            "quota": draw(quotas),
+            "order": order,
+        }
+    doc = {
+        "vertices": names,
+        "edges": [
+            {"id": names[i] + names[j], "ends": [names[i], names[j]], "cap": c}
+            for i, j, c in edges
+        ],
+        "choice": choice,
+    }
+    return instance_from_dict(doc)
+
+
+@PROPERTY
+@given(quota_instances())
+def test_solver_verdicts_agree_with_enumeration(inst):
+    result = solve(inst)
+    assert verify_half_partnership(inst, result.hp).ok
+    stable = enumerate_stable(inst)
+    assert result.solvable == bool(stable)
+    if result.solvable:
+        assert result.hp.x in stable

@@ -130,8 +130,14 @@ def test_verifier_flags_a_missing_cycle_family(triangle):
         triangle, HalfPartnership(EdgeVector.zero(triangle.space), [])
     )
     assert not report.ok
-    assert {v["condition"] for v in report.violations} == {"C3"}
-    assert len(report.violations) == 6
+    assert report.violations == (
+        {"condition": "C3", "edge": "ab", "ends": ["a", "b"]},
+        {"condition": "C3", "edge": "ab", "ends": ["b", "a"]},
+        {"condition": "C3", "edge": "bc", "ends": ["b", "c"]},
+        {"condition": "C3", "edge": "bc", "ends": ["c", "b"]},
+        {"condition": "C3", "edge": "ca", "ends": ["a", "c"]},
+        {"condition": "C3", "edge": "ca", "ends": ["c", "a"]},
+    )
 
 
 def test_verifier_flags_the_wrong_orientation(triangle):
@@ -141,7 +147,23 @@ def test_verifier_flags_the_wrong_orientation(triangle):
         triangle, HalfPartnership(EdgeVector.zero(triangle.space), [backward])
     )
     assert not report.ok
-    assert {v["condition"] for v in report.violations} == {"C1", "C2"}
+    walk = backward.to_list()
+    assert walk == ["a", "ab", "b", "bc", "c", "ca"]
+    expected = []
+    for v, enter, leave in (("a", "ca", "ab"), ("b", "ab", "bc"), ("c", "bc", "ca")):
+        expected.append(
+            {"condition": "C1", "vertex": v, "part": "exchange", "cycle": walk}
+        )
+        expected.append(
+            {
+                "condition": "C2",
+                "vertex": v,
+                "cycle": walk,
+                "enter": enter,
+                "leave": leave,
+            }
+        )
+    assert report.violations == tuple(expected)
 
 
 def test_verifier_flags_a_tampered_vector(path3):
@@ -149,7 +171,10 @@ def test_verifier_flags_a_tampered_vector(path3):
         path3, HalfPartnership(edgevec(path3, {"ab": 1}), [])
     )
     assert not report.ok
-    assert any(v["condition"] == "C3" for v in report.violations)
+    assert report.violations == (
+        {"condition": "C3", "edge": "bc", "ends": ["b", "c"]},
+        {"condition": "C3", "edge": "bc", "ends": ["c", "b"]},
+    )
     doc = report.to_dict()
     assert doc["ok"] is False
     assert doc["violations"] == list(report.violations)
