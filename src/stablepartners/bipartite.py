@@ -39,10 +39,11 @@ def is_stable(inst, x):
     separately.
 
     This is the whole-instance check.  Once a vector is verified stable, a
-    shift along a closed walk changes only the stars of the walk's
-    vertices, so only those stars and the edges incident to them can make
-    the shifted vector unstable; :func:`climb` and :func:`find_rotations`
-    re-check exactly those (see :func:`_shift_holds`).
+    shift by any multiple of a closed walk changes only the stars of the
+    walk's vertices, so only those stars and the edges incident to them
+    can make the shifted vector unstable; :func:`climb` and
+    :func:`find_rotations` re-check exactly those (see
+    :func:`_shift_holds`).
     """
     if not inst.in_box(x):
         raise InputError("vector is outside the capacity box")
@@ -106,12 +107,12 @@ def _walk_frame(inst, steps):
     return shift, touched, near
 
 
-def _shifted(inst, vals, shift):
-    """``vals`` moved once along ``shift``, or None if that leaves the box."""
+def _shifted(inst, vals, shift, k=1):
+    """``vals`` moved ``k`` times along ``shift``, or None if that leaves the box."""
     out = list(vals)
     caps = inst.caps.vals
     for i, s in shift:
-        out[i] += s
+        out[i] += k * s
         if not 0 <= out[i] <= caps[i]:
             return None
     return tuple(out)
@@ -317,9 +318,17 @@ class Rotation:
 
     @classmethod
     def from_dict(cls, inst, doc):
-        if not isinstance(doc, dict) or "steps" not in doc:
-            raise InputError("rotation document needs steps")
-        steps = [(s["v"], s["e"]) for s in doc["steps"]]
+        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
+            raise InputError("rotation document needs a list of steps")
+        steps = []
+        for step in doc["steps"]:
+            if not (
+                isinstance(step, dict)
+                and isinstance(step.get("v"), str)
+                and isinstance(step.get("e"), str)
+            ):
+                raise InputError("a rotation step is {\"v\": vertex, \"e\": edge}")
+            steps.append((step["v"], step["e"]))
         rot = cls(inst, steps)
         if "chi" in doc:
             declared = EdgeVector.from_mapping(inst.space, doc["chi"])
@@ -519,20 +528,35 @@ def _verify_aggregate_exchange(inst, x, rot):
 def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     """Walk the ray ``x, x + chi, x + 2 chi, ...`` of a rotation once.
 
-    Returns ``(weight, y)`` with ``y = x + weight * chi``.  A step is taken
-    when it stays in the box and lands on a stable vector strictly above
-    the current one on the firm side; the walk stops at the first step that
-    fails, or after ``limit`` steps.  With a ``ceiling`` vector a step must
-    also not pass it: every firm weakly prefers its star in ``ceiling``.
+    Returns ``(weight, y)`` with ``y = x + weight * chi``: the largest
+    ``weight``, at most ``limit``, such that every step up to it stays in
+    the box and lands on a stable vector strictly above the one before it
+    on the firm side.  With a ``ceiling`` vector the landing must also not
+    pass it: every firm weakly prefers its star in ``ceiling``.
 
     ``x`` must be stable.  Unless the caller has just verified that
     (``verified=True``, as after :func:`find_rotations` at ``x``), it is
     checked here with the whole-instance :func:`is_stable`, and an
-    unstable ``x`` raises :class:`InputError`.  Every step then rests on a
-    verified stable vector, so it is decided locally: only the stars of the
-    rotation's vertices change, which leaves just those stars and the edges
-    incident to them to re-check, and only the rotation's firms to compare.
-    The verdict is exactly that of :func:`is_stable` and :func:`precedes_F`.
+    unstable ``x`` raises :class:`InputError`.
+
+    The weight is found by galloping, then bisecting: the probes are
+    ``k = 1, 2, 4, ...`` up to the first that fails, then the midpoints
+    between the last that held and that one.  A probe at ``k`` checks
+    that ``x + k chi`` is in the box and, with :func:`_shift_holds`
+    against the verified ``x``, that it is stable and strictly above
+    ``x`` on the firm side; only the stars of the rotation's vertices
+    differ from ``x``, so only they, the edges incident to them and the
+    rotation's firms are re-checked.  The ceiling is compared at every
+    probe, at the first over all firms with :func:`precedes_F`, later
+    only at the rotation's firms, the only ones whose stars move.
+
+    Exactness rests on the interval property: the probes that hold are
+    exactly those at ``k = 1..tau``, where ``tau`` is the weight a
+    unit-step walk reaches; the tests pin it on every ray of the seeded
+    corpora, out to the box edge.  The stop point needs only transitivity:
+    had the unit step from ``x + tau chi`` held, its landing would be
+    stable and above ``x``, so its probe would hold.  A climb therefore
+    takes ``O(log tau)`` probes, not ``tau``.
     """
     inst.check_vector(x)
     if rot.chi.space != inst.space:
@@ -545,26 +569,44 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
             )
     shift, touched, near = _walk_frame(inst, rot.steps)
     firms = [f for f in touched if f in inst.parts[1]]
-    vals = x.vals
-    weight = 0
-    while limit is None or weight < limit:
-        nxt = _shifted(inst, vals, shift)
-        if nxt is None or not _shift_holds(inst, vals, nxt, touched, near):
-            break
-        if ceiling is not None and not _under(inst, nxt, ceiling, firms, weight):
-            break
-        weight += 1
-        vals = nxt
+    base = x.vals
+
+    def probe(k):
+        y = _shifted(inst, base, shift, k)
+        if y is None or not _shift_holds(inst, base, y, touched, near):
+            return None
+        if ceiling is not None and not _under(inst, y, ceiling, firms, k == 1):
+            return None
+        return y
+
+    weight, vals, fail = 0, base, None
+    while fail is None and (limit is None or weight < limit):
+        k = 1 if weight == 0 else 2 * weight
+        if limit is not None:
+            k = min(k, limit)
+        y = probe(k)
+        if y is None:
+            fail = k
+        else:
+            weight, vals = k, y
+    while fail is not None and fail - weight > 1:
+        k = (weight + fail) // 2
+        y = probe(k)
+        if y is None:
+            fail = k
+        else:
+            weight, vals = k, y
     return weight, (EdgeVector(inst.space, vals) if weight else x)
 
 
-def _under(inst, vals, ceiling, firms, weight):
+def _under(inst, vals, ceiling, firms, first):
     """True iff every firm weakly prefers its star in ``ceiling`` to ``vals``.
 
-    The first step of a climb compares every firm with :func:`precedes_F`.
-    After it, only the climbing rotation's ``firms`` can change their mind.
+    The ``first`` probe of a climb compares every firm with
+    :func:`precedes_F`.  After it, only the climbing rotation's ``firms``
+    can change their mind.
     """
-    if weight == 0:
+    if first:
         y = EdgeVector(inst.space, vals)
         return y == ceiling or precedes_F(inst, y, ceiling)
     return all(
@@ -588,7 +630,11 @@ def max_feasible_weight(inst, x, rot):
 
 
 def apply_rotation(inst, x, rot, weight):
-    """Shift the stable ``x`` along the rotation ``weight`` times, each step checked."""
+    """Shift the stable ``x`` along the rotation ``weight`` times.
+
+    The landing ``x + weight chi`` is checked by the probes of a
+    :func:`climb` capped at ``weight``.
+    """
     if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
         raise InputError("weight must be a positive integer")
     done, y = climb(inst, x, rot, limit=weight)

@@ -211,17 +211,22 @@ def run_qb(si, seed=0):
         if not fresh:
             break
         rot = fresh[rng.randrange(len(fresh))]
-        tau, _ = climb(graph, x, rot, verified=True)
+        tau, top = climb(graph, x, rot, verified=True)
         if is_singular(si, rot):
             weight = tau // 2
             singular_used[rot.steps] = rot
             if tau % 2:
                 odd[rot.steps] = rot
+            # The climb probed only O(log tau) points of the ray, so the
+            # half step is probed in its own capped climb.
+            done, top = climb(graph, x, rot, limit=weight, verified=True)
+            if done < weight:
+                raise VerificationError(
+                    "half step of a singular rotation failed: {!r}".format(rot)
+                )
         else:
             weight = tau
-        if weight:
-            # The climb to ``tau`` verified every step below it.
-            x = x.plus(rot.chi.scaled(weight))
+        x = top
         used.add(rot.steps)
         picks.append((rot, weight, tau))
         fuel -= 1

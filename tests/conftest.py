@@ -23,7 +23,7 @@ from stablepartners import (
     rotation_order,
     symmetrize,
 )
-from stablepartners.choice import AxiomReport, TableCF, box_array
+from stablepartners.choice import AxiomReport, LinearOrderQuotaCF, TableCF, box_array
 from stablepartners.core import EdgeSpace
 
 
@@ -363,9 +363,9 @@ def _random_orders_doc(rng, max_side, max_cap):
     return quota_doc(edges, quotas, orders, parts=(ws, fs))
 
 
-def _cyclic_orders_doc(rng, max_side, max_cap):
+def _cyclic_orders_doc(rng, max_side, max_cap, min_cap=1):
     n = rng.randint(2, max_side)
-    cap = rng.randint(1, max_cap)
+    cap = rng.randint(min_cap, max_cap)
     ws = ["w{}".format(i) for i in range(1, n + 1)]
     fs = ["f{}".format(i) for i in range(1, n + 1)]
     kept = {}
@@ -494,6 +494,74 @@ def _ring_doc(rng, max_n, max_cap):
             if rng.random() < 0.5:
                 quotas[v] += 1
     return quota_doc(edges, quotas, orders)
+
+
+class EdgeLimitQuotaCF(LinearOrderQuotaCF):
+    """A quota choice that never takes more than ``limits`` units of an edge.
+
+    The menu is cut down to the limits before the greedy pass, which keeps
+    substitutability, size monotonicity and consistency.  A limit below the
+    cap can stop a rotation's ray strictly inside the capacity box; rays of
+    plain quota choices end where one of their edges empties or fills.
+    """
+
+    kind = "edge_limit_quota"
+
+    def __init__(self, vertex, space, caps, quota, order, limits):
+        super().__init__(vertex, space, caps, quota, order)
+        self.limits = tuple(limits)
+
+    def _apply(self, vals):
+        return super()._apply(tuple(map(min, vals, self.limits)))
+
+    def batch_vals(self, arr):
+        arr = np.asarray(arr)
+        return super().batch_vals(np.minimum(arr, self.limits).astype(arr.dtype))
+
+
+def with_edge_limits(rng, inst, vertices):
+    """``inst`` with each of ``vertices``, on a coin flip, limited per edge.
+
+    Each limit is drawn from half the vertex's quota up to the edge's cap.
+    """
+    choice = dict(inst.choice)
+    for v in sorted(vertices):
+        cf = choice[v]
+        if rng.random() < 0.5:
+            limits = [rng.randint(cf.quota // 2, c) for c in cf.caps]
+            choice[v] = EdgeLimitQuotaCF(v, cf.space, cf.caps, cf.quota, cf.order, limits)
+    return Instance(
+        inst.vertices, inst.edge_ends, inst.caps.to_mapping(), choice, inst.parts
+    )
+
+
+def ring_doc(n, cap, quota, bipartite=False):
+    """An oriented ring: everyone prefers the edge ahead to the one behind.
+
+    With ``bipartite`` (``n`` even) the vertices alternate between the sides.
+    """
+    names = ["v{}".format(i) for i in range(1, n + 1)]
+    ring = [("r{}".format(i + 1), names[i], names[(i + 1) % n], cap) for i in range(n)]
+    orders = {v: [ring[i][0], ring[i - 1][0]] for i, v in enumerate(names)}
+    parts = (names[0::2], names[1::2]) if bipartite else None
+    return quota_doc(ring, {v: quota for v in names}, orders, parts=parts)
+
+
+def high_cap_market(rng, lo=50, hi=500):
+    """A labeled bipartite market whose rotation rays are long.
+
+    Either a cyclic market of two or three a side, as in the random corpus
+    but with one cap from ``lo..hi``, or an even ring with alternating
+    sides, one cap from ``lo..hi`` and one quota from half the cap up to
+    it.  Half the firms also get edge limits.
+    """
+    if rng.random() < 0.6:
+        doc = _cyclic_orders_doc(rng, 3, hi, lo)
+    else:
+        cap = rng.randint(lo, hi)
+        doc = ring_doc(rng.choice([4, 6]), cap, rng.randint(cap // 2, cap), True)
+    inst = instance_from_dict(doc)
+    return with_edge_limits(rng, inst, inst.parts[1])
 
 
 @pytest.fixture(scope="session")

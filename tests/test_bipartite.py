@@ -160,6 +160,16 @@ def test_rotation_document_round_trip(b4):
         Rotation.from_dict(b4, doc)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    [5, [5], [{"v": "w1"}], [{"v": "w1", "e": 3}], "w1-w1f2"],
+    ids=["number", "number-step", "step-without-edge", "edge-not-a-string", "string"],
+)
+def test_ill_typed_rotation_steps_raise_input_error(b4, steps):
+    with pytest.raises(InputError):
+        Rotation.from_dict(b4, {"steps": steps})
+
+
 def test_apply_rotation_validates_the_weight(b4):
     lo = edgevec(b4, B4_MIN)
     rot = find_rotations(b4, lo)[0]

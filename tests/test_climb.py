@@ -2,26 +2,54 @@
 
 Every candidate walk and every rotation found on the two seeded corpora is
 decided twice: locally, as the library does it, and with the whole-instance
-:func:`is_stable` and :func:`precedes_F`.
+:func:`is_stable` and :func:`precedes_F`.  Every ray of the corpora, of a
+seeded high-capacity set and of the balancing sweep on doubled
+high-capacity rings is probed out to the box edge, and the galloping
+:func:`climb` is compared with the unit-step oracle on it.
 """
+
+import itertools
+import math
+import random
 
 import pytest
 
 from stablepartners import (
+    ChoiceFunction,
+    EdgeSpace,
     EdgeVector,
     InputError,
     apply_rotation,
+    build_full_route,
+    check_axiom,
     climb,
     deferred_acceptance,
+    enumerate_stable,
     find_rotations,
+    instance_from_dict,
+    is_singular,
     is_stable,
     max_feasible_weight,
     precedes_F,
+    run_qb,
+    solve,
     symmetrize,
 )
-from stablepartners.bipartite import _candidate_walks, _walk_holds
+from stablepartners.bipartite import (
+    _candidate_walks,
+    _shift_holds,
+    _walk_frame,
+    _walk_holds,
+)
 
-from conftest import oracle_two_pass_walk
+from conftest import (
+    EdgeLimitQuotaCF,
+    b4_doc,
+    high_cap_market,
+    oracle_two_pass_walk,
+    ring_doc,
+    with_edge_limits,
+)
 
 
 def walk_shift(inst, x, steps):
@@ -76,32 +104,61 @@ def test_local_verdicts_match_the_whole_instance_check_on_the_doubled_corpus(
     assert True in {full for _, full in verdicts}
 
 
-def climbs_match_the_two_pass_walk(inst, stable, x, rots):
-    for rot in rots:
-        weight, y = oracle_two_pass_walk(inst, x, rot)
-        assert weight >= 1
-        assert climb(inst, x, rot) == (weight, y)
-        assert climb(inst, x, rot, verified=True) == (weight, y)
-        assert max_feasible_weight(inst, x, rot) == weight
-        for k in range(1, weight + 1):
-            assert apply_rotation(inst, x, rot, k) == x.plus(rot.chi.scaled(k))
-        for top in stable:
-            assert climb(inst, x, rot, ceiling=top, verified=True) == (
-                oracle_two_pass_walk(inst, x, rot, ceiling=top)
-            )
+def check_ray(inst, x, rot, ceilings, rng):
+    """One ray against the unit-step oracle, probed out to the box edge.
+
+    The interval property: the local check against ``x`` holds at
+    ``x + k chi`` exactly for ``k = 1..tau``, where ``tau`` is the oracle's
+    weight.  Then ``climb`` must reach the oracle's landing with and
+    without ``verified``, with limits below, at and above ``tau``, and
+    under each ceiling; the public wrappers must agree.  Returns ``tau``
+    and the number of in-box points past it.
+    """
+    tau, top = oracle_two_pass_walk(inst, x, rot)
+    assert tau >= 1
+    shift, touched, near = _walk_frame(inst, rot.steps)
+    holds = []
+    y = x.plus(rot.chi)
+    while inst.in_box(y):
+        holds.append(_shift_holds(inst, x.vals, y.vals, touched, near))
+        y = y.plus(rot.chi)
+    assert holds == [True] * tau + [False] * (len(holds) - tau)
+
+    assert climb(inst, x, rot) == (tau, top)
+    assert climb(inst, x, rot, verified=True) == (tau, top)
+    assert max_feasible_weight(inst, x, rot) == tau
+    mid = rng.randint(1, tau)
+    for limit in {0, 1, mid, tau - 1, tau, tau + 1, 2 * tau + 3}:
+        w = min(limit, tau)
+        assert climb(inst, x, rot, limit=limit, verified=True) == (
+            w,
+            x.plus(rot.chi.scaled(w)),
+        )
+    for k in {1, mid, tau}:
+        assert apply_rotation(inst, x, rot, k) == x.plus(rot.chi.scaled(k))
+    with pytest.raises(InputError):
+        apply_rotation(inst, x, rot, tau + 1)
+    for ceiling in list(ceilings) + [x.plus(rot.chi.scaled(mid))]:
+        assert climb(inst, x, rot, ceiling=ceiling, verified=True) == (
+            oracle_two_pass_walk(inst, x, rot, ceiling=ceiling)
+        )
+    return tau, len(holds) - tau
 
 
 def test_climb_matches_the_two_pass_walk_on_the_bipartite_corpus(bipartite_artifacts):
+    rng = random.Random(1)
     for inst, stable, rotations in bipartite_artifacts:
         for x, rots in rotations:
-            climbs_match_the_two_pass_walk(inst, stable, x, rots)
+            for rot in rots:
+                check_ray(inst, x, rot, stable, rng)
 
 
 def test_climb_matches_the_two_pass_walk_on_the_doubled_corpus(doubled_artifacts):
+    rng = random.Random(2)
     for _, si, _, dbl_stable in doubled_artifacts:
         for x in dbl_stable:
-            rots = find_rotations(si.graph, x)
-            climbs_match_the_two_pass_walk(si.graph, dbl_stable, x, rots)
+            for rot in find_rotations(si.graph, x):
+                check_ray(si.graph, x, rot, dbl_stable, rng)
 
 
 def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
@@ -140,3 +197,153 @@ def test_climb_needs_a_vector_and_a_rotation_of_the_instance(b4, triangle):
     with pytest.raises(InputError):
         climb(b4, other, rot)
     assert climb(b4, lo, rot, limit=0) == (0, lo)
+
+
+# -- long rays ---------------------------------------------------------------
+
+
+def route_vectors(inst, seeds=(0, 1)):
+    """The stable vectors met on the full routes of a few seeds."""
+    seen = {}
+    for seed in seeds:
+        for x in build_full_route(inst, seed).vectors():
+            seen[x.vals] = x
+    return list(seen.values())
+
+
+def test_edge_limited_quotas_keep_the_axioms():
+    rng = random.Random(3)
+    space = EdgeSpace(["a", "b", "c"])
+    for _ in range(20):
+        caps = [rng.randint(0, 3) for _ in range(3)]
+        order = rng.sample(space.ids, 3)
+        limits = [rng.randint(0, c) for c in caps]
+        cf = EdgeLimitQuotaCF("v", space, caps, rng.randint(0, 6), order, limits)
+        for axiom in ("SUB", "MON", "CON"):
+            assert check_axiom(cf, axiom).holds
+        for z in itertools.product(*[range(c + 1) for c in caps]):
+            assert tuple(cf.batch_vals([z])[0]) == cf.choose_vals(z)
+
+
+def test_long_rays_match_the_unit_step_walk():
+    """High-capacity markets: caps 50-500, every ray met on two routes.
+
+    Ceilings are the vectors met on the routes and a point inside the ray.
+    """
+    rng = random.Random(6)
+    rays = []
+    for _ in range(24):
+        inst = high_cap_market(rng)
+        met = route_vectors(inst)
+        for x in met:
+            for rot in find_rotations(inst, x):
+                rays.append(check_ray(inst, x, rot, met, rng))
+    assert len(rays) >= 20
+    assert max(tau for tau, _ in rays) >= 200
+    # Edge limits stop some rays strictly inside the box.
+    assert sum(1 for _, past in rays if past) >= 8
+
+
+def test_small_rays_match_the_unit_step_walk_under_every_stable_ceiling():
+    rng = random.Random(7)
+    rays = 0
+    while rays < 20:
+        inst = high_cap_market(rng, 4, 9)
+        if math.prod(c + 1 for c in inst.caps.vals) > 20_000:
+            continue
+        stable = enumerate_stable(inst)
+        for x in stable:
+            for rot in find_rotations(inst, x):
+                check_ray(inst, x, rot, stable, rng)
+                rays += 1
+
+
+def oracle_run_qb(si, seed):
+    """The balancing sweep with every climb replaced by the unit-step walk.
+
+    Returns the sweep's picks and the vector it reaches; each vector the
+    sweep stands on is checked stable with the whole-instance check.
+    """
+    graph = si.graph
+    x = deferred_acceptance(graph, "W")
+    rng = random.Random(seed)
+    used = set()
+    picks = []
+    while True:
+        fresh = [
+            r
+            for r in find_rotations(graph, x)
+            if si.reflect_rotation(r).steps not in used
+        ]
+        if not fresh:
+            return tuple(picks), x
+        rot = fresh[rng.randrange(len(fresh))]
+        tau, _ = oracle_two_pass_walk(graph, x, rot)
+        weight = tau // 2 if is_singular(si, rot) else tau
+        picks.append((x, rot, weight, tau))
+        x = x.plus(rot.chi.scaled(weight))
+        assert is_stable(graph, x).stable
+        used.add(rot.steps)
+
+
+def test_balancing_sweep_on_high_capacity_rings_matches_the_unit_step_walk():
+    """Doubled odd and even rings, caps 50-500, half with edge limits.
+
+    The sweep's picks, weights (singular half steps included), landing and
+    odd core equal those of the unit-step sweep, and each ray it climbs
+    passes :func:`check_ray`.
+    """
+    rng = random.Random(8)
+    singular = odd = 0
+    for n, limited in [(3, False), (5, False), (3, True), (5, True), (4, False), (6, True)]:
+        cap = rng.randint(50, 500)
+        # An odd quota gives a singular rotation an odd weight.
+        inst = instance_from_dict(ring_doc(n, cap, rng.randint(cap // 2, cap) | 1))
+        if limited:
+            inst = with_edge_limits(rng, inst, inst.vertices)
+        si = symmetrize(inst)
+        outcome = run_qb(si)
+        picks, top = oracle_run_qb(si, 0)
+        assert outcome.picks == tuple((rot, w, tau) for _, rot, w, tau in picks)
+        assert outcome.vector == top
+        assert outcome.odd_core == tuple(
+            sorted(
+                rot
+                for _, rot, _, tau in picks
+                if tau % 2 and is_singular(si, rot)
+            )
+        )
+        met = [x for x, _, _, _ in picks] + [top]
+        for x, rot, _, tau in picks:
+            assert check_ray(si.graph, x, rot, met, rng)[0] == tau
+            if is_singular(si, rot):
+                singular += 1
+                odd += tau % 2
+    assert singular >= 4 and odd >= 2
+
+
+def test_high_capacities_cost_few_choice_calls(monkeypatch):
+    """Climbs gallop, so the work grows with the log of the capacity.
+
+    A unit-step walk makes about twelve choice calls per unit step: 120,054
+    for the block's route, and 530,281 for the ring's solve already at a
+    cap of 10**4 + 1.
+    """
+    block = instance_from_dict(b4_doc(cap=10**4))
+    ring = instance_from_dict(ring_doc(5, 10**6 + 1, 10**6 + 1))
+    calls = [0]
+    choose_vals = ChoiceFunction.choose_vals
+
+    def counting(self, vals):
+        calls[0] += 1
+        return choose_vals(self, vals)
+
+    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    route = build_full_route(block)
+    assert [step.weight for step in route.steps] == [10**4]
+    assert calls[0] <= 1_000
+    calls[0] = 0
+    result = solve(ring)
+    assert calls[0] <= 5_000
+    assert not result.solvable and result.report.ok
+    assert [(w, tau) for _, w, tau in result.outcome.picks] == [(5 * 10**5, 10**6 + 1)]

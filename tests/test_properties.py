@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from stablepartners import (
     HalfPartnership,
     InputError,
+    Rotation,
+    deferred_acceptance,
     enumerate_stable,
+    find_rotations,
     instance_from_dict,
     instance_to_dict,
     parse_instance,
@@ -97,6 +100,25 @@ def mutated_solutions(draw):
 def test_solution_documents_verify_or_raise_input_error(doc):
     try:
         verify_half_partnership(TRIANGLE, HalfPartnership.from_dict(TRIANGLE, doc))
+    except InputError:
+        pass
+
+
+B4 = instance_from_dict(b4_doc())
+
+
+@st.composite
+def mutated_rotations(draw):
+    """The crossed block's rotation document with one node mutated."""
+    rot = find_rotations(B4, deferred_acceptance(B4, "W"))[0]
+    return _mutate(draw, rot.to_dict())
+
+
+@PROPERTY
+@given(mutated_rotations())
+def test_rotation_documents_parse_or_raise_input_error(doc):
+    try:
+        Rotation.from_dict(B4, doc)
     except InputError:
         pass
 
