@@ -552,11 +552,17 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
 
     Exactness rests on the interval property: the probes that hold are
     exactly those at ``k = 1..tau``, where ``tau`` is the weight a
-    unit-step walk reaches; the tests pin it on every ray of the seeded
-    corpora, out to the box edge.  The stop point needs only transitivity:
-    had the unit step from ``x + tau chi`` held, its landing would be
-    stable and above ``x``, so its probe would hold.  A climb therefore
-    takes ``O(log tau)`` probes, not ``tau``.
+    unit-step walk reaches.  It is not proved here for every choice that
+    passes SUB, MON and CON.  The tests pin it, out to the box edge, on
+    every ray of seeded instances whose choices are linear-order quotas,
+    quotas with per-edge limits, or axiom-checked tables (conditional
+    orders, laminar quotas, shrunk quota tables, and the gated instance).
+    Where it failed, a probe could skip an unstable vector inside the ray
+    and the weight would exceed the unit-step one, with no error.  The
+    stop point needs only transitivity: had the unit step from
+    ``x + tau chi`` held, its landing would be stable and above ``x``, so
+    its probe would hold.  A climb therefore takes ``O(log tau)`` probes,
+    not ``tau``.
     """
     inst.check_vector(x)
     if rot.chi.space != inst.space:

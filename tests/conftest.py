@@ -15,6 +15,7 @@ import pytest
 from stablepartners import (
     EdgeVector,
     Instance,
+    check_axiom,
     enumerate_stable,
     find_rotations,
     instance_from_dict,
@@ -562,6 +563,90 @@ def high_cap_market(rng, lo=50, hi=500):
         doc = ring_doc(rng.choice([4, 6]), cap, rng.randint(cap // 2, cap), True)
     inst = instance_from_dict(doc)
     return with_edge_limits(rng, inst, inst.parts[1])
+
+
+def _greedy(z, perm, quota, group=(), group_quota=0):
+    """Greedy along ``perm``, at most ``quota`` in all and ``group_quota``
+    on the positions in ``group``."""
+    out = [0] * len(z)
+    run = in_group = 0
+    for pos in perm:
+        room = quota - run
+        if pos in group:
+            room = min(room, group_quota - in_group)
+        out[pos] = min(z[pos], room)
+        run += out[pos]
+        if pos in group:
+            in_group += out[pos]
+    return tuple(out)
+
+
+def table_choice(rng, cf):
+    """A table on the star of the quota choice ``cf`` that keeps the axioms.
+
+    One of three shapes, drawn at random: a conditional order (greedy along
+    ``cf.order`` while one edge holds at least a threshold, along a random
+    order below it, as ``w1`` in :func:`gated_instance`), a laminar quota
+    (greedy along ``cf.order`` with a second quota on a random part of the
+    star), or ``cf``'s own table with about one row in ten shrunk.  Returns
+    ``None`` when the draw fails SUB, MON or CON.
+    """
+    k = len(cf.caps)
+    perm = [cf.space.index[e] for e in cf.order]
+    box = list(itertools.product(*[range(c + 1) for c in cf.caps]))
+    shape = rng.choice(["conditional", "laminar", "shrunk"])
+    if shape == "conditional":
+        other = tuple(rng.sample(range(k), k))
+        t = rng.randrange(k)
+        least = rng.randint(1, max(1, cf.caps[t]))
+        rows = [(z, _greedy(z, perm if z[t] >= least else other, cf.quota)) for z in box]
+    elif shape == "laminar":
+        group = set(rng.sample(range(k), rng.randint(1, k)))
+        cap = rng.randint(0, cf.quota)
+        rows = [(z, _greedy(z, perm, cf.quota, group, cap)) for z in box]
+    else:
+        rows = []
+        for z in box:
+            c = list(cf.choose_vals(z))
+            held = [j for j, cj in enumerate(c) if cj]
+            if held and rng.random() < 0.1:
+                j = rng.choice(held)
+                c[j] = rng.randrange(c[j])
+            rows.append((z, tuple(c)))
+    table = TableCF(cf.vertex, cf.space, cf.caps, rows)
+    if all(check_axiom(table, axiom).holds for axiom in ("SUB", "MON", "CON")):
+        return table
+    return None
+
+
+def table_market(rng, box_limit=20_000):
+    """A labeled bipartite market where most choices are axiom-checked tables.
+
+    A cyclic market of two a side with caps 2-6 or three a side with cap 2;
+    each vertex with two or more edges gets, with odds 0.7, a
+    :func:`table_choice` draw that passes the axioms.  Returns the instance
+    and the set of vertices whose choice is a table.
+    """
+    while True:
+        if rng.random() < 0.5:
+            doc = _cyclic_orders_doc(rng, 2, 6, 2)
+        else:
+            doc = _cyclic_orders_doc(rng, 3, 2, 2)
+        if doc is not None and box_size(doc) <= box_limit:
+            break
+    inst = instance_from_dict(doc)
+    choice = dict(inst.choice)
+    tabled = set()
+    for v in inst.vertices:
+        if len(choice[v].caps) >= 2 and rng.random() < 0.7:
+            table = table_choice(rng, choice[v])
+            if table is not None:
+                choice[v] = table
+                tabled.add(v)
+    inst = Instance(
+        inst.vertices, inst.edge_ends, inst.caps.to_mapping(), choice, inst.parts
+    )
+    return inst, tabled
 
 
 @pytest.fixture(scope="session")

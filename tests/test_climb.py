@@ -3,9 +3,10 @@
 Every candidate walk and every rotation found on the two seeded corpora is
 decided twice: locally, as the library does it, and with the whole-instance
 :func:`is_stable` and :func:`precedes_F`.  Every ray of the corpora, of a
-seeded high-capacity set and of the balancing sweep on doubled
-high-capacity rings is probed out to the box edge, and the galloping
-:func:`climb` is compared with the unit-step oracle on it.
+seeded high-capacity set, of markets with table choices and of the
+balancing sweep on doubled high-capacity rings is probed out to the box
+edge, and the galloping :func:`climb` is compared with the unit-step
+oracle on it.
 """
 
 import itertools
@@ -45,9 +46,11 @@ from stablepartners.bipartite import (
 from conftest import (
     EdgeLimitQuotaCF,
     b4_doc,
+    gated_instance,
     high_cap_market,
     oracle_two_pass_walk,
     ring_doc,
+    table_market,
     with_edge_limits,
 )
 
@@ -104,14 +107,18 @@ def test_local_verdicts_match_the_whole_instance_check_on_the_doubled_corpus(
     assert True in {full for _, full in verdicts}
 
 
-def check_ray(inst, x, rot, ceilings, rng):
+def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     """One ray against the unit-step oracle, probed out to the box edge.
 
     The interval property: the local check against ``x`` holds at
     ``x + k chi`` exactly for ``k = 1..tau``, where ``tau`` is the oracle's
     weight.  Then ``climb`` must reach the oracle's landing with and
-    without ``verified``, with limits below, at and above ``tau``, and
-    under each ceiling; the public wrappers must agree.  Returns ``tau``
+    without ``verified``, with limits from 0 to past ``tau``, and under
+    each ceiling; the public wrappers must agree.  With ``every_k`` each
+    local verdict is also compared with the whole-instance check, and
+    every ``k = 1..tau`` is tried as a limit and as a weight; long rays
+    pass ``every_k=False`` and try every ``k`` up to 64, the gallop points
+    and their neighbours, ``tau`` and a few random ``k``.  Returns ``tau``
     and the number of in-box points past it.
     """
     tau, top = oracle_two_pass_walk(inst, x, rot)
@@ -120,25 +127,37 @@ def check_ray(inst, x, rot, ceilings, rng):
     holds = []
     y = x.plus(rot.chi)
     while inst.in_box(y):
-        holds.append(_shift_holds(inst, x.vals, y.vals, touched, near))
+        local = _shift_holds(inst, x.vals, y.vals, touched, near)
+        if every_k:
+            assert local == (is_stable(inst, y).stable and precedes_F(inst, x, y))
+        holds.append(local)
         y = y.plus(rot.chi)
     assert holds == [True] * tau + [False] * (len(holds) - tau)
 
     assert climb(inst, x, rot) == (tau, top)
     assert climb(inst, x, rot, verified=True) == (tau, top)
     assert max_feasible_weight(inst, x, rot) == tau
-    mid = rng.randint(1, tau)
-    for limit in {0, 1, mid, tau - 1, tau, tau + 1, 2 * tau + 3}:
+    if every_k:
+        weights = set(range(1, tau + 1))
+    else:
+        gallop = [2**i for i in range(tau.bit_length())]
+        weights = set(range(1, 65))
+        weights |= {k + d for k in gallop + [tau] for d in (-1, 0, 1)}
+        weights |= {rng.randint(1, tau) for _ in range(8)}
+    for k in sorted(w for w in weights if 1 <= w <= tau):
+        y = x.plus(rot.chi.scaled(k))
+        assert climb(inst, x, rot, limit=k, verified=True) == (k, y)
+        assert apply_rotation(inst, x, rot, k) == y
+    for limit in (0, tau + 1, 2 * tau + 3):
         w = min(limit, tau)
         assert climb(inst, x, rot, limit=limit, verified=True) == (
             w,
             x.plus(rot.chi.scaled(w)),
         )
-    for k in {1, mid, tau}:
-        assert apply_rotation(inst, x, rot, k) == x.plus(rot.chi.scaled(k))
     with pytest.raises(InputError):
         apply_rotation(inst, x, rot, tau + 1)
-    for ceiling in list(ceilings) + [x.plus(rot.chi.scaled(mid))]:
+    inside = x.plus(rot.chi.scaled(rng.randint(1, tau)))
+    for ceiling in list(ceilings) + [inside]:
         assert climb(inst, x, rot, ceiling=ceiling, verified=True) == (
             oracle_two_pass_walk(inst, x, rot, ceiling=ceiling)
         )
@@ -237,7 +256,7 @@ def test_long_rays_match_the_unit_step_walk():
         met = route_vectors(inst)
         for x in met:
             for rot in find_rotations(inst, x):
-                rays.append(check_ray(inst, x, rot, met, rng))
+                rays.append(check_ray(inst, x, rot, met, rng, every_k=False))
     assert len(rays) >= 20
     assert max(tau for tau, _ in rays) >= 200
     # Edge limits stop some rays strictly inside the box.
@@ -256,6 +275,30 @@ def test_small_rays_match_the_unit_step_walk_under_every_stable_ceiling():
             for rot in find_rotations(inst, x):
                 check_ray(inst, x, rot, stable, rng)
                 rays += 1
+
+
+def test_table_choice_rays_match_the_unit_step_walk():
+    """Rays where the choices are tables that pass SUB, MON and CON.
+
+    The gated instance, whose maximal weights jump after another rotation,
+    and seeded markets whose choices are mostly conditional-order, laminar
+    or shrunk tables (:func:`table_market`).  Every stable vector is a
+    ceiling.
+    """
+    rng = random.Random(9)
+    markets = [(gated_instance(), {"w1"})]
+    markets += [table_market(rng) for _ in range(300)]
+    through_tables = 0
+    taus = set()
+    for inst, tabled in markets:
+        stable = enumerate_stable(inst)
+        for x in stable:
+            for rot in find_rotations(inst, x):
+                tau, _ = check_ray(inst, x, rot, stable, rng)
+                through_tables += bool(tabled & {v for v, _ in rot.steps})
+                taus.add(tau)
+    assert through_tables >= 150
+    assert max(taus) >= 5
 
 
 def oracle_run_qb(si, seed):
@@ -315,7 +358,7 @@ def test_balancing_sweep_on_high_capacity_rings_matches_the_unit_step_walk():
         )
         met = [x for x, _, _, _ in picks] + [top]
         for x, rot, _, tau in picks:
-            assert check_ray(si.graph, x, rot, met, rng)[0] == tau
+            assert check_ray(si.graph, x, rot, met, rng, every_k=False)[0] == tau
             if is_singular(si, rot):
                 singular += 1
                 odd += tau % 2
