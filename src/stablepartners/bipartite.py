@@ -67,9 +67,9 @@ def _star(inst, vals, v):
     return tuple(vals[p] for p in inst.star_positions[v])
 
 
-def _bumped(z, j):
-    """The raw star ``z`` with one more unit at position ``j``."""
-    return z[:j] + (z[j] + 1,) + z[j + 1 :]
+def _bumped(z, j, d=1):
+    """The raw star ``z`` with ``d`` more units at position ``j``."""
+    return z[:j] + (z[j] + d,) + z[j + 1 :]
 
 
 def _wants(inst, v, z, e):
@@ -285,14 +285,6 @@ class Rotation:
         self.chi = EdgeVector(inst.space, vals)
         self._space = inst.space
 
-    @property
-    def positive_edges(self):
-        return tuple(e for e in self.edges if self.sign[e] > 0)
-
-    @property
-    def negative_edges(self):
-        return tuple(e for e in self.edges if self.sign[e] < 0)
-
     def __len__(self):
         return len(self.steps)
 
@@ -337,58 +329,33 @@ class Rotation:
         return rot
 
 
-def _simple_cycles(succ):
-    """Every elementary cycle of a digraph, once each, as a list of nodes.
-
-    ``succ`` maps each node to its successors; nodes must be sortable.
-    Each cycle is reported from its least node: for every root in sorted
-    order, a depth-first search over the larger nodes that can reach the
-    root again reports each path that closes on it.
-    """
-    pred = {}
-    for v, ws in succ.items():
-        for w in ws:
-            pred.setdefault(w, []).append(v)
-    for root in sorted(set(succ) | set(pred)):
-        back = {root}
-        stack = [root]
-        while stack:
-            for v in pred.get(stack.pop(), ()):
-                if v > root and v not in back:
-                    back.add(v)
-                    stack.append(v)
-        path = [root]
-        on_path = {root}
-        branches = [iter(succ.get(root, ()))]
-        while branches:
-            for w in branches[-1]:
-                if w == root:
-                    yield list(path)
-                elif w in back and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    branches.append(iter(succ.get(w, ())))
-                    break
-            else:
-                branches.pop()
-                on_path.discard(path.pop())
-
-
 def _candidate_walks(inst, x):
-    """Closed alternating walks assembled from single-unit exchange links.
+    """Closed alternating walks of the exposed-rotation graph at ``x``.
 
-    A positive link follows a firm that would accept one more unit of an
-    edge while bumping exactly one unit of another; a negative link follows
-    a worker holding a unit it could drop, toward an edge whose extra unit
-    the worker would refuse outright.  Cycles of links that traverse
-    distinct edges are the rotation candidates.  ``x`` must be stable.
+    A node ``("+", e)`` gains a unit of ``e`` and ``("-", e)`` loses one;
+    each node has one successor at most.  ``("+", e)`` links to
+    ``("-", e2)`` when the firm of ``e`` would take one more unit of ``e``
+    by bumping exactly one unit of ``e2``.  ``("-", e1)``, where the worker
+    ``w`` of ``e1`` holds a unit of it, links to the one unit ``w`` gains
+    from its star less that unit plus one unit of each candidate: the
+    other edges with room that ``w`` refuses on top of its star and whose
+    ``+`` node links on.  No link is made unless exactly one unit is gained;
+    under SUB, MON and CON no more can be, as ``w`` chooses its star ``z``
+    from ``z`` plus every candidate, so from the menu below that it keeps
+    ``z - 1_{e1}`` (SUB) and at most ``|z|`` units (MON).
+
+    This is the exposed-rotation graph of Gusfield & Irving, *The Stable
+    Marriage Problem* (1989), section 2.5: a worker that loses a unit moves
+    on to the best firm that would take it.  Its cycles, found by following
+    pointers once from each node, are the candidates, for ``O(|E|)``
+    choice calls in all.  ``x`` must be stable.
     """
     w_side, f_side = inst.parts
     vals = x.vals
     caps = inst.caps.vals
     index = inst.space.index
     star = {v: _star(inst, vals, v) for v in inst.vertices}
-    links = {}
+    succ = {}
 
     for e in inst.space.ids:
         if vals[index[e]] >= caps[index[e]]:
@@ -406,54 +373,77 @@ def _candidate_walks(inst, x):
             continue
         k = dropped[0]
         if menu[k] == kept[k] + 1:
-            links.setdefault(("+", e), []).append(("-", inst.star_ids[f][k]))
+            succ[("+", e)] = ("-", inst.star_ids[f][k])
 
     for w in sorted(w_side):
         ids = inst.star_ids[w]
         z = star[w]
         cw = inst.choice[w]
-        droppable = [e for e, a in zip(ids, z) if a >= 1]
-        refusable = [
-            e
+        wanted = [
+            j
             for j, e in enumerate(ids)
-            if z[j] < caps[index[e]]
+            if ("+", e) in succ
+            and z[j] < caps[index[e]]
             and cw.choose_vals(_bumped(z, j)) == z
         ]
-        for e1 in droppable:
-            for e2 in refusable:
-                if e1 != e2:
-                    links.setdefault(("-", e1), []).append(("+", e2))
+        for i, e1 in enumerate(ids):
+            others = [j for j in wanted if j != i]
+            if not z[i] or not others:
+                continue
+            base = _bumped(z, i, -1)
+            menu = list(base)
+            for j in others:
+                menu[j] += 1
+            kept = cw.choose_vals(tuple(menu))
+            gained = [j for j in others if kept[j] > base[j]]
+            if len(gained) == 1:
+                succ[("-", e1)] = ("+", ids[gained[0]])
 
     walks = []
-    for cycle in _simple_cycles(links):
-        edge_ids = [e for _, e in cycle]
-        if len(set(edge_ids)) != len(edge_ids):
+    seen = {}
+    for root in sorted(succ):
+        path = []
+        node = root
+        while node in succ and node not in seen:
+            seen[node] = root
+            path.append(node)
+            node = succ[node]
+        if seen.get(node) != root:
             continue
-        starts = [i for i, (s, _) in enumerate(cycle) if s == "+"]
-        if len(starts) * 2 != len(cycle):
+        cycle = path[path.index(node) :]
+        if len({e for _, e in cycle}) < len(cycle):
             continue
-        seq = cycle[starts[0]:] + cycle[: starts[0]]
+        # Links alternate + and -, and each chains at the vertex shared
+        # by its two edges, so the walk closes at the worker it starts on.
+        first = [s for s, _ in cycle].index("+")
+        here = min(inst.ends(cycle[first][1]), key=lambda v: inst.side(v) != "W")
         steps = []
-        w0 = min(inst.ends(seq[0][1]), key=lambda v: inst.side(v) != "W")
-        here = w0
-        ok = True
-        for s, e in seq:
-            if here not in inst.ends(e):
-                ok = False
-                break
+        for _, e in cycle[first:] + cycle[:first]:
             steps.append((here, e))
             here = inst.other_end(e, here)
-        if ok and here == w0:
-            walks.append(steps)
+        walks.append(steps)
     return walks
+
+
+def _ray_point(inst, base, frame, k=1):
+    """``base`` moved ``k`` times along a walk, if that lands well, else None.
+
+    ``base`` is the raw vector of a verified stable vector and ``frame``
+    the walk's :func:`_walk_frame`.  The landing must be in the box, and
+    :func:`_shift_holds` must find it stable and strictly above ``base``
+    on the firm side.
+    """
+    shift, touched, near = frame
+    y = _shifted(inst, base, shift, k)
+    if y is None or not _shift_holds(inst, base, y, touched, near):
+        return None
+    return y
 
 
 def _walk_holds(inst, x, steps):
     """True iff the walk ``steps`` shifts the stable ``x`` to a stable vector
     strictly above it on the firm side; decided by :func:`_shift_holds`."""
-    shift, touched, near = _walk_frame(inst, steps)
-    y_vals = _shifted(inst, x.vals, shift)
-    return y_vals is not None and _shift_holds(inst, x.vals, y_vals, touched, near)
+    return _ray_point(inst, x.vals, _walk_frame(inst, steps)) is not None
 
 
 def find_rotations(inst, x):
@@ -465,6 +455,10 @@ def find_rotations(inst, x):
     edge-disjoint and each firm's aggregate exchange is verified to match
     its choice function; failures of either raise
     :class:`VerificationError` since they indicate broken axioms.
+
+    The candidates are the cycles of the exposed-rotation graph of
+    Gusfield & Irving (1989), where each node has one successor at most;
+    see :func:`_candidate_walks`.  Finding them costs ``O(|E|)`` calls.
     """
     report = is_stable(inst, x)
     if not report.stable:
@@ -573,16 +567,15 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
             raise InputError(
                 "rotations act only at stable vectors: {!r}".format(report)
             )
-    shift, touched, near = _walk_frame(inst, rot.steps)
-    firms = [f for f in touched if f in inst.parts[1]]
+    frame = _walk_frame(inst, rot.steps)
+    firms = [f for f in frame[1] if f in inst.parts[1]]
     base = x.vals
 
     def probe(k):
-        y = _shifted(inst, base, shift, k)
-        if y is None or not _shift_holds(inst, base, y, touched, near):
-            return None
-        if ceiling is not None and not _under(inst, y, ceiling, firms, k == 1):
-            return None
+        y = _ray_point(inst, base, frame, k)
+        if y is not None and ceiling is not None:
+            if not _under(inst, y, ceiling, firms, k == 1):
+                return None
         return y
 
     weight, vals, fail = 0, base, None

@@ -21,6 +21,7 @@ from .core import (
 )
 from .choice import RenamedCF
 from .bipartite import Rotation, climb, deferred_acceptance, find_rotations
+from .bipartite import _ray_point, _walk_frame
 
 
 def _copy_name(name, i):
@@ -218,12 +219,14 @@ def run_qb(si, seed=0):
             if tau % 2:
                 odd[rot.steps] = rot
             # The climb probed only O(log tau) points of the ray, so the
-            # half step is probed in its own capped climb.
-            done, top = climb(graph, x, rot, limit=weight, verified=True)
-            if done < weight:
+            # half step gets a probe of its own.
+            frame = _walk_frame(graph, rot.steps)
+            y = _ray_point(graph, x.vals, frame, weight) if weight else x.vals
+            if y is None:
                 raise VerificationError(
                     "half step of a singular rotation failed: {!r}".format(rot)
                 )
+            top = EdgeVector(graph.space, y)
         else:
             weight = tau
         x = top

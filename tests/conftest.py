@@ -15,6 +15,8 @@ import pytest
 from stablepartners import (
     EdgeVector,
     Instance,
+    Rotation,
+    build_full_route,
     check_axiom,
     enumerate_stable,
     find_rotations,
@@ -536,6 +538,22 @@ def with_edge_limits(rng, inst, vertices):
     )
 
 
+def latin_doc(n):
+    """The cyclic Latin-square market: ``n`` a side, every cap and quota 1.
+
+    Each side's list starts one step further round, so the worker-optimal
+    and firm-optimal vectors are ``n`` apart and one rotation is exposed
+    at each stable vector on the way.
+    """
+    ws = ["w{}".format(i) for i in range(n)]
+    fs = ["f{}".format(j) for j in range(n)]
+    edges = [(w + f, w, f, 1) for w in ws for f in fs]
+    orders = {w: [w + fs[(i + d) % n] for d in range(n)] for i, w in enumerate(ws)}
+    for j, f in enumerate(fs):
+        orders[f] = [ws[(j + 1 + d) % n] + f for d in range(n)]
+    return quota_doc(edges, dict.fromkeys(ws + fs, 1), orders, parts=(ws, fs))
+
+
 def ring_doc(n, cap, quota, bipartite=False):
     """An oriented ring: everyone prefers the edge ahead to the one behind.
 
@@ -563,6 +581,15 @@ def high_cap_market(rng, lo=50, hi=500):
         doc = ring_doc(rng.choice([4, 6]), cap, rng.randint(cap // 2, cap), True)
     inst = instance_from_dict(doc)
     return with_edge_limits(rng, inst, inst.parts[1])
+
+
+def route_vectors(inst, seeds=(0, 1)):
+    """The stable vectors met on the full routes of a few seeds."""
+    seen = {}
+    for seed in seeds:
+        for x in build_full_route(inst, seed).vectors():
+            seen[x.vals] = x
+    return list(seen.values())
 
 
 def _greedy(z, perm, quota, group=(), group_quota=0):
@@ -785,6 +812,137 @@ def oracle_two_pass_walk(inst, x, rot, ceiling=None):
         assert step_ok(here, nxt)
         here = nxt
     return weight, here
+
+
+def _simple_cycles(succ):
+    """Every elementary cycle of a digraph, once each, as a list of nodes.
+
+    ``succ`` maps each node to its successors; nodes must be sortable.
+    Each cycle is reported from its least node: for every root in sorted
+    order, a depth-first search over the larger nodes that can reach the
+    root again reports each path that closes on it.
+    """
+    pred = {}
+    for v, ws in succ.items():
+        for w in ws:
+            pred.setdefault(w, []).append(v)
+    for root in sorted(set(succ) | set(pred)):
+        back = {root}
+        stack = [root]
+        while stack:
+            for v in pred.get(stack.pop(), ()):
+                if v > root and v not in back:
+                    back.add(v)
+                    stack.append(v)
+        path = [root]
+        on_path = {root}
+        branches = [iter(succ.get(root, ()))]
+        while branches:
+            for w in branches[-1]:
+                if w == root:
+                    yield list(path)
+                elif w in back and w not in on_path:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(succ.get(w, ())))
+                    break
+            else:
+                branches.pop()
+                on_path.discard(path.pop())
+
+
+def oracle_candidate_walks(inst, x):
+    """Every closed alternating walk of the all-pairs exchange-link graph.
+
+    A positive link follows a firm that would accept one more unit of an
+    edge while bumping exactly one unit of another; a negative link joins
+    every unit a worker holds to every edge whose extra unit the worker
+    would refuse outright.  Every elementary cycle of these links that
+    traverses distinct edges is a walk, so the walks include those of the
+    library's exposed-rotation graph, which keeps one successor per node.
+    """
+    w_side, f_side = inst.parts
+    ids = inst.space.ids
+    caps = inst.caps.vals
+    star = {v: tuple(x[e] for e in inst.star_ids[v]) for v in inst.vertices}
+
+    def bumped(z, j):
+        return z[:j] + (z[j] + 1,) + z[j + 1 :]
+
+    links = {}
+    for i, e in enumerate(ids):
+        if x.vals[i] >= caps[i]:
+            continue
+        f = next(v for v in inst.ends(e) if v in f_side)
+        z = star[f]
+        j = inst.star_ids[f].index(e)
+        menu = bumped(z, j)
+        kept = inst.choice[f].choose_vals(menu)
+        if kept[j] <= z[j]:
+            continue
+        dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
+        if len(dropped) == 1 and dropped[0] != j and menu[dropped[0]] == kept[dropped[0]] + 1:
+            links.setdefault(("+", e), []).append(("-", inst.star_ids[f][dropped[0]]))
+    for w in sorted(w_side):
+        z = star[w]
+        here = inst.star_ids[w]
+        droppable = [e for e, a in zip(here, z) if a >= 1]
+        refusable = [
+            e
+            for j, e in enumerate(here)
+            if z[j] < inst.caps[e] and inst.choice[w].choose_vals(bumped(z, j)) == z
+        ]
+        for e1 in droppable:
+            for e2 in refusable:
+                if e1 != e2:
+                    links.setdefault(("-", e1), []).append(("+", e2))
+
+    walks = []
+    for cycle in _simple_cycles(links):
+        edge_ids = [e for _, e in cycle]
+        if len(set(edge_ids)) != len(edge_ids):
+            continue
+        first = [s for s, _ in cycle].index("+")
+        seq = cycle[first:] + cycle[:first]
+        w0 = next(v for v in inst.ends(seq[0][1]) if v in w_side)
+        here, steps = w0, []
+        for _, e in seq:
+            if here not in inst.ends(e):
+                break
+            steps.append((here, e))
+            here = inst.other_end(e, here)
+        else:
+            if here == w0:
+                walks.append(steps)
+    return walks
+
+
+def oracle_find_rotations(inst, x):
+    """The rotations at the stable ``x``, from every all-pairs candidate walk.
+
+    Screens :func:`oracle_candidate_walks` with the whole-instance
+    :func:`is_stable` and :func:`precedes_F`, keeps the least walk of each
+    incidence vector and drops every walk whose landing lies strictly above
+    another's, in :func:`find_rotations`' order.
+    """
+    by_chi = {}
+    for steps in oracle_candidate_walks(inst, x):
+        rot = Rotation(inst, steps)
+        y = x.plus(rot.chi)
+        if (
+            inst.in_box(y)
+            and is_stable(inst, y).stable
+            and precedes_F(inst, x, y)
+            and (rot.chi.vals not in by_chi or rot < by_chi[rot.chi.vals])
+        ):
+            by_chi[rot.chi.vals] = rot
+    reps = sorted(by_chi.values())
+    landing = {rot: x.plus(rot.chi) for rot in reps}
+    return [
+        rot
+        for rot in reps
+        if not any(precedes_F(inst, landing[o], landing[rot]) for o in reps if o is not rot)
+    ]
 
 
 def oracle_full_routes(inst, stable_vals, cap=2000):

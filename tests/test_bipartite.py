@@ -6,6 +6,7 @@ import random
 import pytest
 
 from stablepartners import (
+    ChoiceFunction,
     InputError,
     Rotation,
     apply_rotation,
@@ -21,9 +22,20 @@ from stablepartners import (
     precedes_F,
     precedes_W,
 )
-from stablepartners.bipartite import _simple_cycles
+from stablepartners.bipartite import _candidate_walks
 
-from conftest import edgevec, oracle_precedes_F, random_bipartite_doc
+from conftest import (
+    _simple_cycles,
+    edgevec,
+    high_cap_market,
+    latin_doc,
+    oracle_candidate_walks,
+    oracle_find_rotations,
+    oracle_precedes_F,
+    random_bipartite_doc,
+    route_vectors,
+    table_market,
+)
 
 B4_MIN = {"w1f1": 1, "w2f2": 1}
 B4_MAX = {"w1f2": 1, "w2f1": 1}
@@ -276,3 +288,61 @@ def test_cycle_enumerator_matches_a_brute_force_oracle():
         assert set(got) == brute_force_cycles(nodes, arcs)
         total += len(got)
     assert total > 300
+
+
+# -- discovery on the exposed-rotation graph ---------------------------------
+
+
+def test_discovery_matches_the_all_pairs_oracle(
+    bipartite_artifacts, doubled_artifacts, gated
+):
+    """The same rotations, in the same order, as every elementary cycle gives.
+
+    At every stable vector of both corpora, of the gated instance and of
+    300 seeded markets whose choices are mostly axiom-checked tables, and
+    at the route vectors of seeded high-capacity markets with edge limits.
+    Each walk of the exposed-rotation graph is also a walk of the oracle.
+    """
+    rng = random.Random(17)
+    cases = [(inst, x) for inst, stable, _ in bipartite_artifacts for x in stable]
+    cases += [(si.graph, x) for _, si, _, stable in doubled_artifacts for x in stable]
+    cases += [(gated, x) for x in enumerate_stable(gated)]
+    for _ in range(300):
+        inst, _ = table_market(rng)
+        cases += [(inst, x) for x in enumerate_stable(inst)]
+    for _ in range(24):
+        inst = high_cap_market(rng)
+        cases += [(inst, x) for x in route_vectors(inst)]
+    found = 0
+    for inst, x in cases:
+        rots = find_rotations(inst, x)
+        assert rots == oracle_find_rotations(inst, x)
+        every = {Rotation(inst, w) for w in oracle_candidate_walks(inst, x)}
+        assert {Rotation(inst, w) for w in _candidate_walks(inst, x)} <= every
+        found += len(rots)
+    assert len(cases) >= 1_400 and found >= 950
+
+
+def test_latin_discovery_costs_few_choice_calls(monkeypatch):
+    """Cyclic Latin squares expose one rotation at a time.
+
+    Enumerating every elementary cycle of the all-pairs link graph made
+    437,755 choice calls to find the one rotation at n=8.
+    """
+    calls = [0]
+    choose_vals = ChoiceFunction.choose_vals
+
+    def counting(self, vals):
+        calls[0] += 1
+        return choose_vals(self, vals)
+
+    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    square = instance_from_dict(latin_doc(8))
+    lo = deferred_acceptance(square, "W")
+    calls[0] = 0
+    assert len(find_rotations(square, lo)) == 1
+    assert calls[0] <= 1_000
+    calls[0] = 0
+    route = build_full_route(instance_from_dict(latin_doc(32)))
+    assert len(route) == 31
+    assert calls[0] <= 300_000
