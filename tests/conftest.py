@@ -881,15 +881,18 @@ def oracle_candidate_walks(inst, x):
         if kept[j] <= z[j]:
             continue
         dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
-        if len(dropped) == 1 and dropped[0] != j and menu[dropped[0]] == kept[dropped[0]] + 1:
-            links.setdefault(("+", e), []).append(("-", inst.star_ids[f][dropped[0]]))
+        if len(dropped) != 1 or dropped[0] == j:
+            continue
+        k = dropped[0]
+        if menu[k] == kept[k] + 1:
+            links.setdefault(("+", e), []).append(("-", inst.star_ids[f][k]))
     for w in sorted(w_side):
         z = star[w]
-        here = inst.star_ids[w]
-        droppable = [e for e, a in zip(here, z) if a >= 1]
+        sids = inst.star_ids[w]
+        droppable = [e for e, a in zip(sids, z) if a >= 1]
         refusable = [
             e
-            for j, e in enumerate(here)
+            for j, e in enumerate(sids)
             if z[j] < inst.caps[e] and inst.choice[w].choose_vals(bumped(z, j)) == z
         ]
         for e1 in droppable:
@@ -941,7 +944,11 @@ def oracle_find_rotations(inst, x):
     return [
         rot
         for rot in reps
-        if not any(precedes_F(inst, landing[o], landing[rot]) for o in reps if o is not rot)
+        if not any(
+            precedes_F(inst, landing[other], landing[rot])
+            for other in reps
+            if other is not rot
+        )
     ]
 
 
