@@ -48,7 +48,6 @@ from .poset import (
     family_from_route,
     full_routes,
     is_closed,
-    principal_graph,
     rotation_order,
     vector_from_closed,
 )

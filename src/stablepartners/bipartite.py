@@ -7,8 +7,15 @@ minimum and the firm-optimal one is the maximum.
 """
 
 import random
+from collections import Counter, namedtuple
 
-from .core import EdgeVector, InputError, InternalError, VerificationError
+from .core import (
+    BudgetError,
+    EdgeVector,
+    InputError,
+    InternalError,
+    VerificationError,
+)
 from .choice import _weakly_prefers
 
 
@@ -683,8 +690,86 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
+_Step = namedtuple("_Step", "rotation ordinal weight tau source target")
+
+
+def _climb_budget(budget):
+    """A counter for the climbs of one computation that raises past ``budget``.
+
+    Call it once before each climb.  The count starts at 1, so a budget of
+    1 allows no climb at all.
+    """
+    spent = 1
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetError(
+                "rotation sweeps exceed the budget of {} climbs".format(budget)
+            )
+
+    return spend
+
+
+def _sweep(inst, pick, start=None, ceiling=None, half=None, spend=None):
+    """Climb rotations upward from a stable vector until none is taken.
+
+    This is the one loop over :func:`find_rotations` and :func:`climb`;
+    callers differ only in their pick policy.  The sweep starts at
+    ``start``, by default the worker-optimal vector.  At each vector it
+    finds the rotations and, if there are any, asks ``pick(rots, used)``
+    for the ones to try, in order; ``used`` counts the applications of
+    each rotation so far, keyed by its steps, which is also the ordinal of
+    its next occurrence.  The first candidate whose climb moves at all is
+    applied with the climb's weight ``tau``, or with ``tau // 2`` where
+    ``half(rot)`` holds, a landing checked by one more probe of the ray.
+    With a ``ceiling`` every climb stays under it and the sweep stops on
+    reaching it.  ``spend`` is called before every climb (see
+    :func:`_climb_budget`).
+
+    Returns ``(start, steps, end, rots)``: the steps as :data:`_Step`
+    tuples, the vector the sweep stopped at, and the rotations found there
+    (None if it stopped at the ceiling).
+    """
+    x = start if start is not None else deferred_acceptance(inst, "W")
+    start = x
+    used = Counter()
+    steps = []
+    fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
+    while ceiling is None or x != ceiling:
+        rots = find_rotations(inst, x)
+        for rot in pick(rots, used) if rots else ():
+            if spend is not None:
+                spend()
+            tau, y = climb(inst, x, rot, ceiling=ceiling, verified=True)
+            if tau:
+                break
+        else:
+            return start, steps, x, rots
+        weight = tau
+        if half is not None and half(rot):
+            weight = tau // 2
+            # The climb probed only O(log tau) points of the ray, so the
+            # half step gets a probe of its own.
+            frame = _walk_frame(inst, rot.steps)
+            vals = _ray_point(inst, x.vals, frame, weight) if weight else x.vals
+            if vals is None:
+                raise VerificationError(
+                    "half step along {!r} failed".format(rot)
+                )
+            y = EdgeVector(inst.space, vals)
+        steps.append(_Step(rot, used[rot.steps], weight, tau, x, y))
+        used[rot.steps] += 1
+        x = y
+        fuel -= 1
+        if fuel < 0:
+            raise InternalError("rotation sweep failed to terminate")
+    return start, steps, x, None
+
+
 def build_full_route(inst, seed=0):
-    """A principal route from the minimum stable vector to the maximum.
+    """A full route from the minimum stable vector to the maximum.
 
     At every visited vector one applicable rotation is chosen (seeded, so
     different seeds explore different full routes) and applied with its
@@ -692,23 +777,13 @@ def build_full_route(inst, seed=0):
     firm-optimal vector.
     """
     rng = random.Random(seed)
-    start = x = deferred_acceptance(inst, "W")
-    steps = []
-    fuel = max(1, inst.caps.total()) * max(1, len(inst.space)) + 2
-    while True:
-        rots = find_rotations(inst, x)
-        if not rots:
-            break
-        rot = rots[rng.randrange(len(rots))]
-        weight, y = climb(inst, x, rot, verified=True)
-        steps.append(RouteStep(rot, weight, x, y))
-        x = y
-        fuel -= 1
-        if fuel < 0:
-            raise InternalError("route construction failed to terminate")
-    top = deferred_acceptance(inst, "F")
-    if x != top:
+    start, steps, end, _ = _sweep(
+        inst, lambda rots, used: [rots[rng.randrange(len(rots))]]
+    )
+    if end != deferred_acceptance(inst, "F"):
         raise VerificationError(
             "route stalled before the firm-optimal vector"
         )
-    return Route(start, steps)
+    return Route(
+        start, [RouteStep(s.rotation, s.weight, s.source, s.target) for s in steps]
+    )

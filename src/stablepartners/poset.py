@@ -10,19 +10,14 @@ assignments that are closed for that order.
 
 from collections import Counter
 
-from .core import (
-    BudgetError,
-    EdgeVector,
-    InputError,
-    InternalError,
-    VerificationError,
-)
+from .core import InputError, InternalError, VerificationError
 from .bipartite import (
     Route,
     RouteStep,
+    _climb_budget,
+    _sweep,
     climb,
     deferred_acceptance,
-    find_rotations,
     is_stable,
 )
 
@@ -89,82 +84,6 @@ def family_from_route(route):
     return WeightedRotationFamily(items)
 
 
-class PrincipalGraph:
-    """All stable vectors reachable by maximal-weight rotation steps.
-
-    Nodes are stable vectors, edges are occurrences applied with their full
-    weight.  The graph is built breadth-first from the minimum stable
-    vector; during the build two invariants are verified and their failure
-    raises :class:`VerificationError`: every path into a node accumulates
-    the same occurrence weights, and every edge carrying one occurrence
-    carries the same weight.
-    """
-
-    __slots__ = ("bottom", "top", "states", "edges", "phi", "tau")
-
-    def __init__(self, bottom, top, states, edges, phi, tau):
-        self.bottom = bottom
-        self.top = top
-        self.states = states
-        self.edges = edges
-        self.phi = phi
-        self.tau = tau
-
-
-def principal_graph(inst, budget=DEFAULT_GRAPH_BUDGET):
-    bottom = deferred_acceptance(inst, "W")
-    top = deferred_acceptance(inst, "F")
-    phi = {bottom: {}}
-    edges = []
-    sinks = []
-    queue = [bottom]
-    rotations_of = {}
-    spent = 1
-    while queue:
-        x = queue.pop(0)
-        rots = find_rotations(inst, x)
-        rotations_of[x] = rots
-        if not rots:
-            sinks.append(x)
-            continue
-        acc = phi[x]
-        used = Counter(occ.rotation.steps for occ in acc)
-        for rot in rots:
-            weight, y = climb(inst, x, rot, verified=True)
-            occ = Occurrence(rot, used[rot.steps])
-            grown = dict(acc)
-            grown[occ] = weight
-            spent += 1
-            if spent > budget:
-                raise BudgetError(
-                    "principal graph exceeds the budget of {}".format(budget)
-                )
-            if y in phi:
-                if phi[y] != grown:
-                    raise VerificationError(
-                        "two routes to one vector disagree on weights"
-                    )
-            else:
-                phi[y] = grown
-                queue.append(y)
-            edges.append((x, occ, weight, y))
-
-    if sinks != [top]:
-        raise VerificationError("principal routes do not all end at the maximum")
-
-    tau = {}
-    for _, occ, weight, _ in edges:
-        if tau.setdefault(occ, weight) != weight:
-            raise VerificationError(
-                "one occurrence acts with two different weights"
-            )
-    if set(phi[top]) != set(tau):
-        raise InternalError("occurrence inventory mismatch at the maximum")
-
-    states = tuple(sorted(phi, key=lambda v: v.vals))
-    return PrincipalGraph(bottom, top, states, tuple(edges), phi, tau)
-
-
 class RotationOrder:
     """The strict precedence order on rotation occurrences.
 
@@ -214,54 +133,72 @@ class RotationOrder:
 
 
 def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
-    """Compute the occurrence order by exhausting the principal graph.
+    """Compute the occurrence order with one sweep per occurrence.
 
-    An occurrence ``a`` fails to precede ``b`` exactly when some principal
-    route plays ``b`` first, i.e. when the edge carrying ``b`` can reach
-    the edge carrying ``a`` through the graph.
+    One full sweep, always taking the first rotation found, gives the
+    occurrences and their weights ``tau``; it must end at the firm-optimal
+    vector.  Then, for each occurrence ``a``, a sweep from the bottom takes
+    any rotation but ``a``.  The closed sets that omit ``a`` are closed
+    under union, so that sweep ends at the largest of them, where ``a`` is
+    the only rotation left; an occurrence ``b`` is missing from it exactly
+    when ``a`` precedes ``b``.  This is the rule of Irving & Leather (SIAM
+    J. Comput. 1986): ``a`` precedes ``b`` iff ``a`` is used in the least
+    stable vector that exposes ``b``.  That makes ``|occ| + 1`` sweeps,
+    each of at most ``|occ|`` steps.
+
+    Every step of every sweep must be a known occurrence with its weight
+    ``tau``, and where ``a``'s sweep stops, ``a`` must climb ``tau[a]``;
+    a failure raises :class:`VerificationError`, as different routes
+    then carry different weighted families.  ``budget`` bounds the climbs
+    of all sweeps together, counted from 1; past it :class:`BudgetError`
+    is raised.
     """
-    graph = principal_graph(inst, budget)
-    index = {x: i for i, x in enumerate(graph.states)}
-    n = len(graph.states)
-    reach = [set() for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    for x, _, _, y in graph.edges:
-        succ[index[x]].append(index[y])
-    for i in range(n):
-        seen = {i}
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for k in succ[j]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        reach[i] = seen
+    spend = _climb_budget(budget)
+    bottom, steps, top, _ = _sweep(inst, lambda rots, used: rots[:1], spend=spend)
+    if top != deferred_acceptance(inst, "F"):
+        raise VerificationError("the sweep stalled before the firm-optimal vector")
+    tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
 
-    sources = {}
-    targets = {}
-    for x, occ, _, y in graph.edges:
-        sources.setdefault(occ, set()).add(index[x])
-        targets.setdefault(occ, set()).add(index[y])
-
-    occurrences = sorted(graph.tau)
     less = set()
-    for a in occurrences:
-        for b in occurrences:
-            if a is b:
-                continue
-            b_first = any(
-                sa in reach[tb] for tb in targets[b] for sa in sources[a]
+    for a in sorted(tau):
+
+        def avoid_a(rots, used):
+            return [r for r in rots if (r.steps, used[r.steps]) != a.key][:1]
+
+        _, steps, end, rots = _sweep(inst, avoid_a, start=bottom, spend=spend)
+        seen = set()
+        for s in steps:
+            occ = Occurrence(s.rotation, s.ordinal)
+            if occ not in tau:
+                raise VerificationError(
+                    "a sweep used {!r}, which the full sweep did not".format(occ)
+                )
+            _check_weight(tau, occ, s.weight)
+            seen.add(occ)
+        if rots != [a.rotation]:
+            raise VerificationError(
+                "the sweep that avoids {!r} does not stop at it".format(a)
             )
-            if not b_first:
-                less.add((a, b))
+        spend()
+        weight, _ = climb(inst, end, a.rotation, verified=True)
+        _check_weight(tau, a, weight)
+        less.update((a, b) for b in tau if b != a and b not in seen)
 
     for a, b in less:
         if (b, a) in less:
             raise InternalError("precedence relation is not antisymmetric")
-    order = RotationOrder(occurrences, graph.tau, less, graph.bottom, graph.top)
+    order = RotationOrder(tau.keys(), tau, less, bottom, top)
     _sanity_check_order(order)
     return order
+
+
+def _check_weight(tau, occ, weight):
+    if weight != tau[occ]:
+        raise VerificationError(
+            "routes disagree on the weight of {!r}: {} and {}".format(
+                occ, tau[occ], weight
+            )
+        )
 
 
 def _sanity_check_order(order):
@@ -329,39 +266,29 @@ def is_closed(order, weights):
 def closed_from_vector(inst, order, x):
     """The closed weight function whose partial route lands on ``x``.
 
-    Climbs from the minimum stable vector toward ``x``, always along an
-    applicable rotation and never past ``x`` on the firm side, recording
-    how much of each occurrence gets used.
+    Sweeps up from the minimum stable vector under the ceiling ``x``: at
+    each vector the first rotation that climbs at all goes as far as it
+    can without passing ``x`` on the firm side.  The weight each
+    occurrence gets on the way is its value.
     """
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
+    _, steps, end, _ = _sweep(
+        inst, lambda rots, used: rots, start=order.bottom, ceiling=x
+    )
+    if end != x:
+        raise VerificationError(
+            "no rotation leads from {!r} toward the target".format(end)
+        )
     weights = {}
-    used = Counter()
-    here = order.bottom
-    fuel = max(1, inst.caps.total()) * max(1, len(inst.space)) + 2
-    while here != x:
-        progressed = False
-        for rot in find_rotations(inst, here):
-            lam, probe = climb(inst, here, rot, ceiling=x, verified=True)
-            if lam > 0:
-                occ = Occurrence(rot, used[rot.steps])
-                used[rot.steps] += 1
-                if occ not in order.tau:
-                    raise VerificationError(
-                        "climb used an occurrence the order does not know"
-                    )
-                weights[occ] = lam
-                here = probe
-                progressed = True
-                break
-        if not progressed:
+    for s in steps:
+        occ = Occurrence(s.rotation, s.ordinal)
+        if occ not in order.tau:
             raise VerificationError(
-                "no rotation leads from {!r} toward the target".format(here)
+                "climb used an occurrence the order does not know"
             )
-        fuel -= 1
-        if fuel < 0:
-            raise InternalError("climb failed to terminate")
+        weights[occ] = s.weight
     fn = ClosedFunction(order, weights)
     if not is_closed(order, fn):
         raise VerificationError("vector decomposes into a non-closed family")
@@ -385,26 +312,38 @@ def vector_from_closed(inst, order, weights):
 
 
 def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
-    """Enumerate principal routes from minimum to maximum, depth-first."""
-    graph = principal_graph(inst, budget)
-    outgoing = {}
-    for x, occ, weight, y in graph.edges:
-        outgoing.setdefault(x, []).append((occ, weight, y))
-    for lst in outgoing.values():
-        lst.sort(key=lambda item: item[0].key)
+    """Enumerate the full routes from minimum to maximum, depth-first.
 
+    A full route applies every occurrence of :func:`rotation_order` once,
+    with its weight, in an order the precedence allows.  From each vector
+    the occurrences whose predecessors are all applied are tried in key
+    order, so routes come out in a fixed order.  Every step is a climb of
+    the occurrence's rotation, which must weigh the order's ``tau``, and
+    every route must end at the maximum; otherwise
+    :class:`VerificationError`.  At most ``limit`` routes are produced;
+    ``budget`` bounds the order's sweeps.
+    """
+    order = rotation_order(inst, budget)
+    below = {b: {a for a, c in order.less if c == b} for b in order.occurrences}
     produced = 0
 
-    def walk(x, steps):
+    def walk(x, done, steps):
         nonlocal produced
-        nxt = outgoing.get(x)
-        if not nxt:
+        exposed = [
+            b for b in order.occurrences if b not in done and below[b] <= done
+        ]
+        if not exposed:
+            if x != order.top:
+                raise VerificationError("a route ends below the maximum")
             produced += 1
-            yield Route(graph.bottom, steps)
+            yield Route(order.bottom, steps)
             return
-        for occ, weight, y in nxt:
+        for occ in exposed:
             if limit is not None and produced >= limit:
                 return
-            yield from walk(y, steps + [RouteStep(occ.rotation, weight, x, y)])
+            weight, y = climb(inst, x, occ.rotation, verified=True)
+            _check_weight(order.tau, occ, weight)
+            step = RouteStep(occ.rotation, weight, x, y)
+            yield from walk(y, done | {occ}, steps + [step])
 
-    yield from walk(graph.bottom, [])
+    yield from walk(order.bottom, frozenset(), [])

@@ -20,8 +20,7 @@ from .core import (
     VerificationError,
 )
 from .choice import RenamedCF
-from .bipartite import Rotation, climb, deferred_acceptance, find_rotations
-from .bipartite import _ray_point, _walk_frame
+from .bipartite import Rotation, _sweep
 
 
 def _copy_name(name, i):
@@ -189,54 +188,25 @@ class QBOutcome:
 def run_qb(si, seed=0):
     """Sweep rotations upward, never using both a rotation and its mirror.
 
-    Starting at the minimum stable vector of the double, repeatedly pick
-    an applicable rotation whose mirror has not been used: singular ones
-    (self-mirrored) advance by half their feasible weight rounded down,
-    all others by their full feasible weight.  The sweep stops when every
-    applicable rotation's mirror is used up.
+    The pick policy of the rotation sweep: starting at the minimum stable
+    vector of the double, pick at random (seeded) an applicable rotation
+    whose mirror has not been used.  Singular ones (self-mirrored) advance
+    by half their feasible weight rounded down, checked by one probe of
+    the ray after the full climb; all others by their full feasible
+    weight.  The sweep stops when every applicable rotation's mirror is
+    used up.
     """
-    graph = si.graph
-    x = deferred_acceptance(graph, "W")
-    start = x
     rng = random.Random(seed)
-    used = set()
-    picks = []
-    odd = {}
-    singular_used = {}
-    fuel = (graph.caps.total() + 2) * max(1, len(graph.space)) + 2
-    while True:
-        rots = find_rotations(graph, x)
-        fresh = [
-            r for r in rots if si.reflect_rotation(r).steps not in used
-        ]
-        if not fresh:
-            break
-        rot = fresh[rng.randrange(len(fresh))]
-        tau, top = climb(graph, x, rot, verified=True)
-        if is_singular(si, rot):
-            weight = tau // 2
-            singular_used[rot.steps] = rot
-            if tau % 2:
-                odd[rot.steps] = rot
-            # The climb probed only O(log tau) points of the ray, so the
-            # half step gets a probe of its own.
-            frame = _walk_frame(graph, rot.steps)
-            y = _ray_point(graph, x.vals, frame, weight) if weight else x.vals
-            if y is None:
-                raise VerificationError(
-                    "half step of a singular rotation failed: {!r}".format(rot)
-                )
-            top = EdgeVector(graph.space, y)
-        else:
-            weight = tau
-        x = top
-        used.add(rot.steps)
-        picks.append((rot, weight, tau))
-        fuel -= 1
-        if fuel < 0:
-            raise InternalError("balancing sweep failed to terminate")
 
-    odd_core = tuple(sorted(odd.values()))
+    def mirror_fresh(rots, used):
+        fresh = [r for r in rots if si.reflect_rotation(r).steps not in used]
+        return [fresh[rng.randrange(len(fresh))]] if fresh else []
+
+    start, steps, x, _ = _sweep(
+        si.graph, mirror_fresh, half=lambda rot: is_singular(si, rot)
+    )
+    singular = {s.rotation: s.tau for s in steps if is_singular(si, s.rotation)}
+    odd_core = tuple(sorted(rot for rot, tau in singular.items() if tau % 2))
     expected = x
     for rot in odd_core:
         expected = expected.plus(rot.chi)
@@ -244,9 +214,8 @@ def run_qb(si, seed=0):
         raise VerificationError(
             "balancing sweep failed its reflection identity"
         )
-    return QBOutcome(
-        x, tuple(picks), odd_core, tuple(sorted(singular_used.values())), start
-    )
+    picks = tuple((s.rotation, s.weight, s.tau) for s in steps)
+    return QBOutcome(x, picks, odd_core, tuple(sorted(singular)), start)
 
 
 def mirror_occurrences(si, order):

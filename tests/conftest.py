@@ -8,6 +8,7 @@ code paths so that tests compare two independent computations.
 
 import itertools
 import random
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -15,9 +16,16 @@ import pytest
 from stablepartners import (
     EdgeVector,
     Instance,
+    Occurrence,
     Rotation,
+    RotationOrder,
+    Route,
+    RouteStep,
+    VerificationError,
     build_full_route,
     check_axiom,
+    climb,
+    deferred_acceptance,
     enumerate_stable,
     find_rotations,
     instance_from_dict,
@@ -242,8 +250,19 @@ def twin_doc():
     Each block carries its own rotation; the two occurrences are
     incomparable, so the principal graph is a diamond with two full routes.
     """
+    return blocks_doc(2, prefixes="pq")
+
+
+def blocks_doc(k, prefixes=None):
+    """``k`` vertex-disjoint unit crossed blocks, named by ``prefixes``.
+
+    The principal graph has ``2**k`` states; the order is ``k`` incomparable
+    occurrences.  The default prefixes are ``b0``, ``b1``, ...
+    """
+    if prefixes is None:
+        prefixes = ["b{}".format(i) for i in range(k)]
     edges, quotas, orders = [], {}, {}
-    for p in ("p", "q"):
+    for p in prefixes:
         for e, u, w in [
             ("w1f1", "w1", "f1"),
             ("w1f2", "w1", "f2"),
@@ -261,8 +280,8 @@ def twin_doc():
             }
         )
     parts = (
-        [p + v for p in "pq" for v in ("w1", "w2")],
-        [p + v for p in "pq" for v in ("f1", "f2")],
+        [p + v for p in prefixes for v in ("w1", "w2")],
+        [p + v for p in prefixes for v in ("f1", "f2")],
     )
     return quota_doc(edges, quotas, orders, parts=parts)
 
@@ -997,6 +1016,110 @@ def oracle_full_routes(inst, stable_vals, cap=2000):
             walk(here, acc + [(chi, weight)])
 
     walk(bottom[0], [])
+    return routes
+
+
+# Nodes are stable vectors, edges ``(x, occurrence, weight, y)`` full-weight
+# climbs; ``tau`` maps each occurrence to its weight.
+PrincipalGraph = namedtuple("PrincipalGraph", "bottom top states edges tau")
+
+
+def oracle_principal_graph(inst):
+    """Every vector reachable by full-weight climbs, and every such climb.
+
+    Raises :class:`VerificationError` when two paths into one node
+    accumulate different occurrence weights; its size is ``2**k`` on ``k``
+    disjoint blocks, so callers keep instances small.  It shares rotation
+    discovery and climbs with the library: what it checks is the sweeps'
+    way of reading the order and the routes, not the steps themselves.
+    """
+    bottom = deferred_acceptance(inst, "W")
+    top = deferred_acceptance(inst, "F")
+    phi = {bottom: {}}
+    edges = []
+    sinks = []
+    queue = [bottom]
+    while queue:
+        x = queue.pop(0)
+        rots = find_rotations(inst, x)
+        if not rots:
+            sinks.append(x)
+            continue
+        used = Counter(occ.rotation.steps for occ in phi[x])
+        for rot in rots:
+            weight, y = climb(inst, x, rot, verified=True)
+            occ = Occurrence(rot, used[rot.steps])
+            grown = dict(phi[x])
+            grown[occ] = weight
+            if y in phi:
+                if phi[y] != grown:
+                    raise VerificationError("two routes to one vector disagree")
+            else:
+                phi[y] = grown
+                queue.append(y)
+            edges.append((x, occ, weight, y))
+    assert sinks == [top]
+    tau = {}
+    for _, occ, weight, _ in edges:
+        assert tau.setdefault(occ, weight) == weight
+    assert set(phi[top]) == set(tau)
+    states = tuple(sorted(phi, key=lambda v: v.vals))
+    return PrincipalGraph(bottom, top, states, tuple(edges), tau)
+
+
+def oracle_rotation_order(inst):
+    """The occurrence order read off the whole principal graph.
+
+    ``a`` fails to precede ``b`` exactly when some route plays ``b``
+    first, that is when a target of ``b`` reaches a source of ``a``.
+    """
+    graph = oracle_principal_graph(inst)
+    succ = {x: [] for x in graph.states}
+    for x, _, _, y in graph.edges:
+        succ[x].append(y)
+    reach = {}
+    for x in graph.states:
+        seen = {x}
+        stack = [x]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        reach[x] = seen
+    sources, targets = {}, {}
+    for x, occ, _, y in graph.edges:
+        sources.setdefault(occ, set()).add(x)
+        targets.setdefault(occ, set()).add(y)
+    less = {
+        (a, b)
+        for a in graph.tau
+        for b in graph.tau
+        if a != b
+        and not any(sa in reach[tb] for tb in targets[b] for sa in sources[a])
+    }
+    return RotationOrder(graph.tau.keys(), graph.tau, less, graph.bottom, graph.top)
+
+
+def oracle_graph_routes(graph, limit=None):
+    """The principal graph's routes, depth-first, out-edges in key order."""
+    outgoing = {}
+    for x, occ, weight, y in graph.edges:
+        outgoing.setdefault(x, []).append((occ, weight, y))
+    for lst in outgoing.values():
+        lst.sort(key=lambda item: item[0].key)
+    routes = []
+
+    def walk(x, steps):
+        if x not in outgoing:
+            routes.append(Route(graph.bottom, steps))
+            return
+        for occ, weight, y in outgoing[x]:
+            if limit is not None and len(routes) >= limit:
+                return
+            walk(y, steps + [RouteStep(occ.rotation, weight, x, y)])
+
+    walk(graph.bottom, [])
     return routes
 
 

@@ -21,15 +21,19 @@ from stablepartners import (
     instance_from_dict,
     is_closed,
     precedes_F,
-    principal_graph,
     rotation_order,
     vector_from_closed,
 )
+from stablepartners import bipartite, poset
 
 from conftest import (
+    blocks_doc,
     edgevec,
     oracle_family,
     oracle_full_routes,
+    oracle_graph_routes,
+    oracle_principal_graph,
+    oracle_rotation_order,
     oracle_stable_set,
     random_bipartite_doc,
 )
@@ -64,7 +68,7 @@ def _family_triples(inst, route):
 
 
 def test_scaled_block_graph_is_a_single_jump(b4_scaled):
-    graph = principal_graph(b4_scaled)
+    graph = oracle_principal_graph(b4_scaled)
     assert len(graph.states) == 2
     assert len(graph.edges) == 1
     assert list(graph.tau.values()) == [3]
@@ -112,7 +116,7 @@ def test_chain_order_serializes_with_stable_ids(cycle3):
 
 def test_disjoint_blocks_commute(twin):
     """Two untouched blocks give a diamond graph and an empty order."""
-    graph = principal_graph(twin)
+    graph = oracle_principal_graph(twin)
     assert len(graph.states) == 4
     assert len(graph.edges) == 4
     order = rotation_order(twin)
@@ -234,9 +238,9 @@ def test_family_labels_repeated_uses_of_one_rotation(gated):
 
 def test_family_disagreement_is_detected(gated):
     with pytest.raises(VerificationError, match="disagree"):
-        principal_graph(gated)
-    with pytest.raises(VerificationError, match="disagree"):
         rotation_order(gated)
+    with pytest.raises(VerificationError, match="disagree"):
+        list(full_routes(gated))
 
 
 def test_tie_breaks_can_change_the_family(gated):
@@ -251,8 +255,6 @@ def test_tie_breaks_can_change_the_family(gated):
 
 
 def test_graph_budget_is_respected(b4):
-    with pytest.raises(BudgetError):
-        principal_graph(b4, budget=1)
     with pytest.raises(BudgetError):
         rotation_order(b4, budget=1)
     with pytest.raises(BudgetError):
@@ -287,3 +289,56 @@ def test_occurrences_are_keyed_by_rotation_and_ordinal(b4):
     assert Occurrence(rot, 0) != Occurrence(rot, 1)
     assert Occurrence(rot, 0) < Occurrence(rot, 1)
     assert len({Occurrence(rot, 0), Occurrence(rot, 0), Occurrence(rot, 1)}) == 2
+
+
+def test_order_matches_the_principal_graph_oracle(
+    bipartite_corpus, doubled_artifacts, b4, b4_scaled, path3, twin, cycle3
+):
+    """The avoidance sweeps give the order the whole principal graph gives."""
+    fixtures = [b4, b4_scaled, path3, twin, cycle3]
+    pairs = [(inst, rotation_order(inst)) for inst in list(bipartite_corpus) + fixtures]
+    pairs += [(si.graph, order) for _, si, order, _ in doubled_artifacts]
+    for inst, order in pairs:
+        expected = oracle_rotation_order(inst)
+        assert order.to_dict() == expected.to_dict()
+        assert (order.bottom, order.top) == (expected.bottom, expected.top)
+
+
+def test_full_routes_match_the_principal_graph_routes(bipartite_corpus):
+    """Same routes, same order: rotations, weights, sources and targets."""
+
+    def rows(routes):
+        return [
+            [(s.rotation, s.weight, s.source, s.target) for s in route.steps]
+            for route in routes
+        ]
+
+    multi_route = 0
+    for inst in bipartite_corpus:
+        ours = rows(full_routes(inst, limit=64))
+        expected = rows(oracle_graph_routes(oracle_principal_graph(inst), limit=64))
+        assert ours == expected
+        multi_route += len(ours) >= 2
+    assert multi_route >= 30
+
+
+def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
+    """k disjoint blocks make 2**k principal states but k + 1 sweeps.
+
+    Exploring the principal graph takes one ``find_rotations`` call per
+    state, 4,096 at k = 12; the sweeps make 13 + 12 * 12 = 157.
+    """
+    calls = [0]
+    find_rotations = bipartite.find_rotations
+
+    def counting(inst, x):
+        calls[0] += 1
+        return find_rotations(inst, x)
+
+    # Patched in each module that binds the name, so every caller counts.
+    for module in (bipartite, poset):
+        monkeypatch.setattr(module, "find_rotations", counting, raising=False)
+    k = 12
+    order = rotation_order(instance_from_dict(blocks_doc(k)))
+    assert len(order.occurrences) == k and not order.less
+    assert calls[0] <= (k + 1) ** 2
