@@ -9,13 +9,7 @@ minimum and the firm-optimal one is the maximum.
 import random
 from collections import Counter, namedtuple
 
-from .core import (
-    BudgetError,
-    EdgeVector,
-    InputError,
-    InternalError,
-    VerificationError,
-)
+from .core import EdgeVector, InputError, InternalError, VerificationError
 from .choice import _weakly_prefers
 
 
@@ -690,29 +684,10 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
-_Step = namedtuple("_Step", "rotation ordinal weight tau source target")
+_Step = namedtuple("_Step", "rotation ordinal weight tau source target found")
 
 
-def _climb_budget(budget):
-    """A counter for the climbs of one computation that raises past ``budget``.
-
-    Call it once before each climb.  The count starts at 1, so a budget of
-    1 allows no climb at all.
-    """
-    spent = 1
-
-    def spend():
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise BudgetError(
-                "rotation sweeps exceed the budget of {} climbs".format(budget)
-            )
-
-    return spend
-
-
-def _sweep(inst, pick, start=None, ceiling=None, half=None, spend=None):
+def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=None):
     """Climb rotations upward from a stable vector until none is taken.
 
     This is the one loop over :func:`find_rotations` and :func:`climb`;
@@ -720,21 +695,22 @@ def _sweep(inst, pick, start=None, ceiling=None, half=None, spend=None):
     ``start``, by default the worker-optimal vector.  At each vector it
     finds the rotations and, if there are any, asks ``pick(rots, used)``
     for the ones to try, in order; ``used`` counts the applications of
-    each rotation so far, keyed by its steps, which is also the ordinal of
+    each rotation so far (on top of the ``used`` given to a sweep that
+    starts higher up), keyed by its steps, which is also the ordinal of
     its next occurrence.  The first candidate whose climb moves at all is
     applied with the climb's weight ``tau``, or with ``tau // 2`` where
     ``half(rot)`` holds, a landing checked by one more probe of the ray.
     With a ``ceiling`` every climb stays under it and the sweep stops on
-    reaching it.  ``spend`` is called before every climb (see
-    :func:`_climb_budget`).
+    reaching it.  ``spend``, if given, is called before every climb.
 
     Returns ``(start, steps, end, rots)``: the steps as :data:`_Step`
-    tuples, the vector the sweep stopped at, and the rotations found there
-    (None if it stopped at the ceiling).
+    tuples with the rotations ``found`` at each source, the vector the
+    sweep stopped at, and the rotations found there (None if it stopped
+    at the ceiling).
     """
     x = start if start is not None else deferred_acceptance(inst, "W")
     start = x
-    used = Counter()
+    used = Counter(used)
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
     while ceiling is None or x != ceiling:
@@ -759,7 +735,7 @@ def _sweep(inst, pick, start=None, ceiling=None, half=None, spend=None):
                     "half step along {!r} failed".format(rot)
                 )
             y = EdgeVector(inst.space, vals)
-        steps.append(_Step(rot, used[rot.steps], weight, tau, x, y))
+        steps.append(_Step(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
         x = y
         fuel -= 1

@@ -10,14 +10,14 @@ assignments that are closed for that order.
 
 from collections import Counter
 
-from .core import InputError, InternalError, VerificationError
+from .core import BudgetError, InputError, InternalError, VerificationError
 from .bipartite import (
     Route,
     RouteStep,
-    _climb_budget,
     _sweep,
     climb,
     deferred_acceptance,
+    find_rotations,
     is_stable,
 )
 
@@ -132,19 +132,39 @@ class RotationOrder:
         }
 
 
+def _climb_budget(budget):
+    """A counter for the climbs of one computation that raises past ``budget``.
+
+    Call it once before each climb.  The count starts at 1, so a budget of
+    1 allows no climb at all.
+    """
+    spent = 1
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise BudgetError(
+                "rotation sweeps exceed the budget of {} climbs".format(budget)
+            )
+
+    return spend
+
+
 def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     """Compute the occurrence order with one sweep per occurrence.
 
     One full sweep, always taking the first rotation found, gives the
     occurrences and their weights ``tau``; it must end at the firm-optimal
-    vector.  Then, for each occurrence ``a``, a sweep from the bottom takes
-    any rotation but ``a``.  The closed sets that omit ``a`` are closed
-    under union, so that sweep ends at the largest of them, where ``a`` is
-    the only rotation left; an occurrence ``b`` is missing from it exactly
-    when ``a`` precedes ``b``.  This is the rule of Irving & Leather (SIAM
-    J. Comput. 1986): ``a`` precedes ``b`` iff ``a`` is used in the least
-    stable vector that exposes ``b``.  That makes ``|occ| + 1`` sweeps,
-    each of at most ``|occ|`` steps.
+    vector.  Then, for each occurrence ``a``, a sweep goes on from where
+    the full sweep applied ``a`` and takes any rotation but ``a``.  The
+    closed sets that omit ``a`` are closed under union, so that route ends
+    at the largest of them, where ``a`` is the only rotation left; an
+    occurrence ``b`` is missing from it exactly when ``a`` precedes ``b``.
+    This is the rule of Irving & Leather (SIAM J. Comput. 1986): ``a``
+    precedes ``b`` iff ``a`` is used in the least stable vector that
+    exposes ``b``.  Where ``a`` was the only rotation found, its sweep has
+    nothing to do, so a chain costs the full sweep alone.
 
     Every step of every sweep must be a known occurrence with its weight
     ``tau``, and where ``a``'s sweep stops, ``a`` must climb ``tau[a]``;
@@ -160,33 +180,37 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
 
     less = set()
-    for a in sorted(tau):
+    for i, step in enumerate(steps):
+        a = Occurrence(step.rotation, step.ordinal)
+        seen = {Occurrence(s.rotation, s.ordinal) for s in steps[:i]}
+        # Where a was the only rotation found, the full sweep's own step is
+        # a's sweep: it stops there, and a climbs its weight.
+        if len(step.found) > 1:
 
-        def avoid_a(rots, used):
-            return [r for r in rots if (r.steps, used[r.steps]) != a.key][:1]
+            def avoid_a(rots, used):
+                return [r for r in rots if (r.steps, used[r.steps]) != a.key][:1]
 
-        _, steps, end, rots = _sweep(inst, avoid_a, start=bottom, spend=spend)
-        seen = set()
-        for s in steps:
-            occ = Occurrence(s.rotation, s.ordinal)
-            if occ not in tau:
-                raise VerificationError(
-                    "a sweep used {!r}, which the full sweep did not".format(occ)
-                )
-            _check_weight(tau, occ, s.weight)
-            seen.add(occ)
-        if rots != [a.rotation]:
-            raise VerificationError(
-                "the sweep that avoids {!r} does not stop at it".format(a)
+            used = Counter(s.rotation.steps for s in steps[:i])
+            _, more, end, rots = _sweep(
+                inst, avoid_a, start=step.source, used=used, spend=spend
             )
-        spend()
-        weight, _ = climb(inst, end, a.rotation, verified=True)
-        _check_weight(tau, a, weight)
+            for s in more:
+                occ = Occurrence(s.rotation, s.ordinal)
+                if occ not in tau:
+                    raise VerificationError(
+                        "a sweep used {!r}, which the full sweep did not".format(occ)
+                    )
+                _check_weight(tau, occ, s.weight)
+                seen.add(occ)
+            if rots != [a.rotation]:
+                raise VerificationError(
+                    "the sweep that avoids {!r} does not stop at it".format(a)
+                )
+            spend()
+            weight, _ = climb(inst, end, a.rotation, verified=True)
+            _check_weight(tau, a, weight)
         less.update((a, b) for b in tau if b != a and b not in seen)
 
-    for a, b in less:
-        if (b, a) in less:
-            raise InternalError("precedence relation is not antisymmetric")
     order = RotationOrder(tau.keys(), tau, less, bottom, top)
     _sanity_check_order(order)
     return order
@@ -317,33 +341,50 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
     A full route applies every occurrence of :func:`rotation_order` once,
     with its weight, in an order the precedence allows.  From each vector
     the occurrences whose predecessors are all applied are tried in key
-    order, so routes come out in a fixed order.  Every step is a climb of
-    the occurrence's rotation, which must weigh the order's ``tau``, and
-    every route must end at the maximum; otherwise
-    :class:`VerificationError`.  At most ``limit`` routes are produced;
-    ``budget`` bounds the order's sweeps.
+    order, so routes come out in a fixed order.  At each vector the walk
+    visits, :func:`find_rotations` must find exactly the rotations of
+    those occurrences, each step is a climb that must weigh the order's
+    ``tau``, and every route must end at the maximum; otherwise
+    :class:`VerificationError`.  Each vector's steps are climbed once, for
+    all routes through it.  At most ``limit`` routes are produced;
+    ``budget`` bounds the order's climbs and, counted apart, the walk's.
     """
     order = rotation_order(inst, budget)
+    spend = _climb_budget(budget)
     below = {b: {a for a, c in order.less if c == b} for b in order.occurrences}
+    edges = {}
     produced = 0
+
+    def out_edges(x, done):
+        if done not in edges:
+            exposed = [
+                b for b in order.occurrences if b not in done and below[b] <= done
+            ]
+            found = {r.steps for r in find_rotations(inst, x)}
+            if found != {b.rotation.steps for b in exposed}:
+                raise VerificationError(
+                    "the order and the rotations at {!r} disagree".format(x)
+                )
+            edges[done] = []
+            for occ in exposed:
+                spend()
+                weight, y = climb(inst, x, occ.rotation, verified=True)
+                _check_weight(order.tau, occ, weight)
+                edges[done].append((occ, RouteStep(occ.rotation, weight, x, y)))
+        return edges[done]
 
     def walk(x, done, steps):
         nonlocal produced
-        exposed = [
-            b for b in order.occurrences if b not in done and below[b] <= done
-        ]
-        if not exposed:
+        out = out_edges(x, done)
+        if not out:
             if x != order.top:
                 raise VerificationError("a route ends below the maximum")
             produced += 1
             yield Route(order.bottom, steps)
             return
-        for occ in exposed:
+        for occ, step in out:
             if limit is not None and produced >= limit:
                 return
-            weight, y = climb(inst, x, occ.rotation, verified=True)
-            _check_weight(order.tau, occ, weight)
-            step = RouteStep(occ.rotation, weight, x, y)
-            yield from walk(y, done | {occ}, steps + [step])
+            yield from walk(step.target, done | {occ}, steps + [step])
 
     yield from walk(order.bottom, frozenset(), [])

@@ -29,6 +29,7 @@ from stablepartners import bipartite, poset
 from conftest import (
     blocks_doc,
     edgevec,
+    latin_doc,
     oracle_family,
     oracle_full_routes,
     oracle_graph_routes,
@@ -243,6 +244,23 @@ def test_family_disagreement_is_detected(gated):
         list(full_routes(gated))
 
 
+def test_full_routes_check_the_order_against_discovery(monkeypatch):
+    """A route step the order allows but the vector does not expose raises.
+
+    Dropping the precedence of a chain exposes every occurrence at the
+    bottom, where only the first rotation is found.
+    """
+    square = instance_from_dict(latin_doc(4))
+    order = rotation_order(square)
+    assert order.less
+    loose = poset.RotationOrder(
+        order.occurrences, order.tau, (), order.bottom, order.top
+    )
+    monkeypatch.setattr(poset, "rotation_order", lambda inst, budget: loose)
+    with pytest.raises(VerificationError, match="disagree"):
+        next(full_routes(square))
+
+
 def test_tie_breaks_can_change_the_family(gated):
     """Seeded route walks expose the two genuinely different families."""
     early = build_full_route(gated, seed=0)
@@ -322,12 +340,7 @@ def test_full_routes_match_the_principal_graph_routes(bipartite_corpus):
     assert multi_route >= 30
 
 
-def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
-    """k disjoint blocks make 2**k principal states but k + 1 sweeps.
-
-    Exploring the principal graph takes one ``find_rotations`` call per
-    state, 4,096 at k = 12; the sweeps make 13 + 12 * 12 = 157.
-    """
+def _count_find_rotations(monkeypatch):
     calls = [0]
     find_rotations = bipartite.find_rotations
 
@@ -338,7 +351,34 @@ def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
     # Patched in each module that binds the name, so every caller counts.
     for module in (bipartite, poset):
         monkeypatch.setattr(module, "find_rotations", counting, raising=False)
+    return calls
+
+
+def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
+    """k disjoint blocks make 2**k principal states but k + 1 sweeps.
+
+    Exploring the principal graph takes one ``find_rotations`` call per
+    state, 4,096 at k = 12.  The sweep that avoids the i-th occurrence
+    starts where the full sweep applied it, so the sweeps make
+    13 + (12 + 11 + ... + 2) = 90.
+    """
+    calls = _count_find_rotations(monkeypatch)
     k = 12
     order = rotation_order(instance_from_dict(blocks_doc(k)))
     assert len(order.occurrences) == k and not order.less
-    assert calls[0] <= (k + 1) ** 2
+    assert calls[0] <= (k + 1) * (k + 2) // 2
+
+
+def test_order_of_a_chain_costs_one_sweep(monkeypatch):
+    """A cyclic Latin square exposes one rotation at each stable vector.
+
+    Its order is a chain, and each avoidance sweep would stop where it
+    starts, so the full sweep alone gives the order: one
+    ``find_rotations`` call per stable vector, as in the principal graph.
+    """
+    calls = _count_find_rotations(monkeypatch)
+    n = 16
+    order = rotation_order(instance_from_dict(latin_doc(n)))
+    assert len(order.occurrences) == n - 1
+    assert len(order.less) == (n - 1) * (n - 2) // 2
+    assert calls[0] <= n
