@@ -283,7 +283,7 @@ class Rotation:
         vals = [0] * len(inst.space)
         for e, s in sign.items():
             vals[inst.space.index[e]] = s
-        self.chi = EdgeVector(inst.space, vals)
+        self.chi = EdgeVector._trusted(inst.space, tuple(vals))
         self._space = inst.space
 
     def __len__(self):
@@ -441,13 +441,21 @@ def _ray_point(inst, base, frame, k=1):
     return y
 
 
-def _walk_holds(inst, x, steps):
-    """True iff the walk ``steps`` shifts the stable ``x`` to a stable vector
-    strictly above it on the firm side; decided by :func:`_shift_holds`."""
-    return _ray_point(inst, x.vals, _walk_frame(inst, steps)) is not None
+def _weakly_below(inst, lo, hi, firms):
+    """True iff each of ``firms`` weakly prefers its star in ``hi`` to ``lo``.
+
+    ``lo`` and ``hi`` are raw vectors, acceptable at ``firms``.  Where they
+    agree at every firm outside ``firms`` and differ somewhere, this is
+    ``precedes_F(lo, hi)``: an edge on which they differ has a firm end
+    whose star differs, and no other firm can object.
+    """
+    return all(
+        _weakly_prefers(inst.choice[f], _star(inst, hi, f), _star(inst, lo, f))
+        for f in firms
+    )
 
 
-def find_rotations(inst, x):
+def find_rotations(inst, x, verified=False):
     """All rotations applicable at the stable vector ``x``.
 
     Each returned rotation R satisfies: ``x + chi(R)`` is stable, strictly
@@ -457,39 +465,54 @@ def find_rotations(inst, x):
     its choice function; failures of either raise
     :class:`VerificationError` since they indicate broken axioms.
 
+    ``x`` must be stable.  Unless the caller has verified that
+    (``verified=True``, as the rotation sweeps do for the vectors they
+    reach), it is checked here with the whole-instance :func:`is_stable`,
+    and an unstable ``x`` raises :class:`VerificationError`.
+
     The candidates are the cycles of the exposed-rotation graph of
     Gusfield & Irving (1989), where each node has one successor at most;
     see :func:`_candidate_walks`.  Finding them costs ``O(|E|)`` calls.
+    Each is screened by :func:`_shift_holds` on its own stars.  A landing
+    differs from ``x`` only at its walk's stars, and every firm on a
+    screened walk strictly prefers its new star, so two landings are
+    comparable only if their walks share a firm; the minimal-landing
+    filter compares just those pairs, on their firms' stars
+    (:func:`_weakly_below`).  Walks that share no firm cost nothing.
     """
-    report = is_stable(inst, x)
-    if not report.stable:
-        raise VerificationError(
-            "rotations are only defined at stable vectors: {!r}".format(report)
-        )
+    if not verified:
+        report = is_stable(inst, x)
+        if not report.stable:
+            raise VerificationError(
+                "rotations are only defined at stable vectors: {!r}".format(report)
+            )
 
-    candidates = [
-        Rotation(inst, steps)
-        for steps in _candidate_walks(inst, x)
-        if _walk_holds(inst, x, steps)
-    ]
+    by_landing = {}
+    for steps in _candidate_walks(inst, x):
+        y = _ray_point(inst, x.vals, _walk_frame(inst, steps))
+        if y is not None:
+            rot = Rotation(inst, steps)
+            if y not in by_landing or rot < by_landing[y]:
+                by_landing[y] = rot
+    landing = {rot: y for y, rot in by_landing.items()}
+    reps = sorted(landing)
 
-    by_chi = {}
-    for rot in candidates:
-        prev = by_chi.get(rot.chi.vals)
-        if prev is None or rot.steps < prev.steps:
-            by_chi[rot.chi.vals] = rot
-    reps = sorted(by_chi.values())
-
-    landings = {rot: x.plus(rot.chi) for rot in reps}
+    firms = {rot: {v for v, _ in rot.steps} & inst.parts[1] for rot in reps}
+    sharing = {}
+    for rot in reps:
+        for f in firms[rot]:
+            sharing.setdefault(f, set()).add(rot)
     found = []
     for rot in reps:
-        y = landings[rot]
-        if any(
-            other is not rot and precedes_F(inst, landings[other], y)
-            for other in reps
+        rivals = set().union(*(sharing[f] for f in firms[rot]))
+        rivals.discard(rot)
+        if not any(
+            _weakly_below(
+                inst, landing[other], landing[rot], sorted(firms[other] | firms[rot])
+            )
+            for other in sorted(rivals)
         ):
-            continue
-        found.append(rot)
+            found.append(rot)
 
     used_edges = set()
     for rot in found:
@@ -596,7 +619,7 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
             fail = k
         else:
             weight, vals = k, y
-    return weight, (EdgeVector(inst.space, vals) if weight else x)
+    return weight, (EdgeVector._trusted(inst.space, vals) if weight else x)
 
 
 def _under(inst, vals, ceiling, firms, first):
@@ -607,14 +630,9 @@ def _under(inst, vals, ceiling, firms, first):
     can change their mind.
     """
     if first:
-        y = EdgeVector(inst.space, vals)
+        y = EdgeVector._trusted(inst.space, vals)
         return y == ceiling or precedes_F(inst, y, ceiling)
-    return all(
-        _weakly_prefers(
-            inst.choice[f], _star(inst, ceiling.vals, f), _star(inst, vals, f)
-        )
-        for f in firms
-    )
+    return _weakly_below(inst, vals, ceiling.vals, firms)
 
 
 def max_feasible_weight(inst, x, rot):
@@ -692,12 +710,14 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
 
     This is the one loop over :func:`find_rotations` and :func:`climb`;
     callers differ only in their pick policy.  The sweep starts at
-    ``start``, by default the worker-optimal vector.  At each vector it
-    finds the rotations and, if there are any, asks ``pick(rots, used)``
-    for the ones to try, in order; ``used`` counts the applications of
-    each rotation so far (on top of the ``used`` given to a sweep that
-    starts higher up), keyed by its steps, which is also the ordinal of
-    its next occurrence.  The first candidate whose climb moves at all is
+    ``start``, by default the worker-optimal vector; a given ``start``
+    must be verified stable.  Every vector after it is a landing checked
+    by :func:`_shift_holds`, so no vector is checked whole again.  At
+    each vector it finds the rotations and, if there are any, asks
+    ``pick(rots, used)`` for the ones to try, in order; ``used`` counts
+    the applications of each rotation so far (on top of the ``used``
+    given to a sweep that starts higher up), keyed by its steps, which is
+    also the ordinal of its next occurrence.  The first candidate whose climb moves at all is
     applied with the climb's weight ``tau``, or with ``tau // 2`` where
     ``half(rot)`` holds, a landing checked by one more probe of the ray.
     With a ``ceiling`` every climb stays under it and the sweep stops on
@@ -714,7 +734,7 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
     while ceiling is None or x != ceiling:
-        rots = find_rotations(inst, x)
+        rots = find_rotations(inst, x, verified=True)
         for rot in pick(rots, used) if rots else ():
             if spend is not None:
                 spend()
@@ -734,7 +754,7 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
                 raise VerificationError(
                     "half step along {!r} failed".format(rot)
                 )
-            y = EdgeVector(inst.space, vals)
+            y = EdgeVector._trusted(inst.space, vals)
         steps.append(_Step(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
         x = y

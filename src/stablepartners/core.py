@@ -78,8 +78,21 @@ class EdgeVector:
         self._hash = None
 
     @classmethod
+    def _trusted(cls, space, vals):
+        """A vector of ``vals``, a tuple of ints of the right length.
+
+        For values the library built itself; documents and callers' values
+        go through the casts and checks of the constructor.
+        """
+        vec = object.__new__(cls)
+        vec.space = space
+        vec.vals = vals
+        vec._hash = None
+        return vec
+
+    @classmethod
     def zero(cls, space):
-        return cls(space, (0,) * len(space))
+        return cls._trusted(space, (0,) * len(space))
 
     @classmethod
     def from_mapping(cls, space, mapping, default=0):
@@ -121,23 +134,32 @@ class EdgeVector:
     def join(self, other):
         """Componentwise maximum."""
         self._need_same_space(other)
-        return EdgeVector(self.space, map(max, self.vals, other.vals))
+        return EdgeVector._trusted(
+            self.space, tuple(map(max, self.vals, other.vals))
+        )
 
     def meet(self, other):
         """Componentwise minimum."""
         self._need_same_space(other)
-        return EdgeVector(self.space, map(min, self.vals, other.vals))
+        return EdgeVector._trusted(
+            self.space, tuple(map(min, self.vals, other.vals))
+        )
 
     def plus(self, other):
         self._need_same_space(other)
-        return EdgeVector(self.space, (a + b for a, b in zip(self.vals, other.vals)))
+        return EdgeVector._trusted(
+            self.space, tuple(a + b for a, b in zip(self.vals, other.vals))
+        )
 
     def minus(self, other):
         self._need_same_space(other)
-        return EdgeVector(self.space, (a - b for a, b in zip(self.vals, other.vals)))
+        return EdgeVector._trusted(
+            self.space, tuple(a - b for a, b in zip(self.vals, other.vals))
+        )
 
     def scaled(self, k):
-        return EdgeVector(self.space, (int(k) * v for v in self.vals))
+        k = int(k)
+        return EdgeVector._trusted(self.space, tuple(k * v for v in self.vals))
 
     def le(self, other):
         """Componentwise order: true iff self <= other everywhere."""

@@ -298,6 +298,12 @@ def closed_from_vector(inst, order, x):
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
+    # The sweep trusts its start, and the order may come from elsewhere.
+    report = is_stable(inst, order.bottom)
+    if not report.stable:
+        raise VerificationError(
+            "the order's bottom is not stable: {!r}".format(report)
+        )
     _, steps, end, _ = _sweep(
         inst, lambda rots, used: rots, start=order.bottom, ceiling=x
     )
@@ -346,7 +352,8 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
     those occurrences, each step is a climb that must weigh the order's
     ``tau``, and every route must end at the maximum; otherwise
     :class:`VerificationError`.  Each vector's steps are climbed once, for
-    all routes through it.  At most ``limit`` routes are produced;
+    all routes through it.  The vectors visited are the order's bottom and
+    climb landings, all verified, so discovery does not check them again.  At most ``limit`` routes are produced;
     ``budget`` bounds the order's climbs and, counted apart, the walk's.
     """
     order = rotation_order(inst, budget)
@@ -360,7 +367,7 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
             exposed = [
                 b for b in order.occurrences if b not in done and below[b] <= done
             ]
-            found = {r.steps for r in find_rotations(inst, x)}
+            found = {r.steps for r in find_rotations(inst, x, verified=True)}
             if found != {b.rotation.steps for b in exposed}:
                 raise VerificationError(
                     "the order and the rotations at {!r} disagree".format(x)

@@ -7,6 +7,7 @@ import pytest
 
 from stablepartners import (
     ChoiceFunction,
+    check_axiom,
     InputError,
     Rotation,
     apply_rotation,
@@ -22,7 +23,14 @@ from stablepartners import (
     precedes_F,
     precedes_W,
 )
-from stablepartners.bipartite import _candidate_walks
+from stablepartners import bipartite
+from stablepartners.bipartite import (
+    _candidate_walks,
+    _ray_point,
+    _star,
+    _walk_frame,
+    _weakly_below,
+)
 
 from conftest import (
     _simple_cycles,
@@ -141,8 +149,11 @@ def test_no_rotations_at_the_top(b4):
 def test_rotation_discovery_requires_a_stable_vector(b4):
     from stablepartners import VerificationError
 
-    with pytest.raises(VerificationError):
-        find_rotations(b4, edgevec(b4, {}))
+    zero = edgevec(b4, {})
+    with pytest.raises(VerificationError, match="stable vectors"):
+        find_rotations(b4, zero)
+    with pytest.raises(VerificationError, match="stable vectors"):
+        find_rotations(b4, zero, verified=False)
 
 
 def test_rotation_canonical_form_ignores_even_shifts(b4):
@@ -321,6 +332,109 @@ def test_discovery_matches_the_all_pairs_oracle(
         assert {Rotation(inst, w) for w in _candidate_walks(inst, x)} <= every
         found += len(rots)
     assert len(cases) >= 1_400 and found >= 950
+
+
+def shared_firm_doc():
+    """Two crossed blocks whose first firms are one firm ``F``.
+
+    ``F`` keeps at most one unit from each block, the later worker's if it
+    can, so each block keeps its own single rotation.
+    """
+    edges, orders = [], {}
+    for p in ("a", "b"):
+        edges += [
+            (p + "1F", p + "1", "F"),
+            (p + "1g", p + "1", p + "g"),
+            (p + "2F", p + "2", "F"),
+            (p + "2g", p + "2", p + "g"),
+        ]
+        orders[p + "1"] = [p + "1F", p + "1g"]
+        orders[p + "2"] = [p + "2g", p + "2F"]
+        orders[p + "g"] = [p + "1g", p + "2g"]
+    choice = {
+        v: {"type": "linear_order_quota", "quota": 1, "order": order}
+        for v, order in orders.items()
+    }
+    ids = ["a1F", "a2F", "b1F", "b2F"]
+    entries = []
+    for z in itertools.product((0, 1), repeat=4):
+        c = (z[0] and not z[1], z[1], z[2] and not z[3], z[3])
+        entries.append({"z": dict(zip(ids, z)), "c": dict(zip(ids, map(int, c)))})
+    choice["F"] = {"type": "table", "entries": entries}
+    return {
+        "vertices": sorted(choice),
+        "edges": [{"id": e, "ends": [u, v], "cap": 1} for e, u, v in edges],
+        "choice": choice,
+        "bipartition": {"W": ["a1", "a2", "b1", "b2"], "F": ["F", "ag", "bg"]},
+    }
+
+
+def test_the_landing_filter_drops_a_walk_through_two_rotations(monkeypatch):
+    """A candidate that lands above two others is dropped by the filter.
+
+    Both blocks' rotations pass through ``F`` and are exposed at the
+    bottom.  The walk that runs through one and then the other is a
+    closed alternating walk whose landing, the top, is stable and above
+    both of theirs.  The exposed-rotation graph never offers it, so it is
+    added to the candidates here; it passes the screen, and only the
+    minimal-landing filter can drop it.
+    """
+    inst = instance_from_dict(shared_firm_doc())
+    assert all(check_axiom(inst.choice["F"], a).holds for a in ("SUB", "MON", "CON"))
+    lo = deferred_acceptance(inst, "W")
+    rots = find_rotations(inst, lo)
+    assert [r.steps[0][0] for r in rots] == ["a1", "b1"]
+    through_both = [
+        ("a1", "a1g"),
+        ("ag", "a2g"),
+        ("a2", "a2F"),
+        ("F", "b1F"),
+        ("b1", "b1g"),
+        ("bg", "b2g"),
+        ("b2", "b2F"),
+        ("F", "a1F"),
+    ]
+    landing = _ray_point(inst, lo.vals, _walk_frame(inst, through_both))
+    assert landing == deferred_acceptance(inst, "F").vals
+    walks = _candidate_walks(inst, lo)
+    monkeypatch.setattr(
+        bipartite, "_candidate_walks", lambda inst, x: walks + [through_both]
+    )
+    assert find_rotations(inst, lo) == rots
+
+
+def test_local_landing_order_matches_the_whole_instance_order(bipartite_artifacts):
+    """The minimal-landing filter's comparison, on every triple of a corpus.
+
+    For every base ``x`` and ordered pair ``y1 != y2`` of stable vectors,
+    comparing only the firms where ``y1`` or ``y2`` moved away from ``x``
+    gives ``precedes_F(y1, y2)``.  Where both lie strictly above ``x`` and
+    no firm moved in both, the two are incomparable: that is why the
+    filter compares only landings whose walks share a firm.
+    """
+    seen = {True: 0, False: 0}
+    disjoint = 0
+    for inst, stable, _ in bipartite_artifacts:
+        firms = sorted(inst.parts[1])
+        moved = {
+            (x, y): {f for f in firms if _star(inst, x.vals, f) != _star(inst, y.vals, f)}
+            for x in stable
+            for y in stable
+        }
+        for x in stable:
+            for y1, y2 in itertools.permutations(stable, 2):
+                near = moved[x, y1] | moved[x, y2]
+                local = _weakly_below(inst, y1.vals, y2.vals, sorted(near))
+                assert local == precedes_F(inst, y1, y2)
+                seen[local] += 1
+                if (
+                    precedes_F(inst, x, y1)
+                    and precedes_F(inst, x, y2)
+                    and not moved[x, y1] & moved[x, y2]
+                ):
+                    assert not local
+                    disjoint += 1
+    assert min(seen.values()) >= 1_000 and disjoint >= 100
 
 
 def test_latin_discovery_costs_few_choice_calls(monkeypatch):

@@ -37,9 +37,9 @@ from stablepartners import (
     symmetrize,
 )
 from stablepartners.bipartite import (
+    _ray_point,
     _shift_holds,
     _walk_frame,
-    _walk_holds,
 )
 
 from conftest import (
@@ -84,7 +84,8 @@ def local_and_full_verdicts(inst, stable):
                 and is_stable(inst, y).stable
                 and precedes_F(inst, base, y)
             )
-            out.append((_walk_holds(inst, base, steps), full))
+            local = _ray_point(inst, base.vals, _walk_frame(inst, steps))
+            out.append((local is not None, full))
     return out
 
 

@@ -340,17 +340,18 @@ def test_full_routes_match_the_principal_graph_routes(bipartite_corpus):
     assert multi_route >= 30
 
 
-def _count_find_rotations(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Count the calls of the ``bipartite`` function ``name``."""
     calls = [0]
-    find_rotations = bipartite.find_rotations
+    func = getattr(bipartite, name)
 
-    def counting(inst, x):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return find_rotations(inst, x)
+        return func(*args, **kwargs)
 
     # Patched in each module that binds the name, so every caller counts.
     for module in (bipartite, poset):
-        monkeypatch.setattr(module, "find_rotations", counting, raising=False)
+        monkeypatch.setattr(module, name, counting, raising=False)
     return calls
 
 
@@ -362,7 +363,7 @@ def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
     starts where the full sweep applied it, so the sweeps make
     13 + (12 + 11 + ... + 2) = 90.
     """
-    calls = _count_find_rotations(monkeypatch)
+    calls = _count_calls(monkeypatch, "find_rotations")
     k = 12
     order = rotation_order(instance_from_dict(blocks_doc(k)))
     assert len(order.occurrences) == k and not order.less
@@ -376,9 +377,27 @@ def test_order_of_a_chain_costs_one_sweep(monkeypatch):
     starts, so the full sweep alone gives the order: one
     ``find_rotations`` call per stable vector, as in the principal graph.
     """
-    calls = _count_find_rotations(monkeypatch)
+    calls = _count_calls(monkeypatch, "find_rotations")
     n = 16
     order = rotation_order(instance_from_dict(latin_doc(n)))
     assert len(order.occurrences) == n - 1
     assert len(order.less) == (n - 1) * (n - 2) // 2
     assert calls[0] <= n
+
+
+def test_sweeps_compare_and_check_locally(monkeypatch):
+    """Disjoint blocks cost no whole-instance comparison or stability check.
+
+    No two rotations share a firm, so the minimal-landing filter compares
+    nothing; comparing every pair of landings with ``precedes_F`` made
+    2,574 ``precedes`` calls at k = 12.  The sweeps hold verified vectors
+    only, so ``is_stable`` runs in the two proposal rounds and not in the
+    90 ``find_rotations`` calls.
+    """
+    compared = _count_calls(monkeypatch, "precedes")
+    checked = _count_calls(monkeypatch, "is_stable")
+    swept = _count_calls(monkeypatch, "find_rotations")
+    order = rotation_order(instance_from_dict(blocks_doc(12)))
+    assert len(order.occurrences) == 12
+    assert compared[0] == 0
+    assert checked[0] <= 2 and swept[0] >= 13
