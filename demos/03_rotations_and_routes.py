@@ -10,14 +10,13 @@ lattice to the top.
 """
 
 from stablepartners import (
-    apply_rotation,
     build_full_route,
+    climb,
     deferred_acceptance,
     family_from_route,
     find_rotations,
     full_routes,
     instance_from_dict,
-    max_feasible_weight,
 )
 
 
@@ -55,11 +54,12 @@ print("rotation walk:", rot.steps)
 print("gains and losses:", rot.chi.to_mapping())
 
 # Capacity 3 lets the same walk shift three units before a choice function
-# pushes back, so the one rotation covers three lattice levels.
-weight = max_feasible_weight(market, bottom, rot)
+# pushes back, so the one rotation covers three lattice levels.  A climb
+# walks the rotation's ray: it returns the feasible weight and the vector
+# it lands on, and with a limit it stops after that many units.
+weight, top = climb(market, bottom, rot)
 print("feasible weight:", weight)
-middle = apply_rotation(market, bottom, rot, 1)
-top = apply_rotation(market, bottom, rot, weight)
+_, middle = climb(market, bottom, rot, limit=1)
 print("after one unit:", middle.to_mapping())
 print("after all three:", top.to_mapping())
 

@@ -28,13 +28,11 @@ from .bipartite import (
     Route,
     RouteStep,
     StabilityReport,
-    apply_rotation,
     build_full_route,
     climb,
     deferred_acceptance,
     find_rotations,
     is_stable,
-    max_feasible_weight,
     precedes_F,
     precedes_W,
 )

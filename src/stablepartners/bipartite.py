@@ -250,7 +250,7 @@ class Rotation:
     compare equal.
     """
 
-    __slots__ = ("steps", "edges", "sign", "chi", "_space")
+    __slots__ = ("steps", "edges", "sign", "chi")
 
     def __init__(self, inst, steps):
         if not inst.is_bipartite_labeled:
@@ -284,7 +284,6 @@ class Rotation:
         for e, s in sign.items():
             vals[inst.space.index[e]] = s
         self.chi = EdgeVector._trusted(inst.space, tuple(vals))
-        self._space = inst.space
 
     def __len__(self):
         return len(self.steps)
@@ -487,14 +486,13 @@ def find_rotations(inst, x, verified=False):
                 "rotations are only defined at stable vectors: {!r}".format(report)
             )
 
-    by_landing = {}
+    # Distinct cycles of the functional graph share no node, so no two
+    # walks carry the same signed edges or land on the same vector.
+    landing = {}
     for steps in _candidate_walks(inst, x):
         y = _ray_point(inst, x.vals, _walk_frame(inst, steps))
         if y is not None:
-            rot = Rotation(inst, steps)
-            if y not in by_landing or rot < by_landing[y]:
-                by_landing[y] = rot
-    landing = {rot: y for y, rot in by_landing.items()}
+            landing[Rotation(inst, steps)] = y
     reps = sorted(landing)
 
     firms = {rot: {v for v, _ in rot.steps} & inst.parts[1] for rot in reps}
@@ -546,16 +544,21 @@ def _verify_aggregate_exchange(inst, x, rot):
 def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     """Walk the ray ``x, x + chi, x + 2 chi, ...`` of a rotation once.
 
-    Returns ``(weight, y)`` with ``y = x + weight * chi``: the largest
-    ``weight``, at most ``limit``, such that every step up to it stays in
-    the box and lands on a stable vector strictly above the one before it
-    on the firm side.  With a ``ceiling`` vector the landing must also not
-    pass it: every firm weakly prefers its star in ``ceiling``.
+    This is the one ray walk: it gives both a rotation's feasible weight
+    and, with a ``limit``, the landing of a given weight.  Returns
+    ``(weight, y)`` with ``y = x + weight * chi``: the largest ``weight``,
+    at most ``limit``, such that every step up to it stays in the box and
+    lands on a stable vector strictly above the one before it on the firm
+    side.  With a ``ceiling`` vector the landing must also not pass it:
+    every firm weakly prefers its star in ``ceiling``.  A rotation that
+    cannot move from ``x`` gets weight 0.
 
     ``x`` must be stable.  Unless the caller has just verified that
     (``verified=True``, as after :func:`find_rotations` at ``x``), it is
     checked here with the whole-instance :func:`is_stable`, and an
-    unstable ``x`` raises :class:`InputError`.
+    unstable ``x`` raises :class:`InputError`.  So does a ``ceiling``
+    outside the box, or unless verified one that is unstable, and a
+    ``limit`` that is not a non-negative integer.
 
     The weight is found by galloping, then bisecting: the probes are
     ``k = 1, 2, 4, ...`` up to the first that fails, then the midpoints
@@ -564,9 +567,9 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     against the verified ``x``, that it is stable and strictly above
     ``x`` on the firm side; only the stars of the rotation's vertices
     differ from ``x``, so only they, the edges incident to them and the
-    rotation's firms are re-checked.  The ceiling is compared at every
-    probe, at the first over all firms with :func:`precedes_F`, later
-    only at the rotation's firms, the only ones whose stars move.
+    rotation's firms are re-checked.  The ceiling is compared once at
+    the firms off the rotation, whose stars stay those of ``x``, and at
+    every probe only at the rotation's firms.
 
     Exactness rests on the interval property: the probes that hold are
     exactly those at ``k = 1..tau``, where ``tau`` is the weight a
@@ -585,22 +588,32 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     inst.check_vector(x)
     if rot.chi.space != inst.space:
         raise InputError("rotation does not live on this instance's edges")
+    if limit is not None and (
+        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
+    ):
+        raise InputError("limit must be a non-negative integer")
+    if ceiling is not None and not inst.in_box(ceiling):
+        raise InputError("the ceiling is outside the capacity box")
     if not verified:
-        report = is_stable(inst, x)
-        if not report.stable:
-            raise InputError(
-                "rotations act only at stable vectors: {!r}".format(report)
-            )
+        for y in (x,) if ceiling is None else (x, ceiling):
+            report = is_stable(inst, y)
+            if not report.stable:
+                raise InputError(
+                    "rotations climb only between stable vectors: {!r}".format(report)
+                )
     frame = _walk_frame(inst, rot.steps)
     firms = [f for f in frame[1] if f in inst.parts[1]]
     base = x.vals
+    if ceiling is not None and not _weakly_below(
+        inst, base, ceiling.vals, sorted(inst.parts[1].difference(firms))
+    ):
+        return 0, x
 
     def probe(k):
         y = _ray_point(inst, base, frame, k)
-        if y is not None and ceiling is not None:
-            if not _under(inst, y, ceiling, firms, k == 1):
-                return None
-        return y
+        if y is None or ceiling is None or _weakly_below(inst, y, ceiling.vals, firms):
+            return y
+        return None
 
     weight, vals, fail = 0, base, None
     while fail is None and (limit is None or weight < limit):
@@ -622,58 +635,10 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     return weight, (EdgeVector._trusted(inst.space, vals) if weight else x)
 
 
-def _under(inst, vals, ceiling, firms, first):
-    """True iff every firm weakly prefers its star in ``ceiling`` to ``vals``.
-
-    The ``first`` probe of a climb compares every firm with
-    :func:`precedes_F`.  After it, only the climbing rotation's ``firms``
-    can change their mind.
-    """
-    if first:
-        y = EdgeVector._trusted(inst.space, vals)
-        return y == ceiling or precedes_F(inst, y, ceiling)
-    return _weakly_below(inst, vals, ceiling.vals, firms)
-
-
-def max_feasible_weight(inst, x, rot):
-    """Largest multiple of the rotation's shift that stays stable from ``x``.
-
-    Raises :class:`InputError` when even a single application fails, i.e.
-    the rotation is not applicable at ``x``, or when ``x`` is not stable.
-    """
-    weight, _ = climb(inst, x, rot)
-    if weight == 0:
-        raise InputError("rotation is not applicable at this vector")
-    return weight
-
-
-def apply_rotation(inst, x, rot, weight):
-    """Shift the stable ``x`` along the rotation ``weight`` times.
-
-    The landing ``x + weight chi`` is checked by the probes of a
-    :func:`climb` capped at ``weight``.
-    """
-    if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-        raise InputError("weight must be a positive integer")
-    done, y = climb(inst, x, rot, limit=weight)
-    if done < weight:
-        raise InputError("weight exceeds the feasible range of this rotation")
-    return y
-
-
-class RouteStep:
-    """One application of a rotation with a positive integer weight."""
-
-    __slots__ = ("rotation", "weight", "source", "target")
-
-    def __init__(self, rotation, weight, source, target):
-        self.rotation = rotation
-        self.weight = weight
-        self.source = source
-        self.target = target
-
-    def __repr__(self):
-        return "RouteStep(weight={}, {})".format(self.weight, self.rotation)
+# One application of a rotation on a route: the ``ordinal``-th use of
+# ``rotation``, moved ``weight`` times from ``source`` to ``target``, where
+# its climb reached ``tau``; ``found`` lists the rotations found at ``source``.
+RouteStep = namedtuple("RouteStep", "rotation ordinal weight tau source target found")
 
 
 class Route:
@@ -702,9 +667,6 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
-_Step = namedtuple("_Step", "rotation ordinal weight tau source target found")
-
-
 def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=None):
     """Climb rotations upward from a stable vector until none is taken.
 
@@ -717,16 +679,16 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
     ``pick(rots, used)`` for the ones to try, in order; ``used`` counts
     the applications of each rotation so far (on top of the ``used``
     given to a sweep that starts higher up), keyed by its steps, which is
-    also the ordinal of its next occurrence.  The first candidate whose climb moves at all is
-    applied with the climb's weight ``tau``, or with ``tau // 2`` where
-    ``half(rot)`` holds, a landing checked by one more probe of the ray.
-    With a ``ceiling`` every climb stays under it and the sweep stops on
-    reaching it.  ``spend``, if given, is called before every climb.
+    also the ordinal of its next occurrence.  The first candidate whose
+    climb moves at all is applied with the climb's weight ``tau``, or with
+    ``tau // 2`` where ``half(rot)`` holds, a landing checked by one more
+    probe of the ray.  With a ``ceiling`` every climb stays under it and
+    the sweep stops on reaching it.  ``spend``, if given, is called before
+    every climb.
 
-    Returns ``(start, steps, end, rots)``: the steps as :data:`_Step`
-    tuples with the rotations ``found`` at each source, the vector the
-    sweep stopped at, and the rotations found there (None if it stopped
-    at the ceiling).
+    Returns ``(start, steps, end, rots)``: the steps as :data:`RouteStep`
+    records, the vector the sweep stopped at, and the rotations found
+    there (None if it stopped at the ceiling).
     """
     x = start if start is not None else deferred_acceptance(inst, "W")
     start = x
@@ -755,7 +717,7 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
                     "half step along {!r} failed".format(rot)
                 )
             y = EdgeVector._trusted(inst.space, vals)
-        steps.append(_Step(rot, used[rot.steps], weight, tau, x, y, rots))
+        steps.append(RouteStep(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
         x = y
         fuel -= 1
@@ -780,6 +742,4 @@ def build_full_route(inst, seed=0):
         raise VerificationError(
             "route stalled before the firm-optimal vector"
         )
-    return Route(
-        start, [RouteStep(s.rotation, s.weight, s.source, s.target) for s in steps]
-    )
+    return Route(start, steps)

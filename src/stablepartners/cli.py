@@ -61,9 +61,8 @@ def _load_json(path):
 
 
 def _emit(args, doc, rows=None):
-    if args.format == "csv":
-        if rows is None:
-            raise InputError("csv output is not available for this command")
+    """Write ``doc`` as JSON, or ``rows`` as csv where the command has them."""
+    if rows is not None and args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(rows)
@@ -182,21 +181,37 @@ def cmd_brute(args):
 
 
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--instance", required=True, help="instance JSON file")
-    common.add_argument("--out", help="write output here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for tie-breaking")
-    common.add_argument("--budget", type=int, help="work budget override")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
     parser = _Parser(prog="stablepartners", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, text in (
+        ("check-axioms", cmd_check_axioms, "check choice function axioms"),
+        ("bipartite-solve", cmd_bipartite_solve, "one-side-optimal stable vector"),
+        ("rotations", cmd_rotations, "rotations applicable at a stable vector"),
+        ("route", cmd_route, "a full route from minimum to maximum"),
+        ("poset", cmd_poset, "the precedence order of rotation occurrences"),
+        ("solve", cmd_solve, "solve a partnership instance"),
+        ("verify", cmd_verify, "verify a solution document"),
+        ("brute", cmd_brute, "enumerate all stable vectors"),
+    ):
+        p = commands[name] = sub.add_parser(name, help=text)
+        p.add_argument("--instance", required=True, help="instance JSON file")
+        p.add_argument("--out", help="write output here instead of stdout")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser(
-        "check-axioms", parents=[common], help="check choice function axioms"
-    )
+    # Each shared option goes only to the commands that read it.
+    for name in ("route", "solve"):
+        commands[name].add_argument(
+            "--seed", type=int, default=0, help="seed for tie-breaking"
+        )
+    for name in ("check-axioms", "poset", "brute"):
+        commands[name].add_argument("--budget", type=int, help="work budget override")
+    for name in ("poset", "brute"):
+        commands[name].add_argument(
+            "--format", choices=("json", "csv"), default="json", help="output format"
+        )
+
+    p = commands["check-axioms"]
     p.add_argument(
         "--axiom",
         choices=("sub", "mon", "con", "gl", "all"),
@@ -204,44 +219,13 @@ def build_parser():
         help="which axiom to check",
     )
     p.add_argument("--vertex", help="restrict the check to one vertex")
-    p.set_defaults(func=cmd_check_axioms)
-
-    p = sub.add_parser(
-        "bipartite-solve", parents=[common], help="one-side-optimal stable vector"
+    commands["bipartite-solve"].add_argument("--side", choices=("W", "F"), default="W")
+    commands["rotations"].add_argument(
+        "--at", help="JSON file with the vector; default is the minimum"
     )
-    p.add_argument("--side", choices=("W", "F"), default="W")
-    p.set_defaults(func=cmd_bipartite_solve)
-
-    p = sub.add_parser(
-        "rotations", parents=[common], help="rotations applicable at a stable vector"
+    commands["verify"].add_argument(
+        "--solution", required=True, help="solution JSON file"
     )
-    p.add_argument("--at", help="JSON file with the vector; default is the minimum")
-    p.set_defaults(func=cmd_rotations)
-
-    p = sub.add_parser(
-        "route", parents=[common], help="a full route from minimum to maximum"
-    )
-    p.set_defaults(func=cmd_route)
-
-    p = sub.add_parser(
-        "poset", parents=[common], help="the precedence order of rotation occurrences"
-    )
-    p.set_defaults(func=cmd_poset)
-
-    p = sub.add_parser("solve", parents=[common], help="solve a partnership instance")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="verify a solution document"
-    )
-    p.add_argument("--solution", required=True, help="solution JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "brute", parents=[common], help="enumerate all stable vectors"
-    )
-    p.set_defaults(func=cmd_brute)
-
     return parser
 
 

@@ -95,14 +95,14 @@ class EdgeVector:
         return cls._trusted(space, (0,) * len(space))
 
     @classmethod
-    def from_mapping(cls, space, mapping, default=0):
+    def from_mapping(cls, space, mapping):
         """The vector of a document mapping edge ids to JSON integers."""
         if not isinstance(mapping, dict) or not all(map(_is_int, mapping.values())):
             raise InputError("a vector document must map edge ids to integers")
         unknown = set(mapping) - set(space.ids)
         if unknown:
             raise InputError("unknown edge ids: {}".format(sorted(unknown)))
-        return cls(space, (mapping.get(e, default) for e in space.ids))
+        return cls(space, (mapping.get(e, 0) for e in space.ids))
 
     def to_mapping(self):
         return {e: v for e, v in zip(self.space.ids, self.vals)}

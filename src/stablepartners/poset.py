@@ -74,14 +74,10 @@ class WeightedRotationFamily:
 
 
 def family_from_route(route):
-    """Label a route's steps with occurrence ordinals."""
-    counts = Counter()
-    items = []
-    for step in route.steps:
-        key = step.rotation.steps
-        items.append((Occurrence(step.rotation, counts[key]), step.weight))
-        counts[key] += 1
-    return WeightedRotationFamily(items)
+    """A route's weighted occurrences, in route order."""
+    return WeightedRotationFamily(
+        (Occurrence(s.rotation, s.ordinal), s.weight) for s in route.steps
+    )
 
 
 class RotationOrder:
@@ -353,8 +349,9 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
     ``tau``, and every route must end at the maximum; otherwise
     :class:`VerificationError`.  Each vector's steps are climbed once, for
     all routes through it.  The vectors visited are the order's bottom and
-    climb landings, all verified, so discovery does not check them again.  At most ``limit`` routes are produced;
-    ``budget`` bounds the order's climbs and, counted apart, the walk's.
+    climb landings, all verified, so discovery does not check them again.
+    At most ``limit`` routes are produced; ``budget`` bounds the order's
+    climbs and, counted apart, the walk's.
     """
     order = rotation_order(inst, budget)
     spend = _climb_budget(budget)
@@ -367,8 +364,8 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
             exposed = [
                 b for b in order.occurrences if b not in done and below[b] <= done
             ]
-            found = {r.steps for r in find_rotations(inst, x, verified=True)}
-            if found != {b.rotation.steps for b in exposed}:
+            found = find_rotations(inst, x, verified=True)
+            if {r.steps for r in found} != {b.rotation.steps for b in exposed}:
                 raise VerificationError(
                     "the order and the rotations at {!r} disagree".format(x)
                 )
@@ -377,7 +374,8 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
                 spend()
                 weight, y = climb(inst, x, occ.rotation, verified=True)
                 _check_weight(order.tau, occ, weight)
-                edges[done].append((occ, RouteStep(occ.rotation, weight, x, y)))
+                step = RouteStep(occ.rotation, occ.ordinal, weight, weight, x, y, found)
+                edges[done].append((occ, step))
         return edges[done]
 
     def walk(x, done, steps):

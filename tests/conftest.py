@@ -1102,12 +1102,19 @@ def oracle_rotation_order(inst):
 
 
 def oracle_graph_routes(graph, limit=None):
-    """The principal graph's routes, depth-first, out-edges in key order."""
+    """The principal graph's routes, depth-first, out-edges in key order.
+
+    Each step records the rotations of all out-edges of its source as the
+    rotations found there.
+    """
     outgoing = {}
     for x, occ, weight, y in graph.edges:
         outgoing.setdefault(x, []).append((occ, weight, y))
     for lst in outgoing.values():
         lst.sort(key=lambda item: item[0].key)
+    found = {
+        x: sorted(occ.rotation for occ, _, _ in lst) for x, lst in outgoing.items()
+    }
     routes = []
 
     def walk(x, steps):
@@ -1117,7 +1124,10 @@ def oracle_graph_routes(graph, limit=None):
         for occ, weight, y in outgoing[x]:
             if limit is not None and len(routes) >= limit:
                 return
-            walk(y, steps + [RouteStep(occ.rotation, weight, x, y)])
+            step = RouteStep(
+                occ.rotation, occ.ordinal, weight, graph.tau[occ], x, y, found[x]
+            )
+            walk(y, steps + [step])
 
     walk(graph.bottom, [])
     return routes

@@ -9,8 +9,8 @@ so a quietly degenerate corpus fails loudly instead of passing by luck.
 from stablepartners import (
     LinearOrderQuotaCF,
     TableCF,
-    apply_rotation,
     check_axiom,
+    climb,
     closed_from_vector,
     cycle_rotation,
     deferred_acceptance,
@@ -47,7 +47,7 @@ def test_extremes_and_successor_steps_match_brute_force(bipartite_artifacts):
             multi += 1
         for x, rots in rotations:
             sites += len(rots)
-            stepped = sorted(apply_rotation(inst, x, r, 1).vals for r in rots)
+            stepped = sorted(climb(inst, x, r, limit=1)[1].vals for r in rots)
             above = immediate_successors(inst, x, stable=stable)
             assert stepped == sorted(y.vals for y in above)
     assert multi >= 50

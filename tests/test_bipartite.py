@@ -10,8 +10,8 @@ from stablepartners import (
     check_axiom,
     InputError,
     Rotation,
-    apply_rotation,
     build_full_route,
+    climb,
     deferred_acceptance,
     enumerate_stable,
     find_rotations,
@@ -19,7 +19,6 @@ from stablepartners import (
     instance_from_dict,
     is_stable,
     lattice_extremes,
-    max_feasible_weight,
     precedes_F,
     precedes_W,
 )
@@ -138,8 +137,8 @@ def test_the_single_rotation_is_found_exactly(b4):
         "w2f1": 1,
         "w2f2": -1,
     }
-    assert max_feasible_weight(b4, lo, rot) == 1
-    assert apply_rotation(b4, lo, rot, 1) == edgevec(b4, B4_MAX)
+    assert climb(b4, lo, rot) == (1, edgevec(b4, B4_MAX))
+    assert climb(b4, lo, rot, limit=1) == (1, edgevec(b4, B4_MAX))
 
 
 def test_no_rotations_at_the_top(b4):
@@ -193,23 +192,22 @@ def test_ill_typed_rotation_steps_raise_input_error(b4, steps):
         Rotation.from_dict(b4, {"steps": steps})
 
 
-def test_apply_rotation_validates_the_weight(b4):
+def test_climb_validates_the_limit(b4):
     lo = edgevec(b4, B4_MIN)
+    hi = edgevec(b4, B4_MAX)
     rot = find_rotations(b4, lo)[0]
-    with pytest.raises(InputError):
-        apply_rotation(b4, lo, rot, 0)
-    with pytest.raises(InputError):
-        apply_rotation(b4, lo, rot, True)
-    with pytest.raises(InputError):
-        apply_rotation(b4, lo, rot, 2)
-    with pytest.raises(InputError):
-        apply_rotation(b4, edgevec(b4, B4_MAX), rot, 1)
+    for bad in (True, -1, 1.5, "1"):
+        with pytest.raises(InputError, match="limit"):
+            climb(b4, lo, rot, limit=bad)
+    assert climb(b4, lo, rot, limit=0) == (0, lo)
+    assert climb(b4, lo, rot, limit=2) == (1, hi)
+    assert climb(b4, hi, rot, limit=1) == (0, hi)
 
 
-def test_weight_query_rejects_inapplicable_rotations(b4):
+def test_an_inapplicable_rotation_climbs_nothing(b4):
     rot = Rotation(b4, B4_STEPS)
-    with pytest.raises(InputError):
-        max_feasible_weight(b4, edgevec(b4, B4_MAX), rot)
+    hi = edgevec(b4, B4_MAX)
+    assert climb(b4, hi, rot) == (0, hi)
 
 
 def test_full_route_on_the_crossed_block(b4):
@@ -227,13 +225,14 @@ def test_scaled_block_climbs_in_one_heavy_step(b4_scaled):
     lo, hi = lattice_extremes(b4_scaled, stable)
     rots = find_rotations(b4_scaled, lo)
     assert len(rots) == 1
-    assert max_feasible_weight(b4_scaled, lo, rots[0]) == 3
+    assert climb(b4_scaled, lo, rots[0])[0] == 3
     route = build_full_route(b4_scaled)
     assert len(route.steps) == 1
     assert route.steps[0].weight == 3
     assert route.end == hi
     for k in (1, 2, 3):
-        y = apply_rotation(b4_scaled, lo, rots[0], k)
+        weight, y = climb(b4_scaled, lo, rots[0], limit=k)
+        assert weight == k
         assert is_stable(b4_scaled, y).stable
         assert precedes_F(b4_scaled, lo, y)
 
@@ -244,7 +243,9 @@ def test_partial_weights_walk_the_whole_chain(b4_scaled):
     rot = find_rotations(b4_scaled, lo)[0]
     chain = [lo]
     for k in (1, 2, 3):
-        chain.append(apply_rotation(b4_scaled, lo, rot, k))
+        weight, y = climb(b4_scaled, lo, rot, limit=k)
+        assert weight == k
+        chain.append(y)
     assert set(chain) == stable
 
 
@@ -268,7 +269,7 @@ def test_random_instances_agree_with_the_enumeration_oracle():
         assert deferred_acceptance(inst, "W") == lo
         assert deferred_acceptance(inst, "F") == hi
         succ = immediate_successors(inst, lo, stable)
-        landed = {apply_rotation(inst, lo, rot, 1) for rot in find_rotations(inst, lo)}
+        landed = {climb(inst, lo, rot, limit=1)[1] for rot in find_rotations(inst, lo)}
         assert landed == set(succ)
 
 

@@ -264,6 +264,31 @@ def test_csv_output_for_tabular_commands(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("rotations", "--seed", "3"),
+        ("verify", "--budget", "5"),
+        ("bipartite-solve", "--format", "json"),
+        ("check-axioms", "--seed", "1"),
+        ("route", "--budget", "5"),
+        ("solve", "--budget", "5"),
+        ("check-axioms", "--format", "json"),
+    ],
+)
+def test_options_a_command_does_not_read_are_refused(
+    tmp_path, capsys, command, option, value
+):
+    inst = write_json(tmp_path / "b4.json", b4_doc())
+    argv = [command, "--instance", inst, option, value]
+    if command == "verify":
+        argv += ["--solution", inst]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: {} {}".format(option, value) in captured.err
+
+
 def test_importing_the_cli_leaves_networkx_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(stablepartners.__file__)))
     env = dict(os.environ)

@@ -20,7 +20,6 @@ from stablepartners import (
     EdgeSpace,
     EdgeVector,
     InputError,
-    apply_rotation,
     build_full_route,
     check_axiom,
     climb,
@@ -30,7 +29,6 @@ from stablepartners import (
     instance_from_dict,
     is_singular,
     is_stable,
-    max_feasible_weight,
     precedes_F,
     run_qb,
     solve,
@@ -116,12 +114,12 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     ``x + k chi`` exactly for ``k = 1..tau``, where ``tau`` is the oracle's
     weight.  Then ``climb`` must reach the oracle's landing with and
     without ``verified``, with limits from 0 to past ``tau``, and under
-    each ceiling; the public wrappers must agree.  With ``every_k`` each
-    local verdict is also compared with the whole-instance check, and
-    every ``k = 1..tau`` is tried as a limit and as a weight; long rays
-    pass ``every_k=False`` and try every ``k`` up to 64, the gallop points
-    and their neighbours, ``tau`` and a few random ``k``.  Returns ``tau``
-    and the number of in-box points past it.
+    each ceiling.  With ``every_k`` each local verdict is also compared
+    with the whole-instance check, and every ``k = 1..tau`` is tried as a
+    limit, with and without ``verified``; long rays pass
+    ``every_k=False`` and try every ``k`` up to 64, the gallop points and
+    their neighbours, ``tau`` and a few random ``k``.  Returns ``tau`` and
+    the number of in-box points past it.
     """
     tau, top = oracle_two_pass_walk(inst, x, rot)
     assert tau >= 1
@@ -138,7 +136,6 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
 
     assert climb(inst, x, rot) == (tau, top)
     assert climb(inst, x, rot, verified=True) == (tau, top)
-    assert max_feasible_weight(inst, x, rot) == tau
     if every_k:
         weights = set(range(1, tau + 1))
     else:
@@ -149,15 +146,14 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     for k in sorted(w for w in weights if 1 <= w <= tau):
         y = x.plus(rot.chi.scaled(k))
         assert climb(inst, x, rot, limit=k, verified=True) == (k, y)
-        assert apply_rotation(inst, x, rot, k) == y
+        assert climb(inst, x, rot, limit=k) == (k, y)
     for limit in (0, tau + 1, 2 * tau + 3):
         w = min(limit, tau)
         assert climb(inst, x, rot, limit=limit, verified=True) == (
             w,
             x.plus(rot.chi.scaled(w)),
         )
-    with pytest.raises(InputError):
-        apply_rotation(inst, x, rot, tau + 1)
+    assert climb(inst, x, rot, limit=tau + 1) == (tau, top)
     inside = x.plus(rot.chi.scaled(rng.randint(1, tau)))
     for ceiling in list(ceilings) + [inside]:
         assert climb(inst, x, rot, ceiling=ceiling, verified=True) == (
@@ -183,17 +179,19 @@ def test_climb_matches_the_two_pass_walk_on_the_doubled_corpus(doubled_artifacts
 
 
 def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
+    """A climb stops at its weight and does not move past the ray's end.
+
+    An unstable start, or with ``verified=False`` an unstable ceiling,
+    raises :class:`InputError`.
+    """
     unstable_starts = 0
     for inst, _, rotations in bipartite_artifacts:
         for x, rots in rotations:
             for rot in rots:
                 weight, y = oracle_two_pass_walk(inst, x, rot)
-                with pytest.raises(InputError):
-                    apply_rotation(inst, x, rot, weight + 1)
-                with pytest.raises(InputError):
-                    max_feasible_weight(inst, y, rot)
-                with pytest.raises(InputError):
-                    apply_rotation(inst, y, rot, 1)
+                assert climb(inst, x, rot, limit=weight + 1) == (weight, y)
+                assert climb(inst, y, rot) == (0, y)
+                assert climb(inst, y, rot, limit=1) == (0, y)
                 for e in inst.space.ids:
                     if e in rot.sign or x[e] >= inst.caps[e]:
                         continue
@@ -202,9 +200,11 @@ def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
                         continue
                     unstable_starts += 1
                     with pytest.raises(InputError):
-                        max_feasible_weight(inst, u, rot)
+                        climb(inst, u, rot)
                     with pytest.raises(InputError):
-                        apply_rotation(inst, u, rot, 1)
+                        climb(inst, u, rot, limit=1)
+                    with pytest.raises(InputError, match="stable"):
+                        climb(inst, x, rot, ceiling=u)
     assert unstable_starts > 0
 
 
@@ -217,7 +217,36 @@ def test_climb_needs_a_vector_and_a_rotation_of_the_instance(b4, triangle):
         climb(double, other, rot)
     with pytest.raises(InputError):
         climb(b4, other, rot)
+    with pytest.raises(InputError):
+        climb(b4, lo, rot, ceiling=other)
     assert climb(b4, lo, rot, limit=0) == (0, lo)
+
+
+@pytest.mark.parametrize("verified", [False, True])
+def test_climb_rejects_a_ceiling_outside_the_box(b4, verified):
+    lo = deferred_acceptance(b4, "W")
+    rot = find_rotations(b4, lo)[0]
+    hi = lo.plus(rot.chi)
+    assert climb(b4, lo, rot, ceiling=hi, verified=verified) == (1, hi)
+    for i in range(len(b4.space)):
+        vals = list(hi.vals)
+        vals[i] = b4.caps.vals[i] + 1
+        with pytest.raises(InputError, match="box"):
+            climb(b4, lo, rot, ceiling=EdgeVector(b4.space, vals), verified=verified)
+    under = EdgeVector(b4.space, [-1] * len(b4.space))
+    with pytest.raises(InputError, match="box"):
+        climb(b4, lo, rot, ceiling=under, verified=verified)
+
+
+def test_climb_rejects_an_unstable_ceiling_unless_verified(b4):
+    lo = deferred_acceptance(b4, "W")
+    rot = find_rotations(b4, lo)[0]
+    zero = EdgeVector(b4.space, [0] * len(b4.space))
+    assert not is_stable(b4, zero).stable
+    with pytest.raises(InputError, match="stable"):
+        climb(b4, lo, rot, ceiling=zero)
+    # The caller vouches for a verified ceiling; this one is below ``lo``.
+    assert climb(b4, lo, rot, ceiling=zero, verified=True) == (0, lo)
 
 
 # -- long rays ---------------------------------------------------------------

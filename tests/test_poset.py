@@ -323,13 +323,14 @@ def test_order_matches_the_principal_graph_oracle(
 
 
 def test_full_routes_match_the_principal_graph_routes(bipartite_corpus):
-    """Same routes, same order: rotations, weights, sources and targets."""
+    """Same routes, same order, every field of every step equal.
+
+    Each step's rotation, ordinal, weight, ``tau``, source and target, and
+    the rotations found at its source.
+    """
 
     def rows(routes):
-        return [
-            [(s.rotation, s.weight, s.source, s.target) for s in route.steps]
-            for route in routes
-        ]
+        return [list(route.steps) for route in routes]
 
     multi_route = 0
     for inst in bipartite_corpus:
@@ -401,3 +402,22 @@ def test_sweeps_compare_and_check_locally(monkeypatch):
     assert len(order.occurrences) == 12
     assert compared[0] == 0
     assert checked[0] <= 2 and swept[0] >= 13
+
+
+def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
+    """Every vector of a full route maps to its closed function locally.
+
+    Each climb under the ceiling compares the firms off its rotation once
+    and the rotation's firms at each probe, with no ``precedes`` call;
+    comparing all firms at a climb's first probe made one or more per
+    climb.
+    """
+    inst = instance_from_dict(blocks_doc(12))
+    order = rotation_order(inst)
+    route = build_full_route(inst)
+    compared = _count_calls(monkeypatch, "precedes")
+    for x in route.vectors():
+        fn = closed_from_vector(inst, order, x)
+        assert vector_from_closed(inst, order, fn) == x
+    assert len(route) == 12
+    assert compared[0] == 0

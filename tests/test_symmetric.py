@@ -5,10 +5,10 @@ import pytest
 from stablepartners import (
     EdgeVector,
     InputError,
+    climb,
     deferred_acceptance,
     find_rotations,
     is_singular,
-    max_feasible_weight,
     mirror_occurrences,
     reflect,
     rotation_order,
@@ -104,7 +104,7 @@ def test_triangle_rotation_is_self_mirrored(tri_double):
     assert rot.steps == TRI_ROT_STEPS
     assert is_singular(tri_double, rot)
     assert reflect(tri_double, rot) == rot
-    assert max_feasible_weight(tri_double.graph, lo, rot) == 1
+    assert climb(tri_double.graph, lo, rot)[0] == 1
 
 
 def test_block_rotations_mirror_each_other(b4_double):
