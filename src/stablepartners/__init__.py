@@ -1,5 +1,7 @@
 """Stable partnerships on capacitated graphs with substitutable choices."""
 
+import types
+
 from .core import (
     BudgetError,
     EdgeSpace,
@@ -17,7 +19,6 @@ from .choice import (
     AxiomReport,
     ChoiceFunction,
     LinearOrderQuotaCF,
-    RenamedCF,
     TableCF,
     check_axiom,
     is_acceptable,
@@ -36,7 +37,7 @@ from .bipartite import (
     precedes_F,
     precedes_W,
 )
-from .brute import enumerate_stable, immediate_successors, lattice_extremes
+from .brute import enumerate_stable, lattice_extremes
 from .poset import (
     ClosedFunction,
     Occurrence,
@@ -53,8 +54,6 @@ from .symmetric import (
     QBOutcome,
     SymmetricInstance,
     is_singular,
-    mirror_occurrences,
-    reflect,
     run_qb,
     symmetrize,
 )
@@ -62,7 +61,6 @@ from .solver import (
     HalfPartnership,
     OddCycle,
     SolveResult,
-    cycle_rotation,
     lift_vector,
     project_cycle,
     project_solution,
@@ -72,4 +70,8 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]

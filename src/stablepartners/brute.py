@@ -101,14 +101,3 @@ def lattice_extremes(inst, stable=None, budget=DEFAULT_ENUM_BUDGET):
         )
     return lo[0], hi[0]
 
-
-def immediate_successors(inst, x, stable=None, budget=DEFAULT_ENUM_BUDGET):
-    """Stable vectors directly above ``x``: above it, with nothing between."""
-    if stable is None:
-        stable = enumerate_stable(inst, budget)
-    above = [y for y in stable if precedes_F(inst, x, y)]
-    return [
-        y
-        for y in above
-        if not any(z != y and precedes_F(inst, z, y) for z in above)
-    ]

@@ -13,6 +13,7 @@ comparable pairs within a configurable work budget and returns a report
 with a concrete witness when an axiom fails.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -56,7 +57,9 @@ class ChoiceFunction:
 
     Subclasses implement ``_apply(vals) -> tuple``.  Results are cached per
     distinct input and checked to satisfy ``0 <= C(z) <= z`` once on first
-    computation.
+    computation.  ``_apply`` and ``batch_vals`` read positions of the star,
+    never edge ids; that is what lets :meth:`on_star` run one function, and
+    one memo, on stars with other edge ids.
     """
 
     kind = "abstract"
@@ -112,6 +115,18 @@ class ChoiceFunction:
             out[i] = self.choose_vals(tuple(row))
         return out
 
+    def on_star(self, vertex, space):
+        """This function at ``vertex`` on ``space``, a star of the same size.
+
+        A shallow copy: it shares the memo and all positional state.
+        """
+        if len(space) != len(self.space):
+            raise InputError("star of {!r} has the wrong size".format(vertex))
+        twin = copy.copy(self)
+        twin.vertex = vertex
+        twin.space = space
+        return twin
+
     def _apply(self, vals):
         raise NotImplementedError
 
@@ -135,12 +150,17 @@ class LinearOrderQuotaCF(ChoiceFunction):
         self.quota = int(quota)
         if self.quota < 0:
             raise InputError("quota must be nonnegative")
-        self.order = tuple(order)
-        if sorted(self.order) != sorted(space.ids):
+        order = tuple(order)
+        if sorted(order) != sorted(space.ids):
             raise InputError(
                 "order at {!r} must list the star exactly once".format(vertex)
             )
-        self._perm = tuple(space.index[e] for e in self.order)
+        self._perm = tuple(space.index[e] for e in order)
+
+    @property
+    def order(self):
+        """The star's edge ids, most preferred first."""
+        return tuple(self.space.ids[p] for p in self._perm)
 
     def _apply(self, vals):
         if sum(vals) <= self.quota:
@@ -229,64 +249,6 @@ class TableCF(ChoiceFunction):
             for z, c in sorted(self._table.items())
         ]
         return {"type": self.kind, "entries": entries}
-
-
-class RenamedCF(ChoiceFunction):
-    """A choice function acting like ``base`` under a renaming of edge ids.
-
-    Used when a vertex is copied into a derived graph: the copy's star has
-    fresh edge ids but must select exactly as the original.
-    """
-
-    kind = "renamed"
-
-    def __init__(self, vertex, space, caps, base, id_map):
-        super().__init__(vertex, space, caps)
-        if set(id_map) != set(space.ids) or set(id_map.values()) != set(
-            base.space.ids
-        ):
-            raise InputError("renaming must be a bijection between the stars")
-        self.base = base
-        self.id_map = dict(id_map)
-        self._pos = tuple(base.space.index[id_map[e]] for e in space.ids)
-        for j, p in enumerate(self._pos):
-            if self.caps[j] != base.caps[p]:
-                raise InputError("renaming changes a capacity")
-
-    def _apply(self, vals):
-        base_vals = [0] * len(vals)
-        for j, p in enumerate(self._pos):
-            base_vals[p] = vals[j]
-        res = self.base.choose_vals(tuple(base_vals))
-        return tuple(res[p] for p in self._pos)
-
-    def batch_vals(self, arr):
-        arr = np.asarray(arr)
-        if arr.shape[0] == 0 or arr.shape[1] == 0:
-            return arr.copy()
-        pos = np.asarray(self._pos)
-        base_arr = np.empty_like(arr)
-        base_arr[:, pos] = arr
-        return self.base.batch_vals(base_arr)[:, pos]
-
-    def to_dict(self):
-        doc = self.base.to_dict()
-        back = {v: k for k, v in self.id_map.items()}
-        if doc["type"] == "linear_order_quota":
-            doc["order"] = [back[e] for e in doc["order"]]
-        elif doc["type"] == "table":
-            base_ids = self.base.space.ids
-
-            def rename(mapping):
-                return {back[e]: mapping[e] for e in base_ids}
-
-            doc["entries"] = [
-                {"z": rename(entry["z"]), "c": rename(entry["c"])}
-                for entry in doc["entries"]
-            ]
-        else:
-            raise InternalError("cannot serialize renamed {!r}".format(doc["type"]))
-        return doc
 
 
 def choice_from_dict(vertex, space, caps, spec):

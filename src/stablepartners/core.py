@@ -193,7 +193,8 @@ class Instance:
     caps : mapping id -> int
         Nonnegative capacity per edge.
     choice : mapping vertex -> ChoiceFunction
-        One choice function per vertex, acting on that vertex's star.
+        One choice function per vertex, acting on that vertex's star.  A
+        star lists its edges in the order of its choice function's space.
     parts : optional pair (W, F)
         A bipartition of the vertices.  When present, every edge must join
         the two sides, and two-sided machinery (proposal rounds, rotations)
@@ -243,31 +244,29 @@ class Instance:
         else:
             self.parts = None
 
-        star_ids = {v: [] for v in self.vertices}
-        for e in self.space.ids:
-            u, v = ends[e]
-            star_ids[u].append(e)
-            star_ids[v].append(e)
-        self.star_ids = {v: tuple(ids) for v, ids in star_ids.items()}
-        self.star_space = {v: EdgeSpace(ids) for v, ids in self.star_ids.items()}
-        self.star_positions = {
-            v: tuple(self.space.index[e] for e in ids)
-            for v, ids in self.star_ids.items()
-        }
-
         if set(choice) != vset:
             raise InputError("choice functions must cover exactly the vertex set")
+        incident = {v: set() for v in self.vertices}
+        for e, (u, v) in ends.items():
+            incident[u].add(e)
+            incident[v].add(e)
         for v, cf in choice.items():
-            if cf.space != self.star_space[v]:
+            if set(cf.space.ids) != incident[v]:
                 raise InputError(
                     "choice function at {!r} does not act on its star".format(v)
                 )
-            expected = tuple(self.caps[e] for e in self.star_ids[v])
+            expected = tuple(self.caps[e] for e in cf.space.ids)
             if tuple(cf.caps) != expected:
                 raise InputError(
                     "choice function at {!r} disagrees with edge capacities".format(v)
                 )
         self.choice = dict(choice)
+        self.star_space = {v: choice[v].space for v in self.vertices}
+        self.star_ids = {v: space.ids for v, space in self.star_space.items()}
+        self.star_positions = {
+            v: tuple(self.space.index[e] for e in ids)
+            for v, ids in self.star_ids.items()
+        }
 
     # -- basic queries ----------------------------------------------------
 
@@ -389,8 +388,9 @@ def instance_from_dict(doc):
     if ghosts:
         raise InputError("choice given for unknown vertices: {}".format(sorted(ghosts)))
 
-    # The stars are derivable before full validation; choice construction
-    # needs them.  Build a skeleton star map mirroring Instance.__init__.
+    # Choice construction needs the stars before full validation.  A
+    # document fixes no star order, so each star lists its edges by id;
+    # Instance takes its star order from the choice functions built here.
     star_ids = {v: [] for v in vertices}
     for e in sorted(edges):
         u, v = edges[e]

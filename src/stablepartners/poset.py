@@ -62,13 +62,6 @@ class WeightedRotationFamily:
         """Occurrence-blind content: counts of (rotation, weight) pairs."""
         return Counter((occ.rotation.steps, w) for occ, w in self.items)
 
-    def weights_by_rotation(self):
-        """Weights of each rotation's occurrences, in use order."""
-        out = {}
-        for occ, w in self.items:
-            out.setdefault(occ.rotation.steps, []).append(w)
-        return {k: tuple(v) for k, v in out.items()}
-
     def __len__(self):
         return len(self.items)
 
@@ -96,9 +89,6 @@ class RotationOrder:
         self.less = frozenset(less)
         self.bottom = bottom
         self.top = top
-
-    def before(self, a, b):
-        return (a, b) in self.less
 
     def covers(self):
         """The transitive reduction of the precedence order."""

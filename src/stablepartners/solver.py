@@ -10,7 +10,7 @@ doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .bipartite import Rotation, _star, is_stable
+from .bipartite import _star, is_stable
 from .symmetric import is_singular, run_qb, symmetrize
 
 
@@ -303,31 +303,6 @@ def project_cycle(si, rot):
             raise InternalError("projected edges do not chain")
         walk.append((shared.pop(), e))
     return OddCycle(base, walk)
-
-
-def cycle_rotation(si, cyc):
-    """Lift an odd cycle to a singular rotation of the double.
-
-    The doubled walk runs around the cycle twice, alternating vertex
-    copies; odd length makes the parity flip between laps, so the walk
-    closes after two.
-    """
-    base = si.base
-    es = [e for _, e in cyc.steps]
-    start = cyc.steps[0][0]
-    here, parity = start, 0
-    steps = []
-    for t in range(2 * len(es)):
-        e = es[t % len(es)]
-        steps.append((si.copy_vertex(here, parity), si.copy_at(e, here, parity)))
-        here = base.other_end(e, here)
-        parity = 1 - parity
-    if (here, parity) != (start, 0):
-        raise InternalError("doubled cycle walk does not close")
-    rot = Rotation(si.graph, steps)
-    if not is_singular(si, rot):
-        raise InternalError("doubled cycle walk is not singular")
-    return rot
 
 
 def lift_vector(si, hp):

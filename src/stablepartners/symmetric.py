@@ -9,7 +9,6 @@ the doubles of plain vectors, which is what makes the doubling useful.
 """
 
 import random
-from collections import Counter
 
 from .core import (
     EdgeSpace,
@@ -19,7 +18,6 @@ from .core import (
     InternalError,
     VerificationError,
 )
-from .choice import RenamedCF
 from .bipartite import Rotation, _sweep
 
 
@@ -77,7 +75,7 @@ class SymmetricInstance:
 
 
 def symmetrize(inst):
-    """Build the bipartite double of ``inst`` with copied choice functions."""
+    """The bipartite double of ``inst``; both copies of ``v`` choose by ``C_v``."""
     vertices = [
         _copy_name(v, i) for v in inst.vertices for i in (0, 1)
     ]
@@ -106,32 +104,19 @@ def symmetrize(inst):
         [_copy_name(v, 1) for v in inst.vertices],
     )
 
+    # Each copy lists its star in the base star's order, so it runs the
+    # base choice function, memo included, with no translation.
     choice = {}
     for v in inst.vertices:
-        a_end_of = {e: inst.ends(e)[0] for e in inst.star_ids[v]}
         for i in (0, 1):
-            ids = sorted(
-                copies[e][0 if (v == a_end_of[e]) == (i == 0) else 1]
+            star = EdgeSpace(
+                copies[e][0 if (v == inst.ends(e)[0]) == (i == 0) else 1]
                 for e in inst.star_ids[v]
             )
-            space = EdgeSpace(ids)
-            id_map = {s: base_edge[s] for s in ids}
-            star_caps = [caps[s] for s in ids]
-            choice[_copy_name(v, i)] = RenamedCF(
-                _copy_name(v, i), space, star_caps, inst.choice[v], id_map
-            )
+            choice[_copy_name(v, i)] = inst.choice[v].on_star(_copy_name(v, i), star)
 
     graph = Instance(vertices, edges, caps, choice, parts)
     return SymmetricInstance(inst, graph, sigma_vertex, sigma_edge, base_edge, copies)
-
-
-def reflect(si, obj):
-    """Mirror a vector or a rotation of the doubled instance."""
-    if isinstance(obj, Rotation):
-        return si.reflect_rotation(obj)
-    if isinstance(obj, EdgeVector):
-        return si.reflect_vector(obj)
-    raise InputError("reflection applies to vectors and rotations")
 
 
 def is_singular(si, rot):
@@ -217,31 +202,3 @@ def run_qb(si, seed=0):
     picks = tuple((s.rotation, s.weight, s.tau) for s in steps)
     return QBOutcome(x, picks, odd_core, tuple(sorted(singular)), start)
 
-
-def mirror_occurrences(si, order):
-    """Pair each rotation occurrence with its mirror occurrence.
-
-    The i-th occurrence of a rotation corresponds to the i-th from last
-    occurrence of its mirror, with the same weight.  Count or weight
-    mismatches mean the doubled instance violates its symmetry and raise
-    :class:`VerificationError`.
-    """
-    counts = Counter(occ.rotation.steps for occ in order.occurrences)
-    by_key = {}
-    for occ in order.occurrences:
-        by_key[(occ.rotation.steps, occ.ordinal)] = occ
-    mapping = {}
-    for occ in order.occurrences:
-        mirror_rot = si.reflect_rotation(occ.rotation)
-        m = counts.get(mirror_rot.steps, 0)
-        if counts[occ.rotation.steps] != m:
-            raise VerificationError(
-                "rotation and mirror differ in occurrence count"
-            )
-        partner = by_key.get((mirror_rot.steps, m - 1 - occ.ordinal))
-        if partner is None:
-            raise VerificationError("mirror occurrence is missing")
-        if order.tau[occ] != order.tau[partner]:
-            raise VerificationError("mirror occurrences differ in weight")
-        mapping[occ] = partner
-    return mapping

@@ -16,6 +16,7 @@ import pytest
 from stablepartners import (
     EdgeVector,
     Instance,
+    InternalError,
     Occurrence,
     Rotation,
     RotationOrder,
@@ -29,6 +30,7 @@ from stablepartners import (
     enumerate_stable,
     find_rotations,
     instance_from_dict,
+    is_singular,
     is_stable,
     precedes_F,
     rotation_order,
@@ -1221,3 +1223,72 @@ def oracle_enumerate_stable(inst):
         u, v = inst.ends(e)
         unblocked &= ~(interest_mask(u, e) & interest_mask(v, e))
     return [EdgeVector(inst.space, row) for row in box[ok & unblocked].tolist()]
+
+
+# -- oracles of the theory: immediate successors, mirrors, odd-cycle lifts ----
+
+
+def immediate_successors(inst, x, stable=None):
+    """Stable vectors directly above ``x``: above it, with nothing between."""
+    if stable is None:
+        stable = enumerate_stable(inst)
+    above = [y for y in stable if precedes_F(inst, x, y)]
+    return [
+        y
+        for y in above
+        if not any(z != y and precedes_F(inst, z, y) for z in above)
+    ]
+
+
+def mirror_occurrences(si, order):
+    """Pair each rotation occurrence with its mirror occurrence.
+
+    The i-th occurrence of a rotation corresponds to the i-th from last
+    occurrence of its mirror, with the same weight.  Count or weight
+    mismatches mean the doubled instance violates its symmetry and raise
+    :class:`VerificationError`.
+    """
+    counts = Counter(occ.rotation.steps for occ in order.occurrences)
+    by_key = {}
+    for occ in order.occurrences:
+        by_key[(occ.rotation.steps, occ.ordinal)] = occ
+    mapping = {}
+    for occ in order.occurrences:
+        mirror_rot = si.reflect_rotation(occ.rotation)
+        m = counts.get(mirror_rot.steps, 0)
+        if counts[occ.rotation.steps] != m:
+            raise VerificationError(
+                "rotation and mirror differ in occurrence count"
+            )
+        partner = by_key.get((mirror_rot.steps, m - 1 - occ.ordinal))
+        if partner is None:
+            raise VerificationError("mirror occurrence is missing")
+        if order.tau[occ] != order.tau[partner]:
+            raise VerificationError("mirror occurrences differ in weight")
+        mapping[occ] = partner
+    return mapping
+
+
+def cycle_rotation(si, cyc):
+    """Lift an odd cycle to a singular rotation of the double.
+
+    The doubled walk runs around the cycle twice, alternating vertex
+    copies; odd length makes the parity flip between laps, so the walk
+    closes after two.
+    """
+    base = si.base
+    es = [e for _, e in cyc.steps]
+    start = cyc.steps[0][0]
+    here, parity = start, 0
+    steps = []
+    for t in range(2 * len(es)):
+        e = es[t % len(es)]
+        steps.append((si.copy_vertex(here, parity), si.copy_at(e, here, parity)))
+        here = base.other_end(e, here)
+        parity = 1 - parity
+    if (here, parity) != (start, 0):
+        raise InternalError("doubled cycle walk does not close")
+    rot = Rotation(si.graph, steps)
+    if not is_singular(si, rot):
+        raise InternalError("doubled cycle walk is not singular")
+    return rot

@@ -15,7 +15,6 @@ from stablepartners import (
     deferred_acceptance,
     enumerate_stable,
     find_rotations,
-    immediate_successors,
     instance_from_dict,
     is_stable,
     lattice_extremes,
@@ -35,6 +34,7 @@ from conftest import (
     _simple_cycles,
     edgevec,
     high_cap_market,
+    immediate_successors,
     latin_doc,
     oracle_candidate_walks,
     oracle_find_rotations,

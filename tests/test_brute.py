@@ -8,7 +8,6 @@ from stablepartners import (
     VerificationError,
     deferred_acceptance,
     enumerate_stable,
-    immediate_successors,
     instance_from_dict,
     lattice_extremes,
 )
@@ -17,6 +16,7 @@ from stablepartners.choice import box_array, check_axiom
 from conftest import (
     degenerate_doc,
     edgevec,
+    immediate_successors,
     oracle_check_pairwise,
     oracle_enumerate_stable,
     oracle_stable_set,

@@ -1,4 +1,4 @@
-"""Choice functions: the greedy quota rule, tables, renamings, axiom checks."""
+"""Choice functions: the greedy quota rule, tables, other stars, axiom checks."""
 
 import itertools
 import random
@@ -8,7 +8,6 @@ import pytest
 from stablepartners import BudgetError, InputError
 from stablepartners.choice import (
     LinearOrderQuotaCF,
-    RenamedCF,
     TableCF,
     check_axiom,
     choice_from_dict,
@@ -106,7 +105,7 @@ def test_choosing_twice_changes_nothing():
             assert cf.choose_vals(once) == once
 
 
-# -- tables and renamings -----------------------------------------------------
+# -- tables and other stars ---------------------------------------------------
 
 
 def sub_violating_table():
@@ -139,21 +138,19 @@ def test_table_rejects_duplicate_rows():
         TableCF("v", sp, (1,), [((0,), (0,)), ((0,), (0,)), ((1,), (1,))])
 
 
-def test_renamed_function_tracks_its_base():
-    base = quota_cf((2, 1), quota=2)
-    sp = EdgeSpace(("a", "b"))
-    renamed = RenamedCF("v'", sp, (2, 1), base, {"a": "e1", "b": "e2"})
+def test_a_function_on_another_star_shares_its_memo_and_names_its_edges():
+    base = quota_cf((2, 1), quota=2, order=["e2", "e1"])
+    twin = base.on_star("v'", EdgeSpace(("a", "b")))
+    assert (twin.vertex, twin.caps, twin._memo) == ("v'", base.caps, base._memo)
     for vals in full_box(base):
-        assert renamed.choose_vals(vals) == base.choose_vals(vals)
-    doc = renamed.to_dict()
-    assert set(doc["order"]) == {"a", "b"}
-
-
-def test_renaming_must_preserve_capacities():
-    base = quota_cf((2, 1), quota=2)
-    sp = EdgeSpace(("a", "b"))
+        assert twin.choose_vals(vals) == base.choose_vals(vals)
+    assert twin.to_dict() == {"type": base.kind, "quota": 2, "order": ["b", "a"]}
+    assert base.to_dict()["order"] == ["e2", "e1"]
+    twin = sub_violating_table().on_star("u", EdgeSpace(("x", "y")))
+    assert twin.choose(EdgeVector(twin.space, (1, 1))).to_mapping() == {"x": 1, "y": 0}
+    assert [set(row["z"]) for row in twin.to_dict()["entries"]] == [{"x", "y"}] * 4
     with pytest.raises(InputError):
-        RenamedCF("v'", sp, (1, 2), base, {"a": "e1", "b": "e2"})
+        base.on_star("v'", EdgeSpace(("a",)))
 
 
 def test_choice_from_dict_builds_both_kinds():

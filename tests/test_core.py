@@ -4,15 +4,19 @@ import json
 
 import pytest
 
+import stablepartners
 from stablepartners import (
     EdgeSpace,
     EdgeVector,
     InputError,
     Instance,
+    deferred_acceptance,
+    enumerate_stable,
     instance_from_dict,
     instance_to_dict,
     parse_instance,
     serialize_instance,
+    solve,
 )
 from stablepartners.choice import LinearOrderQuotaCF
 
@@ -151,6 +155,55 @@ def test_instance_rejects_choice_function_cap_mismatch():
             {"ab": 2},
             {"a": wrong, "b": inst.choice["b"]},
         )
+
+
+def _with_star(inst, v, ids):
+    """``inst`` with ``v``'s quota choice listing its star as ``ids``."""
+    cf = inst.choice[v]
+    caps = [inst.caps[e] for e in ids]
+    choice = dict(inst.choice)
+    choice[v] = LinearOrderQuotaCF(v, EdgeSpace(ids), caps, cf.quota, cf.order)
+    caps_by_edge = inst.caps.to_mapping()
+    return Instance(inst.vertices, inst.edge_ends, caps_by_edge, choice, inst.parts)
+
+
+def test_a_star_takes_its_order_from_its_choice_function(cycle3, triangle):
+    for inst, v in ((cycle3, "f1"), (triangle, "b")):
+        ids = inst.star_ids[v][::-1]
+        flipped = _with_star(inst, v, ids)
+        assert flipped.star_ids[v] == ids != inst.star_ids[v]
+        assert flipped.space == inst.space
+        if inst.parts is not None:
+            for side in "WF":
+                same = deferred_acceptance(inst, side)
+                assert deferred_acceptance(flipped, side) == same
+        assert enumerate_stable(flipped) == enumerate_stable(inst)
+        assert solve(flipped).to_dict() == solve(inst).to_dict()
+        stranger = next(e for e in inst.space.ids if e not in ids)
+        for wrong in (ids[1:], ids + (stranger,)):
+            with pytest.raises(InputError):
+                _with_star(inst, v, wrong)
+
+
+PUBLIC_NAMES = [
+    "AxiomReport", "BudgetError", "ChoiceFunction", "ClosedFunction", "EdgeSpace",
+    "EdgeVector", "HalfPartnership", "InputError", "Instance", "InternalError",
+    "LinearOrderQuotaCF", "Occurrence", "OddCycle", "QBOutcome", "Rotation",
+    "RotationOrder", "Route", "RouteStep", "SolveResult", "StabilityReport",
+    "SymmetricInstance", "TableCF", "VerificationError", "WeightedRotationFamily",
+    "build_full_route", "check_axiom", "climb", "closed_from_vector",
+    "deferred_acceptance", "enumerate_stable", "family_from_route", "find_rotations",
+    "full_routes", "instance_from_dict", "instance_to_dict", "is_acceptable",
+    "is_closed", "is_singular", "is_stable", "lattice_extremes", "lift_vector",
+    "parse_instance", "precedes_F", "precedes_W", "prefers", "project_cycle",
+    "project_solution", "rotation_order", "run_qb", "serialize_instance", "solve",
+    "symmetrize", "vector_from_closed", "verify_half_partnership",
+]
+
+
+def test_the_export_list_is_pinned():
+    """A new export, or a dropped one, is a visible change to this list."""
+    assert sorted(stablepartners.__all__) == PUBLIC_NAMES
 
 
 def test_instance_rejects_unknown_document_keys():

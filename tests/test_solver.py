@@ -7,7 +7,6 @@ from stablepartners import (
     HalfPartnership,
     InputError,
     OddCycle,
-    cycle_rotation,
     enumerate_stable,
     is_stable,
     lift_vector,
@@ -18,7 +17,7 @@ from stablepartners import (
     verify_half_partnership,
 )
 
-from conftest import edgevec
+from conftest import cycle_rotation, edgevec
 
 TRI_CYCLE = ["a", "ca", "c", "bc", "b", "ab"]
 B4_SOLVE_X = {"w1f2": 1, "w2f1": 1}

@@ -1,5 +1,7 @@
 """Doubling into a two-sided instance, mirrors, and the balancing sweep."""
 
+import itertools
+
 import pytest
 
 from stablepartners import (
@@ -9,14 +11,14 @@ from stablepartners import (
     deferred_acceptance,
     find_rotations,
     is_singular,
-    mirror_occurrences,
-    reflect,
+    parse_instance,
     rotation_order,
     run_qb,
+    serialize_instance,
     symmetrize,
 )
 
-from conftest import edgevec
+from conftest import edgevec, gated_instance, mirror_occurrences
 
 TRI_MIN = {"ab^0": 1, "bc^0": 1, "ca^1": 1}
 TRI_MAX = {"ab^1": 1, "bc^1": 1, "ca^0": 1}
@@ -49,6 +51,35 @@ def test_double_has_two_copies_of_everything(tri_double):
     for e in tri_double.base.space.ids:
         e0, e1 = tri_double.copies[e]
         assert g.caps[e0] == g.caps[e1] == tri_double.base.caps[e]
+
+
+def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
+    """Both copies of ``v`` are ``C_v`` itself, on a star in ``v``'s order."""
+    for inst in [triangle, b4] + list(general_corpus):
+        si = symmetrize(inst)
+        for v in inst.vertices:
+            base = inst.choice[v]
+            for i in (0, 1):
+                copy = si.copy_vertex(v, i)
+                cf = si.graph.choice[copy]
+                assert type(cf) is type(base)
+                assert cf._memo is base._memo
+                star = tuple(si.base_edge[e] for e in si.graph.star_ids[copy])
+                assert star == inst.star_ids[v]
+
+
+def test_a_parsed_double_chooses_as_the_double(triangle):
+    """Each copy's document names its own edges, for quota and table choices."""
+    for inst in (triangle, gated_instance()):
+        g = symmetrize(inst).graph
+        again = parse_instance(serialize_instance(g))
+        for v in g.vertices:
+            cf, parsed = g.choice[v], again.choice[v]
+            assert parsed.kind == cf.kind
+            for vals in itertools.product(*(range(c + 1) for c in cf.caps)):
+                z = EdgeVector(cf.space, vals)
+                menu = EdgeVector.from_mapping(parsed.space, z.to_mapping())
+                assert parsed.choose(menu).to_mapping() == cf.choose(z).to_mapping()
 
 
 def test_mirror_maps_are_involutions(tri_double):
@@ -103,7 +134,7 @@ def test_triangle_rotation_is_self_mirrored(tri_double):
     rot = rots[0]
     assert rot.steps == TRI_ROT_STEPS
     assert is_singular(tri_double, rot)
-    assert reflect(tri_double, rot) == rot
+    assert tri_double.reflect_rotation(rot) == rot
     assert climb(tri_double.graph, lo, rot)[0] == 1
 
 
@@ -112,9 +143,9 @@ def test_block_rotations_mirror_each_other(b4_double):
     rots = find_rotations(b4_double.graph, lo)
     assert len(rots) == 2
     assert not any(is_singular(b4_double, r) for r in rots)
-    assert reflect(b4_double, rots[0]) == rots[1]
-    assert reflect(b4_double, rots[1]) == rots[0]
-    assert reflect(b4_double, reflect(b4_double, rots[0])) == rots[0]
+    assert b4_double.reflect_rotation(rots[0]) == rots[1]
+    assert b4_double.reflect_rotation(rots[1]) == rots[0]
+    assert b4_double.reflect_rotation(b4_double.reflect_rotation(rots[0])) == rots[0]
 
 
 def test_balancing_sweep_hits_the_triangle_odd_core(tri_double):
@@ -160,13 +191,6 @@ def test_singular_occurrence_is_its_own_mirror(tri_double):
     mapping = mirror_occurrences(tri_double, order)
     occ = order.occurrences[0]
     assert mapping[occ] == occ
-
-
-def test_reflection_rejects_foreign_objects(tri_double):
-    with pytest.raises(InputError):
-        reflect(tri_double, "ab^0")
-    with pytest.raises(InputError):
-        reflect(tri_double, 3)
 
 
 def test_reflection_checks_the_vector_space(tri_double):
