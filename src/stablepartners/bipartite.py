@@ -9,7 +9,7 @@ minimum and the firm-optimal one is the maximum.
 import random
 from collections import Counter, namedtuple
 
-from .core import EdgeVector, InputError, InternalError, VerificationError
+from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
 from .choice import _weakly_prefers
 
 
@@ -239,68 +239,35 @@ def deferred_acceptance(inst, side):
     return x
 
 
-class Rotation:
+class Rotation(_ClosedWalk):
     """A closed alternating walk along which stable vectors can be shifted.
 
-    The walk is stored as steps ``(v, e)``: stand at ``v``, traverse ``e``
-    to the other end.  Edges at odd positions run from the W side and are
-    positive (gain a unit), edges at even positions run back and are
-    negative (lose a unit).  Edges are pairwise distinct; vertices may
-    repeat.  Steps are kept in a canonical cyclic shift so equal rotations
-    compare equal.
+    A closed walk that starts on the W side: edges at odd positions run
+    from the W side and are positive (gain a unit), edges at even
+    positions run back and are negative (lose a unit).  The canonical
+    shift moves by two steps, so it keeps each edge's sign.
     """
 
-    __slots__ = ("steps", "edges", "sign", "chi")
+    __slots__ = ("sign", "chi")
+    stride = 2
 
     def __init__(self, inst, steps):
         if not inst.is_bipartite_labeled:
             raise InputError("rotations need a bipartition")
-        steps = tuple((str(v), str(e)) for v, e in steps)
-        if len(steps) < 2 or len(steps) % 2:
-            raise InputError("a rotation walk has an even number of steps")
-        edge_ids = tuple(e for _, e in steps)
-        if len(set(edge_ids)) != len(edge_ids):
-            raise InputError("a rotation traverses each edge at most once")
-        here = steps[0][0]
-        sign = {}
-        for i, (v, e) in enumerate(steps):
-            if v != here:
-                raise InputError("walk steps do not chain")
-            expected = "W" if i % 2 == 0 else "F"
-            if inst.side(v) != expected:
-                raise InputError("walk does not alternate sides")
-            here = inst.other_end(e, v)
-            sign[e] = 1 if i % 2 == 0 else -1
-        if here != steps[0][0]:
-            raise InputError("walk does not close")
-
-        shifts = [
-            steps[i:] + steps[:i] for i in range(0, len(steps), 2)
-        ]
-        self.steps = min(shifts)
-        self.edges = tuple(e for _, e in self.steps)
-        self.sign = sign
+        super().__init__(inst, steps)
+        w, f = inst.parts
+        sides = [v for v, _ in self.steps]
+        if not (w.issuperset(sides[::2]) and f.issuperset(sides[1::2])):
+            raise InputError("walk does not alternate sides")
+        self.sign = dict(zip(self.edges, (1, -1) * (len(self.edges) // 2)))
         vals = [0] * len(inst.space)
-        for e, s in sign.items():
+        for e, s in self.sign.items():
             vals[inst.space.index[e]] = s
         self.chi = EdgeVector._trusted(inst.space, tuple(vals))
 
-    def __len__(self):
-        return len(self.steps)
-
-    def __eq__(self, other):
-        return isinstance(other, Rotation) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __lt__(self, other):
-        return self.steps < other.steps
-
-    def __repr__(self):
-        return "Rotation({})".format(
-            " ".join("{}-{}".format(v, e) for v, e in self.steps)
-        )
+    def _check_length(self, n):
+        if n < 2 or n % 2:
+            raise InputError("a rotation walk has an even number of steps")
 
     def to_dict(self):
         return {

@@ -314,6 +314,55 @@ class Instance:
         )
 
 
+class _ClosedWalk:
+    """A closed walk of an instance that traverses each edge at most once.
+
+    Stored as steps ``(v, e)``: stand at ``v``, traverse ``e`` to the other
+    end.  Vertices may repeat.  Steps are kept in their least cyclic shift
+    by a multiple of ``stride``, so equal walks compare equal; walks of
+    different kinds never do.  A subclass names the lengths it admits in
+    ``_check_length``.
+    """
+
+    __slots__ = ("steps", "edges")
+    stride = 1
+
+    def __init__(self, inst, steps):
+        steps = tuple((str(v), str(e)) for v, e in steps)
+        self._check_length(len(steps))
+        edges = tuple(e for _, e in steps)
+        if len(set(edges)) != len(edges):
+            raise InputError("a walk traverses each edge at most once")
+        here = steps[0][0]
+        for v, e in steps:
+            if v != here:
+                raise InputError("walk steps do not chain")
+            here = inst.other_end(e, v)
+        if here != steps[0][0]:
+            raise InputError("walk does not close")
+        self.steps = min(
+            steps[i:] + steps[:i] for i in range(0, len(steps), self.stride)
+        )
+        self.edges = tuple(e for _, e in self.steps)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.steps == other.steps
+
+    def __hash__(self):
+        return hash(self.steps)
+
+    def __lt__(self, other):
+        return self.steps < other.steps
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __repr__(self):
+        return "{}({})".format(
+            type(self).__name__, " ".join("{}-{}".format(v, e) for v, e in self.steps)
+        )
+
+
 # -- document parsing and serialization ------------------------------------
 
 

@@ -81,7 +81,7 @@ class RotationOrder:
     everything needed to evaluate and invert closed weight functions.
     """
 
-    __slots__ = ("occurrences", "tau", "less", "bottom", "top")
+    __slots__ = ("occurrences", "tau", "less", "bottom", "top", "_stable_on")
 
     def __init__(self, occurrences, tau, less, bottom, top):
         self.occurrences = tuple(sorted(occurrences))
@@ -89,6 +89,8 @@ class RotationOrder:
         self.less = frozenset(less)
         self.bottom = bottom
         self.top = top
+        # The instances on which ``bottom`` is known to be stable.
+        self._stable_on = set()
 
     def covers(self):
         """The transitive reduction of the precedence order."""
@@ -199,6 +201,8 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
 
     order = RotationOrder(tau.keys(), tau, less, bottom, top)
     _sanity_check_order(order)
+    # The bottom is the verified outcome of the proposal rounds.
+    order._stable_on.add(inst)
     return order
 
 
@@ -284,12 +288,15 @@ def closed_from_vector(inst, order, x):
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
-    # The sweep trusts its start, and the order may come from elsewhere.
-    report = is_stable(inst, order.bottom)
-    if not report.stable:
-        raise VerificationError(
-            "the order's bottom is not stable: {!r}".format(report)
-        )
+    # The sweep trusts its start, and the order may come from elsewhere:
+    # its bottom is checked on the first call for each instance.
+    if inst not in order._stable_on:
+        report = is_stable(inst, order.bottom)
+        if not report.stable:
+            raise VerificationError(
+                "the order's bottom is not stable: {!r}".format(report)
+            )
+        order._stable_on.add(inst)
     _, steps, end, _ = _sweep(
         inst, lambda rots, used: rots, start=order.bottom, ceiling=x
     )

@@ -9,73 +9,24 @@ conditions directly on the original instance, without reference to the
 doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
-from .core import EdgeVector, InputError, InternalError, VerificationError
+from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
 from .bipartite import _star, is_stable
 from .symmetric import is_singular, run_qb, symmetrize
 
 
-class OddCycle:
-    """An oriented, edge-simple cycle with an odd number of edges.
+class OddCycle(_ClosedWalk):
+    """An oriented closed walk with an odd number of edges, three or more.
 
-    Stored as steps ``(v, e)``: stand at ``v``, traverse ``e`` to the next
-    vertex.  Vertices may repeat, edges may not.  The orientation matters
-    to the exchange conditions, but two traversal directions of the same
-    cycle compare equal through :meth:`undirected_key`.
+    Vertices may repeat, edges may not.  The orientation matters to the
+    exchange conditions: the two traversal directions of one cycle are
+    different cycles.
     """
 
-    __slots__ = ("steps", "edges")
+    __slots__ = ()
 
-    def __init__(self, inst, steps):
-        steps = tuple((str(v), str(e)) for v, e in steps)
-        if len(steps) < 3 or len(steps) % 2 == 0:
+    def _check_length(self, n):
+        if n < 3 or n % 2 == 0:
             raise InputError("an odd cycle needs an odd number of edges, three or more")
-        edge_ids = tuple(e for _, e in steps)
-        if len(set(edge_ids)) != len(edge_ids):
-            raise InputError("a cycle traverses each edge at most once")
-        here = steps[0][0]
-        for v, e in steps:
-            if v != here:
-                raise InputError("cycle steps do not chain")
-            here = inst.other_end(e, v)
-        if here != steps[0][0]:
-            raise InputError("cycle does not close")
-        shifts = [steps[i:] + steps[:i] for i in range(len(steps))]
-        self.steps = min(shifts)
-        self.edges = tuple(e for _, e in self.steps)
-
-    def vertices(self):
-        return tuple(v for v, _ in self.steps)
-
-    def reversed_steps(self):
-        vs = [v for v, _ in self.steps]
-        es = [e for _, e in self.steps]
-        k = len(es)
-        out = [(vs[0], es[-1])]
-        out.extend((vs[k - 1 - j], es[k - 2 - j]) for j in range(k - 1))
-        return tuple(out)
-
-    def undirected_key(self):
-        """Canonical form ignoring traversal direction."""
-        rev = self.reversed_steps()
-        shifts = [rev[i:] + rev[:i] for i in range(len(rev))]
-        return min(self.steps, min(shifts))
-
-    def __eq__(self, other):
-        return isinstance(other, OddCycle) and self.steps == other.steps
-
-    def __hash__(self):
-        return hash(self.steps)
-
-    def __lt__(self, other):
-        return self.steps < other.steps
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __repr__(self):
-        return "OddCycle({})".format(
-            " ".join("{}-{}".format(v, e) for v, e in self.steps)
-        )
 
     def to_list(self):
         out = []
@@ -270,38 +221,29 @@ class VerificationReport:
 def project_cycle(si, rot):
     """Collapse a singular rotation of the double to an odd cycle below.
 
-    Walks the rotation's positive edges: after each one, the mirror of the
-    following negative edge is the next positive edge.  Their images in
-    the base graph form the cycle; consecutive images share exactly one
-    vertex, which fixes the orientation.
+    The rotation is its own mirror, shifted by some ``s`` of its ``L``
+    steps: step ``i + s`` is the mirror of step ``i``, and ``s`` is odd, as
+    the mirror swaps the sides.  Mirroring twice is the identity, so step
+    ``i + 2s`` is step ``i``; the steps are distinct, so ``s = L/2``.  The
+    walk thus runs twice around one odd cycle, and its first half, mapped
+    to the base graph, is that cycle.
     """
     if not is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
     steps = rot.steps
-    length = len(steps)
-    pos_index = {e: i for i, (_, e) in enumerate(steps) if i % 2 == 0}
-    seq = [steps[0][1]]
-    idx = 0
-    for _ in range(length // 2 - 1):
-        nxt = si.sigma_edge[steps[idx + 1][1]]
-        if nxt not in pos_index or nxt in seq:
-            raise InternalError("singular walk does not chain through mirrors")
-        idx = pos_index[nxt]
-        seq.append(nxt)
-    if si.sigma_edge[steps[idx + 1][1]] != seq[0]:
-        raise InternalError("singular walk does not close through mirrors")
-
+    half = len(steps) // 2
+    if any(
+        steps[i + half] != (si.sigma_vertex[v], si.sigma_edge[e])
+        for i, (v, e) in enumerate(steps[:half])
+    ):
+        raise InternalError("a singular walk is not its mirror half-way round")
     base = si.base
-    base_seq = [si.base_edge[e] for e in seq]
-    if len(set(base_seq)) != len(base_seq):
-        raise InternalError("projected edges collide")
+    edges = [si.base_edge[e] for _, e in steps[:half]]
+    (here,) = set(base.ends(edges[-1])) & set(base.ends(edges[0]))
     walk = []
-    for j, e in enumerate(base_seq):
-        prev = base_seq[j - 1]
-        shared = set(base.ends(prev)) & set(base.ends(e))
-        if len(shared) != 1:
-            raise InternalError("projected edges do not chain")
-        walk.append((shared.pop(), e))
+    for e in edges:
+        walk.append((here, e))
+        here = base.other_end(e, here)
     return OddCycle(base, walk)
 
 

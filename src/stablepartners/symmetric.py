@@ -10,14 +10,7 @@ the doubles of plain vectors, which is what makes the doubling useful.
 
 import random
 
-from .core import (
-    EdgeSpace,
-    EdgeVector,
-    InputError,
-    Instance,
-    InternalError,
-    VerificationError,
-)
+from .core import EdgeSpace, EdgeVector, Instance, InternalError, VerificationError
 from .bipartite import Rotation, _sweep
 
 
@@ -38,9 +31,6 @@ class SymmetricInstance:
         self.base_edge = base_edge
         self.copies = copies
 
-    def copy_vertex(self, v, i):
-        return _copy_name(v, i)
-
     def copy_at(self, e, v, i):
         """The copy of base edge ``e`` incident to the copy ``v^i``."""
         a, _ = self.base.ends(e)
@@ -57,21 +47,6 @@ class SymmetricInstance:
             (self.sigma_vertex[v], self.sigma_edge[e]) for v, e in rot.steps
         ]
         return Rotation(self.graph, mapped[1:] + mapped[:1])
-
-    def double_vector(self, x):
-        """The symmetric doubled image of a vector on the base edges."""
-        self.base.check_vector(x)
-        return EdgeVector(
-            self.graph.space, (x[self.base_edge[e]] for e in self.graph.space.ids)
-        )
-
-    def halve_vector(self, x):
-        """Inverse of :meth:`double_vector`; requires a symmetric vector."""
-        if self.reflect_vector(x) != x:
-            raise InputError("vector is not symmetric")
-        return EdgeVector(
-            self.base.space, (x[self.copies[e][0]] for e in self.base.space.ids)
-        )
 
 
 def symmetrize(inst):

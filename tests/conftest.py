@@ -15,8 +15,10 @@ import pytest
 
 from stablepartners import (
     EdgeVector,
+    InputError,
     Instance,
     InternalError,
+    OddCycle,
     Occurrence,
     Rotation,
     RotationOrder,
@@ -1283,7 +1285,7 @@ def cycle_rotation(si, cyc):
     steps = []
     for t in range(2 * len(es)):
         e = es[t % len(es)]
-        steps.append((si.copy_vertex(here, parity), si.copy_at(e, here, parity)))
+        steps.append((copy_vertex(here, parity), si.copy_at(e, here, parity)))
         here = base.other_end(e, here)
         parity = 1 - parity
     if (here, parity) != (start, 0):
@@ -1292,3 +1294,83 @@ def cycle_rotation(si, cyc):
     if not is_singular(si, rot):
         raise InternalError("doubled cycle walk is not singular")
     return rot
+
+
+def oracle_project_cycle(si, rot):
+    """Collapse a singular rotation of the double by chasing mirrors.
+
+    Walks the rotation's positive edges: after each one, the mirror of the
+    following negative edge is the next positive edge.  Their images in
+    the base graph form the cycle; consecutive images share exactly one
+    vertex, which fixes the orientation.
+    """
+    if not is_singular(si, rot):
+        raise InputError("projection needs a singular rotation")
+    steps = rot.steps
+    length = len(steps)
+    pos_index = {e: i for i, (_, e) in enumerate(steps) if i % 2 == 0}
+    seq = [steps[0][1]]
+    idx = 0
+    for _ in range(length // 2 - 1):
+        nxt = si.sigma_edge[steps[idx + 1][1]]
+        if nxt not in pos_index or nxt in seq:
+            raise InternalError("singular walk does not chain through mirrors")
+        idx = pos_index[nxt]
+        seq.append(nxt)
+    if si.sigma_edge[steps[idx + 1][1]] != seq[0]:
+        raise InternalError("singular walk does not close through mirrors")
+
+    base = si.base
+    base_seq = [si.base_edge[e] for e in seq]
+    if len(set(base_seq)) != len(base_seq):
+        raise InternalError("projected edges collide")
+    walk = []
+    for j, e in enumerate(base_seq):
+        prev = base_seq[j - 1]
+        shared = set(base.ends(prev)) & set(base.ends(e))
+        if len(shared) != 1:
+            raise InternalError("projected edges do not chain")
+        walk.append((shared.pop(), e))
+    return OddCycle(base, walk)
+
+
+# -- views of the double and of odd cycles that only tests read ----------------
+
+
+def copy_vertex(v, i):
+    """The name of the copy ``v^i`` of a base vertex in the double."""
+    return "{}^{}".format(v, i)
+
+
+def double_vector(si, x):
+    """The symmetric doubled image of a vector on the base edges."""
+    si.base.check_vector(x)
+    return EdgeVector(si.graph.space, (x[si.base_edge[e]] for e in si.graph.space.ids))
+
+
+def halve_vector(si, x):
+    """Inverse of :func:`double_vector`; requires a symmetric vector."""
+    if si.reflect_vector(x) != x:
+        raise InputError("vector is not symmetric")
+    return EdgeVector(si.base.space, (x[si.copies[e][0]] for e in si.base.space.ids))
+
+
+def cycle_vertices(cyc):
+    return tuple(v for v, _ in cyc.steps)
+
+
+def reversed_steps(cyc):
+    """The steps of ``cyc`` traversed the other way round."""
+    vs = [v for v, _ in cyc.steps]
+    es = [e for _, e in cyc.steps]
+    k = len(es)
+    out = [(vs[0], es[-1])]
+    out.extend((vs[k - 1 - j], es[k - 2 - j]) for j in range(k - 1))
+    return tuple(out)
+
+
+def undirected_key(cyc):
+    """Canonical form of ``cyc`` ignoring traversal direction."""
+    rev = reversed_steps(cyc)
+    shifts = [rev[i:] + rev[:i] for i in range(len(rev))]
+    return min(cyc.steps, min(shifts))

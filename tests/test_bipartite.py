@@ -161,7 +161,9 @@ def test_rotation_canonical_form_ignores_even_shifts(b4):
     assert Rotation(b4, shifted).steps == B4_STEPS
 
 
-def test_rotation_walks_are_validated(b4):
+def test_rotation_walks_are_validated(b4, triangle):
+    with pytest.raises(InputError, match="bipartition"):
+        Rotation(triangle, [("a", "ab"), ("b", "bc"), ("c", "ca")])
     with pytest.raises(InputError):
         Rotation(b4, B4_STEPS[:3])
     with pytest.raises(InputError):
@@ -182,10 +184,38 @@ def test_rotation_document_round_trip(b4):
         Rotation.from_dict(b4, doc)
 
 
+def _walk_doc(*steps):
+    return [{"v": v, "e": e} for v, e in steps]
+
+
 @pytest.mark.parametrize(
     "steps",
-    [5, [5], [{"v": "w1"}], [{"v": "w1", "e": 3}], "w1-w1f2"],
-    ids=["number", "number-step", "step-without-edge", "edge-not-a-string", "string"],
+    [
+        5,
+        [5],
+        [{"v": "w1"}],
+        [{"v": "w1", "e": 3}],
+        "w1-w1f2",
+        [],
+        _walk_doc(*B4_STEPS[:3]),
+        _walk_doc(("w1", "w1f2"), ("f2", "w2f2"), ("w2", "w2f1"), ("f1", "w1f2")),
+        _walk_doc(("w1", "w1f2"), ("f1", "w2f1"), ("w2", "w2f2"), ("f2", "w1f1")),
+        _walk_doc(("w1", "w1f2"), ("f2", "w2f2")),
+        _walk_doc(*(B4_STEPS[1:] + B4_STEPS[:1])),
+    ],
+    ids=[
+        "number",
+        "number-step",
+        "step-without-edge",
+        "edge-not-a-string",
+        "string",
+        "too-short",
+        "odd-length",
+        "repeated-edge",
+        "steps-do-not-chain",
+        "walk-does-not-close",
+        "sides-do-not-alternate",
+    ],
 )
 def test_ill_typed_rotation_steps_raise_input_error(b4, steps):
     with pytest.raises(InputError):

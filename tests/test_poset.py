@@ -37,6 +37,7 @@ from conftest import (
     oracle_rotation_order,
     oracle_stable_set,
     random_bipartite_doc,
+    twin_doc,
 )
 
 CHAIN_FIRST = (
@@ -424,3 +425,36 @@ def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
         assert vector_from_closed(inst, order, fn) == x
     assert len(route) == 12
     assert compared[0] == 0
+
+
+def test_an_orders_bottom_is_checked_once_per_instance(monkeypatch, twin):
+    """``closed_from_vector`` checks each target whole, a bottom only once.
+
+    ``rotation_order``'s bottom is the verified outcome of the proposal
+    rounds, so it is not checked again on that instance.  A hand-built
+    order's bottom is checked on its first use with each instance.
+    """
+    order = rotation_order(twin)
+    stable = enumerate_stable(twin)
+    checked = _count_calls(monkeypatch, "is_stable")
+    for x in stable:
+        closed_from_vector(twin, order, x)
+    assert checked[0] == len(stable)
+    by_hand = poset.RotationOrder(
+        order.occurrences, order.tau, order.less, order.bottom, order.top
+    )
+    for inst in (twin, instance_from_dict(twin_doc())):
+        checked[0] = 0
+        for x in stable:
+            closed_from_vector(inst, by_hand, x)
+        assert checked[0] == len(stable) + 1
+
+
+def test_a_hand_built_order_with_an_unstable_bottom_raises(b4):
+    order = rotation_order(b4)
+    unstable = poset.RotationOrder(
+        order.occurrences, order.tau, order.less, edgevec(b4, {}), order.top
+    )
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="bottom is not stable"):
+            closed_from_vector(b4, unstable, order.top)

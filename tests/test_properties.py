@@ -6,7 +6,7 @@ deterministic; raise ``max_examples`` locally for a deeper search.
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepartners import (
@@ -105,8 +105,17 @@ def mutated_solutions(draw):
     return _mutate(draw, doc)
 
 
+def _solution(*cycles):
+    return {"x": {"ab": 0, "bc": 0, "ca": 0}, "K": list(cycles)}
+
+
 @PROPERTY
 @given(mutated_solutions())
+@example(_solution([]))
+@example(_solution(["a", "ab"]))
+@example(_solution(["a", "ab", "b", "bc"]))
+@example(_solution(["a", "ab", "b", "ab", "a", "ca"]))
+@example(_solution(["a", "ab", "c", "ca", "b", "bc"]))
 def test_solution_documents_verify_or_raise_input_error(doc):
     try:
         verify_half_partnership(TRIANGLE, HalfPartnership.from_dict(TRIANGLE, doc))

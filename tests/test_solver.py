@@ -7,7 +7,9 @@ from stablepartners import (
     HalfPartnership,
     InputError,
     OddCycle,
+    Rotation,
     enumerate_stable,
+    instance_from_dict,
     is_stable,
     lift_vector,
     project_cycle,
@@ -17,14 +19,24 @@ from stablepartners import (
     verify_half_partnership,
 )
 
-from conftest import cycle_rotation, edgevec
+from conftest import (
+    cycle_rotation,
+    cycle_vertices,
+    edgevec,
+    oracle_project_cycle,
+    reversed_steps,
+    ring_doc,
+    undirected_key,
+)
 
 TRI_CYCLE = ["a", "ca", "c", "bc", "b", "ab"]
 B4_SOLVE_X = {"w1f2": 1, "w2f1": 1}
 PATH3_X = {"ab": 1, "bc": 1}
 
 
-def test_odd_cycle_rejects_malformed_walks(b4, cycle3):
+def test_odd_cycle_rejects_malformed_walks(b4, cycle3, triangle):
+    with pytest.raises(InputError):
+        OddCycle(triangle, [])
     with pytest.raises(InputError):
         OddCycle(b4, [("w1", "w1f1")])
     with pytest.raises(InputError):
@@ -48,10 +60,10 @@ def test_odd_cycle_canonical_form_and_direction(triangle):
     shifted = OddCycle(triangle, [("c", "ca"), ("a", "ab"), ("b", "bc")])
     assert forward == shifted
     assert len(forward) == 3
-    assert forward.vertices() == ("a", "b", "c")
-    backward = OddCycle(triangle, forward.reversed_steps())
+    assert cycle_vertices(forward) == ("a", "b", "c")
+    backward = OddCycle(triangle, reversed_steps(forward))
     assert backward != forward
-    assert backward.undirected_key() == forward.undirected_key()
+    assert undirected_key(backward) == undirected_key(forward)
 
 
 def test_odd_cycle_documents_round_trip(triangle):
@@ -102,6 +114,39 @@ def test_cycle_projection_round_trips(triangle):
     assert cycle_rotation(si, cyc) == rot
 
 
+def test_walks_of_two_kinds_never_compare_equal(triangle):
+    si = symmetrize(triangle)
+    cyc = OddCycle.from_list(triangle, TRI_CYCLE)
+    rot = cycle_rotation(si, cyc)
+    assert rot != cyc and cyc != rot
+    # Even a rotation with the cycle's very steps differs from the cycle.
+    shell = object.__new__(Rotation)
+    shell.steps = cyc.steps
+    assert shell != cyc and cyc != shell
+    assert len({cyc, shell}) == 2
+    assert repr(cyc) == "OddCycle(a-ca c-bc b-ab)"
+    assert repr(rot).startswith("Rotation(a^0-ca^0 ")
+
+
+def test_halved_projection_matches_the_mirror_chase(general_corpus, triangle):
+    """Every singular rotation the sweep meets projects as the oracle does."""
+    rings = [
+        instance_from_dict(ring_doc(n, cap, cap))
+        for n in (3, 5, 7)
+        for cap in (1, 3, 11)
+    ]
+    projected = 0
+    for inst in list(general_corpus) + rings + [triangle]:
+        si = symmetrize(inst)
+        for seed in range(3):
+            for rot in run_qb(si, seed).singular_used:
+                cyc, expected = project_cycle(si, rot), oracle_project_cycle(si, rot)
+                assert cyc == expected and cyc.to_list() == expected.to_list()
+                assert cycle_rotation(si, cyc) == rot
+                projected += 1
+    assert projected >= 100
+
+
 def test_projection_rejects_ordinary_rotations(b4):
     si = symmetrize(b4)
     outcome = run_qb(si)
@@ -141,7 +186,7 @@ def test_verifier_flags_a_missing_cycle_family(triangle):
 
 def test_verifier_flags_the_wrong_orientation(triangle):
     good = solve(triangle).hp.cycles[0]
-    backward = OddCycle(triangle, good.reversed_steps())
+    backward = OddCycle(triangle, reversed_steps(good))
     report = verify_half_partnership(
         triangle, HalfPartnership(EdgeVector.zero(triangle.space), [backward])
     )
@@ -185,7 +230,7 @@ def test_verifier_rejects_malformed_solutions(triangle):
     with pytest.raises(InputError):
         verify_half_partnership(
             triangle,
-            HalfPartnership(zero, [cyc, OddCycle(triangle, cyc.reversed_steps())]),
+            HalfPartnership(zero, [cyc, OddCycle(triangle, reversed_steps(cyc))]),
         )
     with pytest.raises(InputError):
         verify_half_partnership(

@@ -18,7 +18,14 @@ from stablepartners import (
     symmetrize,
 )
 
-from conftest import edgevec, gated_instance, mirror_occurrences
+from conftest import (
+    copy_vertex,
+    double_vector,
+    edgevec,
+    gated_instance,
+    halve_vector,
+    mirror_occurrences,
+)
 
 TRI_MIN = {"ab^0": 1, "bc^0": 1, "ca^1": 1}
 TRI_MAX = {"ab^1": 1, "bc^1": 1, "ca^0": 1}
@@ -60,7 +67,7 @@ def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
         for v in inst.vertices:
             base = inst.choice[v]
             for i in (0, 1):
-                copy = si.copy_vertex(v, i)
+                copy = copy_vertex(v, i)
                 cf = si.graph.choice[copy]
                 assert type(cf) is type(base)
                 assert cf._memo is base._memo
@@ -102,7 +109,7 @@ def test_copies_attach_to_the_requested_end(tri_double):
             for i in (0, 1):
                 copy = tri_double.copy_at(e, v, i)
                 assert copy in tri_double.copies[e]
-                assert tri_double.copy_vertex(v, i) in tri_double.graph.ends(copy)
+                assert copy_vertex(v, i) in tri_double.graph.ends(copy)
 
 
 def test_double_extremes_are_mirror_images(tri_double):
@@ -118,12 +125,12 @@ def test_doubling_and_halving_round_trip(tri_double):
     base = tri_double.base
     for mapping in ({}, {"ab": 1}, {"ab": 1, "bc": 1, "ca": 1}):
         x = edgevec(base, mapping)
-        doubled = tri_double.double_vector(x)
+        doubled = double_vector(tri_double, x)
         assert tri_double.reflect_vector(doubled) == doubled
-        assert tri_double.halve_vector(doubled) == x
+        assert halve_vector(tri_double, doubled) == x
     lopsided = deferred_acceptance(tri_double.graph, "W")
     with pytest.raises(InputError):
-        tri_double.halve_vector(lopsided)
+        halve_vector(tri_double, lopsided)
 
 
 def test_triangle_rotation_is_self_mirrored(tri_double):
