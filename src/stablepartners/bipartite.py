@@ -248,7 +248,7 @@ class Rotation(_ClosedWalk):
     shift moves by two steps, so it keeps each edge's sign.
     """
 
-    __slots__ = ("sign", "chi")
+    __slots__ = ("chi",)
     stride = 2
 
     def __init__(self, inst, steps):
@@ -259,9 +259,8 @@ class Rotation(_ClosedWalk):
         sides = [v for v, _ in self.steps]
         if not (w.issuperset(sides[::2]) and f.issuperset(sides[1::2])):
             raise InputError("walk does not alternate sides")
-        self.sign = dict(zip(self.edges, (1, -1) * (len(self.edges) // 2)))
         vals = [0] * len(inst.space)
-        for e, s in self.sign.items():
+        for e, s in zip(self.edges, (1, -1) * (len(self.edges) // 2)):
             vals[inst.space.index[e]] = s
         self.chi = EdgeVector._trusted(inst.space, tuple(vals))
 
@@ -272,7 +271,7 @@ class Rotation(_ClosedWalk):
     def to_dict(self):
         return {
             "steps": [{"v": v, "e": e} for v, e in self.steps],
-            "chi": {e: s for e, s in sorted(self.sign.items())},
+            "chi": {e: self.chi[e] for e in sorted(self.edges)},
         }
 
     @classmethod

@@ -8,9 +8,9 @@ full route"), and stable vectors correspond one-to-one with the weight
 assignments that are closed for that order.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
-from .core import BudgetError, InputError, InternalError, VerificationError
+from .core import BudgetError, InputError, InternalError, VerificationError, _is_int
 from .bipartite import (
     Route,
     RouteStep,
@@ -23,31 +23,10 @@ from .bipartite import (
 
 DEFAULT_GRAPH_BUDGET = 200_000
 
-
-class Occurrence:
-    """One application slot of a rotation: the rotation plus a use index."""
-
-    __slots__ = ("rotation", "ordinal")
-
-    def __init__(self, rotation, ordinal):
-        self.rotation = rotation
-        self.ordinal = int(ordinal)
-
-    @property
-    def key(self):
-        return (self.rotation.steps, self.ordinal)
-
-    def __eq__(self, other):
-        return isinstance(other, Occurrence) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __repr__(self):
-        return "Occurrence(#{} of {!r})".format(self.ordinal, self.rotation)
+# One application slot of a rotation: the rotation plus a use index.  A
+# rotation compares, orders and hashes by its canonical steps, so the
+# plain tuple does too.
+Occurrence = namedtuple("Occurrence", "rotation ordinal")
 
 
 class WeightedRotationFamily:
@@ -95,7 +74,7 @@ class RotationOrder:
     def covers(self):
         """The transitive reduction of the precedence order."""
         out = []
-        for a, b in sorted(self.less, key=lambda p: (p[0].key, p[1].key)):
+        for a, b in sorted(self.less):
             if not any(
                 (a, c) in self.less and (c, b) in self.less
                 for c in self.occurrences
@@ -176,7 +155,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
         if len(step.found) > 1:
 
             def avoid_a(rots, used):
-                return [r for r in rots if (r.steps, used[r.steps]) != a.key][:1]
+                return [r for r in rots if (r, used[r.steps]) != a][:1]
 
             used = Counter(s.rotation.steps for s in steps[:i])
             _, more, end, rots = _sweep(
@@ -240,24 +219,20 @@ class ClosedFunction:
 
     def __init__(self, order, weights):
         self.order = order
-        self.weights = {occ: int(weights.get(occ, 0)) for occ in order.occurrences}
-        if set(weights) - set(self.weights):
+        if set(weights) - set(order.tau):
             raise InputError("weights mention unknown occurrences")
+        self.weights = {occ: weights.get(occ, 0) for occ in order.occurrences}
         for occ, w in self.weights.items():
-            if not 0 <= w <= order.tau[occ]:
+            if not _is_int(w) or not 0 <= w <= order.tau[occ]:
                 raise InputError(
-                    "weight {} at {!r} leaves [0, {}]".format(w, occ, order.tau[occ])
+                    "weight {!r} at {!r} is not in 0..{}".format(w, occ, order.tau[occ])
                 )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ClosedFunction)
-            and {o.key: w for o, w in self.weights.items()}
-            == {o.key: w for o, w in other.weights.items()}
-        )
+        return isinstance(other, ClosedFunction) and self.weights == other.weights
 
     def __hash__(self):
-        return hash(tuple(sorted((o.key, w) for o, w in self.weights.items())))
+        return hash(tuple(sorted(self.weights.items())))
 
     def __repr__(self):
         live = {repr(o): w for o, w in self.weights.items() if w}
@@ -319,14 +294,17 @@ def closed_from_vector(inst, order, x):
 
 
 def vector_from_closed(inst, order, weights):
-    """The stable vector reached by applying a closed weight function."""
+    """The stable vector reached by applying a closed weight function.
+
+    A mapping is read as a :class:`ClosedFunction` of ``order`` first.
+    """
+    if not isinstance(weights, ClosedFunction):
+        weights = ClosedFunction(order, weights)
     if not is_closed(order, weights):
         raise InputError("weight function is not closed for this order")
-    if isinstance(weights, ClosedFunction):
-        weights = weights.weights
     total = order.bottom
     for occ in order.occurrences:
-        w = weights.get(occ, 0)
+        w = weights.weights.get(occ, 0)
         if w:
             total = total.plus(occ.rotation.chi.scaled(w))
     if not inst.in_box(total) or not is_stable(inst, total).stable:

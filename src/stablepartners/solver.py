@@ -221,24 +221,14 @@ class VerificationReport:
 def project_cycle(si, rot):
     """Collapse a singular rotation of the double to an odd cycle below.
 
-    The rotation is its own mirror, shifted by some ``s`` of its ``L``
-    steps: step ``i + s`` is the mirror of step ``i``, and ``s`` is odd, as
-    the mirror swaps the sides.  Mirroring twice is the identity, so step
-    ``i + 2s`` is step ``i``; the steps are distinct, so ``s = L/2``.  The
-    walk thus runs twice around one odd cycle, and its first half, mapped
-    to the base graph, is that cycle.
+    Step ``i + L/2`` of the rotation's ``L`` steps is the mirror of step
+    ``i`` (see :func:`is_singular`), so the walk runs twice around one odd
+    cycle, and its first half, mapped to the base graph, is that cycle.
     """
     if not is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
-    steps = rot.steps
-    half = len(steps) // 2
-    if any(
-        steps[i + half] != (si.sigma_vertex[v], si.sigma_edge[e])
-        for i, (v, e) in enumerate(steps[:half])
-    ):
-        raise InternalError("a singular walk is not its mirror half-way round")
     base = si.base
-    edges = [si.base_edge[e] for _, e in steps[:half]]
+    edges = [si.base_edge[e] for _, e in rot.steps[: len(rot) // 2]]
     (here,) = set(base.ends(edges[-1])) & set(base.ends(edges[0]))
     walk = []
     for e in edges:

@@ -10,7 +10,7 @@ the doubles of plain vectors, which is what makes the doubling useful.
 
 import random
 
-from .core import EdgeSpace, EdgeVector, Instance, InternalError, VerificationError
+from .core import EdgeSpace, EdgeVector, InputError, Instance, VerificationError
 from .bipartite import Rotation, _sweep
 
 
@@ -42,7 +42,12 @@ class SymmetricInstance:
             self.graph.space, (x[self.sigma_edge[e]] for e in self.graph.space.ids)
         )
 
+    def _check_rotation(self, rot):
+        if rot.chi.space != self.graph.space:
+            raise InputError("rotation does not live on the double's edges")
+
     def reflect_rotation(self, rot):
+        self._check_rotation(rot)
         mapped = [
             (self.sigma_vertex[v], self.sigma_edge[e]) for v, e in rot.steps
         ]
@@ -78,41 +83,37 @@ def symmetrize(inst):
         [_copy_name(v, 0) for v in inst.vertices],
         [_copy_name(v, 1) for v in inst.vertices],
     )
+    si = SymmetricInstance(inst, None, sigma_vertex, sigma_edge, base_edge, copies)
 
     # Each copy lists its star in the base star's order, so it runs the
     # base choice function, memo included, with no translation.
     choice = {}
     for v in inst.vertices:
         for i in (0, 1):
-            star = EdgeSpace(
-                copies[e][0 if (v == inst.ends(e)[0]) == (i == 0) else 1]
-                for e in inst.star_ids[v]
-            )
+            star = EdgeSpace(si.copy_at(e, v, i) for e in inst.star_ids[v])
             choice[_copy_name(v, i)] = inst.choice[v].on_star(_copy_name(v, i), star)
 
-    graph = Instance(vertices, edges, caps, choice, parts)
-    return SymmetricInstance(inst, graph, sigma_vertex, sigma_edge, base_edge, copies)
+    si.graph = Instance(vertices, edges, caps, choice, parts)
+    return si
 
 
 def is_singular(si, rot):
     """True iff the rotation is its own mirror image.
 
-    Checked two independent ways: by comparing canonical walks, and by
-    checking that the mirror of the positive edge set is exactly the
-    negative edge set.  A single shared mirror pair is not enough; a
-    rotation may cross its reflection on one edge without being
-    self-mirrored.  The two tests must agree, and a singular rotation's
-    length must be twice an odd number; disagreement is an internal error.
+    Then the mirror is the walk itself, shifted by some ``s`` of its ``L``
+    steps: step ``i + s`` is the mirror of step ``i``.  Mirroring twice is
+    the identity, so step ``i + 2s`` is step ``i``; the steps are distinct,
+    so ``s = L/2``.  The test is thus the half turn alone, in ``O(L)``.  It
+    needs no length check: the mirror swaps the sides, which alternate
+    along the walk, so it can only pass where ``L/2`` is odd.
     """
-    by_walk = si.reflect_rotation(rot) == rot
-    positives = {e for e in rot.edges if rot.sign[e] == 1}
-    negatives = {e for e in rot.edges if rot.sign[e] == -1}
-    by_edges = {si.sigma_edge[e] for e in positives} == negatives
-    if by_walk != by_edges:
-        raise InternalError("singularity tests disagree on {!r}".format(rot))
-    if by_walk and len(rot.steps) % 4 != 2:
-        raise InternalError("singular rotation of impossible length")
-    return by_walk
+    si._check_rotation(rot)
+    steps = rot.steps
+    half = len(steps) // 2
+    return all(
+        steps[i + half] == (si.sigma_vertex[v], si.sigma_edge[e])
+        for i, (v, e) in enumerate(steps[:half])
+    )
 
 
 class QBOutcome:
@@ -126,14 +127,12 @@ class QBOutcome:
     identity is verified before the outcome is returned.
     """
 
-    __slots__ = ("vector", "picks", "odd_core", "singular_used", "start")
+    __slots__ = ("vector", "picks", "odd_core")
 
-    def __init__(self, vector, picks, odd_core, singular_used, start):
+    def __init__(self, vector, picks, odd_core):
         self.vector = vector
         self.picks = picks
         self.odd_core = odd_core
-        self.singular_used = singular_used
-        self.start = start
 
     @property
     def symmetric(self):
@@ -162,11 +161,12 @@ def run_qb(si, seed=0):
         fresh = [r for r in rots if si.reflect_rotation(r).steps not in used]
         return [fresh[rng.randrange(len(fresh))]] if fresh else []
 
-    start, steps, x, _ = _sweep(
+    _, steps, x, _ = _sweep(
         si.graph, mirror_fresh, half=lambda rot: is_singular(si, rot)
     )
-    singular = {s.rotation: s.tau for s in steps if is_singular(si, s.rotation)}
-    odd_core = tuple(sorted(rot for rot, tau in singular.items() if tau % 2))
+    # The sweep halved exactly the singular steps; the odd core is those
+    # whose half rounded down.
+    odd_core = tuple(sorted(s.rotation for s in steps if 2 * s.weight < s.tau))
     expected = x
     for rot in odd_core:
         expected = expected.plus(rot.chi)
@@ -175,5 +175,5 @@ def run_qb(si, seed=0):
             "balancing sweep failed its reflection identity"
         )
     picks = tuple((s.rotation, s.weight, s.tau) for s in steps)
-    return QBOutcome(x, picks, odd_core, tuple(sorted(singular)), start)
+    return QBOutcome(x, picks, odd_core)
 

@@ -1115,7 +1115,7 @@ def oracle_graph_routes(graph, limit=None):
     for x, occ, weight, y in graph.edges:
         outgoing.setdefault(x, []).append((occ, weight, y))
     for lst in outgoing.values():
-        lst.sort(key=lambda item: item[0].key)
+        lst.sort(key=lambda item: item[0])
     found = {
         x: sorted(occ.rotation for occ, _, _ in lst) for x, lst in outgoing.items()
     }
@@ -1271,6 +1271,27 @@ def mirror_occurrences(si, order):
     return mapping
 
 
+def oracle_is_singular(si, rot):
+    """True iff the rotation is its own mirror image, decided two ways.
+
+    By comparing the canonical walk with its mirror's, and by checking
+    that the mirror of the positive edge set is exactly the negative edge
+    set.  A single shared mirror pair is not enough; a rotation may cross
+    its reflection on one edge without being self-mirrored.  The two tests
+    must agree, and a singular rotation's length must be twice an odd
+    number; otherwise :class:`InternalError`.
+    """
+    by_walk = si.reflect_rotation(rot) == rot
+    positives = {e for e in rot.edges if rot.chi[e] == 1}
+    negatives = {e for e in rot.edges if rot.chi[e] == -1}
+    by_edges = {si.sigma_edge[e] for e in positives} == negatives
+    if by_walk != by_edges:
+        raise InternalError("singularity tests disagree on {!r}".format(rot))
+    if by_walk and len(rot.steps) % 4 != 2:
+        raise InternalError("singular rotation of impossible length")
+    return by_walk
+
+
 def cycle_rotation(si, cyc):
     """Lift an odd cycle to a singular rotation of the double.
 
@@ -1304,7 +1325,7 @@ def oracle_project_cycle(si, rot):
     the base graph form the cycle; consecutive images share exactly one
     vertex, which fixes the orientation.
     """
-    if not is_singular(si, rot):
+    if not oracle_is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
     steps = rot.steps
     length = len(steps)

@@ -1,9 +1,12 @@
 """Command line behavior: outputs, formats, and the exit code contract."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +24,13 @@ from stablepartners.cli import (
 from conftest import (
     b4_doc,
     bad_table_doc,
+    blocks_doc,
     cycle3_doc,
     degenerate_doc,
     gated_instance,
+    latin_doc,
+    random_general_doc,
+    ring_doc,
     triangle_doc,
 )
 
@@ -181,7 +188,7 @@ def test_solve_and_verify_round_trip(tmp_path, capsys):
     code, out = run(capsys, "solve", "--instance", inst, "--out", sol)
     assert code == EXIT_OK
     assert out == ""
-    doc = json.loads(open(sol, encoding="utf-8").read())
+    doc = json.loads(Path(sol).read_text(encoding="utf-8"))
     assert doc["solvable"] is False
     assert doc["verified"] is True
     code, out = run(capsys, "verify", "--instance", inst, "--solution", sol)
@@ -201,10 +208,56 @@ def test_outputs_are_byte_identical_across_runs(tmp_path, capsys):
     second = str(tmp_path / "b.json")
     assert run(capsys, "solve", "--instance", inst, "--out", first)[0] == EXIT_OK
     assert run(capsys, "solve", "--instance", inst, "--out", second)[0] == EXIT_OK
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
     chain = write_json(tmp_path / "c3.json", cycle3_doc())
     outs = [run(capsys, "route", "--instance", chain, "--seed", "3")[1] for _ in range(2)]
     assert outs[0] == outs[1]
+
+
+def _pinned_documents():
+    rng = random.Random(0)
+    docs = {
+        "b4": b4_doc(),
+        "triangle": triangle_doc(),
+        "blocks4": blocks_doc(4),
+        "latin5": latin_doc(5),
+    }
+    docs.update({"ring{}".format(n): ring_doc(n, 3, 3) for n in (3, 5, 7)})
+    docs.update({"random{}".format(i): random_general_doc(rng) for i in range(12)})
+    return docs
+
+
+PINNED_DOCUMENTS = _pinned_documents()
+PINNED_DIGESTS = json.loads(
+    (Path(__file__).parent / "cli_stdout_sha256.json").read_text(encoding="utf-8")
+)
+
+
+def _pinned_runs():
+    for name, doc in PINNED_DOCUMENTS.items():
+        commands = [["solve", "--seed", "0"], ["solve", "--seed", "2"], ["brute"]]
+        if "bipartition" in doc:
+            commands += [["route"], ["poset"], ["rotations"], ["bipartite-solve"]]
+        for command in commands:
+            yield name, command
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    list(_pinned_runs()),
+    ids=["{} {}".format(n, " ".join(c)) for n, c in _pinned_runs()],
+)
+def test_stdout_matches_its_pinned_digest(tmp_path, capsys, name, command):
+    """Exit code and stdout sha256 per (document, command), as pinned."""
+    inst = write_json(tmp_path / "inst.json", PINNED_DOCUMENTS[name])
+    code, out = run(capsys, command[0], "--instance", inst, *command[1:])
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert [code, digest] == PINNED_DIGESTS["{} {}".format(name, " ".join(command))]
+
+
+def test_every_pinned_digest_is_run():
+    keys = {"{} {}".format(n, " ".join(c)) for n, c in _pinned_runs()}
+    assert keys == set(PINNED_DIGESTS)
 
 
 def test_route_command_reports_every_step(tmp_path, capsys):

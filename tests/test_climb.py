@@ -193,7 +193,7 @@ def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
                 assert climb(inst, y, rot) == (0, y)
                 assert climb(inst, y, rot, limit=1) == (0, y)
                 for e in inst.space.ids:
-                    if e in rot.sign or x[e] >= inst.caps[e]:
+                    if e in rot.edges or x[e] >= inst.caps[e]:
                         continue
                     u = x.add_unit(e)
                     if is_stable(inst, u).stable:

@@ -199,6 +199,18 @@ def test_closed_function_rejects_bad_weights(cycle3):
         ClosedFunction(order, {stranger: 1})
 
 
+def test_mapping_weights_are_checked_as_a_closed_function(cycle3):
+    """An unknown occurrence, a string and a fraction are all refused."""
+    order = rotation_order(cycle3)
+    occ = order.occurrences[0]
+    with pytest.raises(InputError, match="unknown occurrences"):
+        vector_from_closed(cycle3, order, {Occurrence(occ.rotation, 7): 1})
+    with pytest.raises(InputError, match="is not in 0..1"):
+        vector_from_closed(cycle3, order, {occ: "a"})
+    with pytest.raises(InputError, match="is not in 0..1"):
+        ClosedFunction(order, {occ: 1.5})
+
+
 def test_second_rotation_needs_the_first(cycle3):
     order = rotation_order(cycle3)
     by_steps = {occ.rotation.steps: occ for occ in order.occurrences}

@@ -1,17 +1,21 @@
 """Doubling into a two-sided instance, mirrors, and the balancing sweep."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from stablepartners import (
     EdgeVector,
     InputError,
+    build_full_route,
     climb,
     deferred_acceptance,
     find_rotations,
+    instance_from_dict,
     is_singular,
     parse_instance,
+    project_cycle,
     rotation_order,
     run_qb,
     serialize_instance,
@@ -25,6 +29,8 @@ from conftest import (
     gated_instance,
     halve_vector,
     mirror_occurrences,
+    oracle_is_singular,
+    ring_doc,
 )
 
 TRI_MIN = {"ab^0": 1, "bc^0": 1, "ca^1": 1}
@@ -155,15 +161,47 @@ def test_block_rotations_mirror_each_other(b4_double):
     assert b4_double.reflect_rotation(b4_double.reflect_rotation(rots[0])) == rots[0]
 
 
+def test_half_turn_test_matches_the_two_way_oracle(general_corpus, triangle, b4):
+    """Every rotation found along three full routes of each double."""
+    rings = [
+        instance_from_dict(ring_doc(n, cap, cap))
+        for n in (3, 5, 7)
+        for cap in (1, 3, 11)
+    ]
+    verdicts = Counter()
+    for inst in list(general_corpus) + rings + [triangle, b4]:
+        si = symmetrize(inst)
+        for seed in range(3):
+            for step in build_full_route(si.graph, seed).steps:
+                for rot in step.found:
+                    verdict = is_singular(si, rot)
+                    assert verdict == oracle_is_singular(si, rot)
+                    verdicts[verdict] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        is_singular,
+        project_cycle,
+        lambda si, rot: si.reflect_rotation(rot),
+    ],
+    ids=["is_singular", "project_cycle", "reflect_rotation"],
+)
+def test_a_rotation_of_the_base_is_refused(b4, b4_double, call):
+    rot = find_rotations(b4, deferred_acceptance(b4, "W"))[0]
+    with pytest.raises(InputError, match="double's edges"):
+        call(b4_double, rot)
+
+
 def test_balancing_sweep_hits_the_triangle_odd_core(tri_double):
     """One singular rotation of odd weight: half of 1 rounds down to zero."""
     out = run_qb(tri_double)
     lo = deferred_acceptance(tri_double.graph, "W")
-    assert out.start == lo
     assert out.vector == lo
     assert [(w, tau) for _, w, tau in out.picks] == [(0, 1)]
     assert len(out.odd_core) == 1
-    assert len(out.singular_used) == 1
     assert not out.symmetric
     rot = out.odd_core[0]
     assert tri_double.reflect_vector(out.vector) == out.vector.plus(rot.chi)
