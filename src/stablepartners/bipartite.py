@@ -197,32 +197,46 @@ def deferred_acceptance(inst, side):
     vector and ``side="F"`` the maximum.  The outcome is verified stable
     before being returned; failure to converge or verify signals a choice
     function that breaks the axioms.
+
+    Each round re-chooses only the proposers whose bound moved and the
+    receivers whose offers moved.  A vertex whose menu is unchanged would
+    choose what it chose before, and a rejection always moves the
+    rejected offer at the next round, so the rounds are those of the
+    round-robin loop that re-chooses everyone, with the same outcome.
     """
     if not inst.is_bipartite_labeled:
         raise InputError("proposal rounds need a bipartition")
     if side not in ("W", "F"):
         raise InputError("side must be W or F")
     proposers = inst.parts[0] if side == "W" else inst.parts[1]
-    receivers = inst.parts[1] if side == "W" else inst.parts[0]
+    # The proposer and the receiver of each edge, by position.
+    ends = [
+        (u, v) if u in proposers else (v, u)
+        for u, v in (inst.edge_ends[e] for e in inst.space.ids)
+    ]
 
     choice = inst.choice
     positions = inst.star_positions
     bound = list(inst.caps.vals)
     offer = [0] * len(bound)
     rounds_left = inst.caps.total() + 2
+    moved = proposers
     while True:
-        for p in sorted(proposers):
+        offered = set()
+        for p in sorted(moved):
             sel = choice[p].choose_vals(tuple(bound[i] for i in positions[p]))
             for i, s in zip(positions[p], sel):
-                offer[i] = s
-        rejected = False
-        for r in sorted(receivers):
+                if offer[i] != s:
+                    offer[i] = s
+                    offered.add(ends[i][1])
+        moved = set()
+        for r in sorted(offered):
             kept = choice[r].choose_vals(tuple(offer[i] for i in positions[r]))
             for i, k in zip(positions[r], kept):
                 if k < offer[i]:
                     bound[i] = k
-                    rejected = True
-        if not rejected:
+                    moved.add(ends[i][0])
+        if not moved:
             break
         rounds_left -= 1
         if rounds_left < 0:
@@ -295,79 +309,20 @@ class Rotation(_ClosedWalk):
         return rot
 
 
-def _candidate_walks(inst, x):
-    """Closed alternating walks of the exposed-rotation graph at ``x``.
+def _candidate_walks(inst, succ, roots):
+    """Closed alternating walks of the exposed-rotation graph through ``roots``.
 
-    A node ``("+", e)`` gains a unit of ``e`` and ``("-", e)`` loses one;
-    each node has one successor at most.  ``("+", e)`` links to
-    ``("-", e2)`` when the firm of ``e`` would take one more unit of ``e``
-    by bumping exactly one unit of ``e2``.  ``("-", e1)``, where the worker
-    ``w`` of ``e1`` holds a unit of it, links to the one unit ``w`` gains
-    from its star less that unit plus one unit of each candidate: the
-    other edges with room that ``w`` refuses on top of its star and whose
-    ``+`` node links on.  No link is made unless exactly one unit is gained;
-    under SUB, MON and CON no more can be, as ``w`` chooses its star ``z``
-    from ``z`` plus every candidate, so from the menu below that it keeps
-    ``z - 1_{e1}`` (SUB) and at most ``|z|`` units (MON).
-
-    This is the exposed-rotation graph of Gusfield & Irving, *The Stable
-    Marriage Problem* (1989), section 2.5: a worker that loses a unit moves
-    on to the best firm that would take it.  Its cycles, found by following
-    pointers once from each node, are the candidates, for ``O(|E|)``
-    choice calls in all.  ``x`` must be stable.
+    ``succ`` is the graph's successor table (see :class:`_Discovery`), in
+    which each node has one successor at most.  Following pointers once
+    from each root finds every cycle through a root, for one step per node
+    reached; from every node, that is every cycle in ``O(|E|)`` steps.  A
+    cycle that uses an edge twice is no walk.
     """
-    w_side, f_side = inst.parts
-    vals = x.vals
-    caps = inst.caps.vals
-    index = inst.space.index
-    star = {v: _star(inst, vals, v) for v in inst.vertices}
-    succ = {}
-
-    for e in inst.space.ids:
-        if vals[index[e]] >= caps[index[e]]:
-            continue
-        u, v = inst.ends(e)
-        f = v if v in f_side else u
-        z = star[f]
-        j = inst.star_space[f].index[e]
-        menu = _bumped(z, j)
-        kept = inst.choice[f].choose_vals(menu)
-        if kept[j] <= z[j]:
-            continue
-        dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
-        if len(dropped) != 1 or dropped[0] == j:
-            continue
-        k = dropped[0]
-        if menu[k] == kept[k] + 1:
-            succ[("+", e)] = ("-", inst.star_ids[f][k])
-
-    for w in sorted(w_side):
-        ids = inst.star_ids[w]
-        z = star[w]
-        cw = inst.choice[w]
-        wanted = [
-            j
-            for j, e in enumerate(ids)
-            if ("+", e) in succ
-            and z[j] < caps[index[e]]
-            and cw.choose_vals(_bumped(z, j)) == z
-        ]
-        for i, e1 in enumerate(ids):
-            others = [j for j in wanted if j != i]
-            if not z[i] or not others:
-                continue
-            base = _bumped(z, i, -1)
-            menu = list(base)
-            for j in others:
-                menu[j] += 1
-            kept = cw.choose_vals(tuple(menu))
-            gained = [j for j in others if kept[j] > base[j]]
-            if len(gained) == 1:
-                succ[("-", e1)] = ("+", ids[gained[0]])
-
+    ids = inst.space.ids
+    through = set(roots)
     walks = []
     seen = {}
-    for root in sorted(succ):
+    for root in sorted(through):
         path = []
         node = root
         while node in succ and node not in seen:
@@ -377,14 +332,16 @@ def _candidate_walks(inst, x):
         if seen.get(node) != root:
             continue
         cycle = path[path.index(node) :]
-        if len({e for _, e in cycle}) < len(cycle):
+        edges = [ids[n if n >= 0 else ~n] for n in cycle]
+        if through.isdisjoint(cycle) or len(set(edges)) < len(edges):
             continue
-        # Links alternate + and -, and each chains at the vertex shared
-        # by its two edges, so the walk closes at the worker it starts on.
-        first = [s for s, _ in cycle].index("+")
-        here = min(inst.ends(cycle[first][1]), key=lambda v: inst.side(v) != "W")
+        # Links alternate gains and losses, and each chains at the vertex
+        # shared by its two edges, so the walk closes at the worker it
+        # starts on.
+        first = next(k for k, n in enumerate(cycle) if n >= 0)
+        here = min(inst.ends(edges[first]), key=lambda v: inst.side(v) != "W")
         steps = []
-        for _, e in cycle[first:] + cycle[:first]:
+        for e in edges[first:] + edges[:first]:
             steps.append((here, e))
             here = inst.other_end(e, here)
         walks.append(steps)
@@ -420,6 +377,209 @@ def _weakly_below(inst, lo, hi, firms):
     )
 
 
+# What the discovery state keeps of one candidate walk: its
+# :func:`_walk_frame`, the vertices whose stars its screen and exchange
+# check read (the walk's vertices and the ends of its near edges), whether
+# its landing held (None until screened), and whether its aggregate
+# exchange was checked since those stars last moved.
+_Candidate = namedtuple("_Candidate", "frame reads lands exchanged")
+
+
+class _Discovery:
+    """The rotations exposed at a stable vector, carried along a sweep.
+
+    ``found`` is what :func:`find_rotations` returns at ``x``.  The state
+    keeps what that answer is built from: the successor table of the
+    exposed-rotation graph, each candidate walk with its screen, the
+    minimal-landing filter's verdicts, and ``found``; stars are read off
+    ``x``.
+
+    **The graph.**  Node ``i`` gains a unit of the edge ``e`` at position
+    ``i`` of the edge space, and node ``~i`` loses one; each node has one
+    successor at most.  ``i`` links to ``~i2`` when the firm of ``e``
+    would take one more unit of ``e`` by bumping exactly one unit of
+    ``e2``.  ``~i1``, where the worker ``w`` of ``e1`` holds a unit of it,
+    links to the one unit ``w`` gains from its star less that unit plus
+    one unit of each candidate: the other edges with room that ``w``
+    refuses on top of its star and whose gain node links on.  No link is
+    made unless exactly one unit is gained; under SUB, MON and CON no more
+    can be, as ``w`` chooses its star ``z`` from ``z`` plus every
+    candidate, so from the menu below that it keeps ``z - 1_{e1}`` (SUB)
+    and at most ``|z|`` units (MON).  This is the exposed-rotation graph of
+    Gusfield & Irving, *The Stable Marriage Problem* (1989), section 2.5: a
+    worker that loses a unit moves on to the best firm that would take it.
+    Its cycles (:func:`_candidate_walks`) are the candidate walks.
+
+    **What a climb invalidates.**  A climb along a rotation R changes the
+    stars of R's vertices and no other.  A gain node's link reads only its
+    firm's star, so only the gain nodes of edges whose firm is on R can
+    change.  The loss links of a worker read its star and which of its
+    edges have a gain link, so only the workers on R and the workers
+    adjacent to a firm on R recompute theirs.  A cycle stays a cycle until
+    one of its links changes, and a new cycle runs through a changed link,
+    so only the changed nodes are followed.  A candidate's screen and
+    aggregate exchange read the stars of its ``reads`` alone, and a filter
+    verdict the stars of two candidates' firms, so each is kept while R
+    misses the candidates' ``reads`` (their firms are among them).
+
+    :meth:`refresh` is the one way to recompute, and a fresh state is a
+    refresh of every vertex.  ``x`` must be stable; the caller verifies it.
+    """
+
+    __slots__ = ("inst", "x", "succ", "walks", "verdicts", "found")
+
+    def __init__(self, inst, x):
+        self.inst = inst
+        self.succ = {}
+        self.walks = {}
+        self.verdicts = {}
+        self.refresh(x, inst.vertices)
+
+    def copy(self):
+        """A state that refreshes apart from this one."""
+        twin = object.__new__(_Discovery)
+        twin.inst, twin.x, twin.succ = self.inst, self.x, dict(self.succ)
+        # refresh rebinds these three rather than changing them.
+        twin.walks, twin.verdicts, twin.found = self.walks, self.verdicts, self.found
+        return twin
+
+    def refresh(self, x, vertices):
+        """Move to the stable ``x``, which differs only at the stars of ``vertices``."""
+        inst, succ = self.inst, self.succ
+        positions = inst.star_positions
+        w_side, f_side = inst.parts
+        self.x = x
+        moved = set(vertices)
+        changed = set()
+
+        def relink(nodes, links):
+            for node, nxt in zip(nodes, links):
+                if succ.get(node) != nxt:
+                    changed.add(node)
+                    if nxt is None:
+                        del succ[node]
+                    else:
+                        succ[node] = nxt
+
+        firms = moved & f_side
+        for f in firms:
+            relink(positions[f], self._gains(f))
+        ends = inst.edge_ends
+        near = {v for f in firms for e in inst.star_ids[f] for v in ends[e]}
+        for w in (moved | near) & w_side:
+            relink([~i for i in positions[w]], self._losses(w))
+
+        # A walk's nodes are its shift's positions, gains at +1 and losses
+        # at -1.
+        walks = {
+            r: c
+            for r, c in self.walks.items()
+            if changed.isdisjoint(i if s > 0 else ~i for i, s in c.frame[0])
+        }
+        for steps in _candidate_walks(inst, succ, [n for n in changed if n in succ]):
+            rot = Rotation(inst, steps)
+            frame = _walk_frame(inst, rot.steps)
+            reads = set(frame[1]).union(*(inst.edge_ends[e] for e in frame[2]))
+            walks[rot] = _Candidate(frame, tuple(reads), None, False)
+        landing = {}
+        for rot, c in walks.items():
+            if c.lands is None or not moved.isdisjoint(c.reads):
+                landing[rot] = _ray_point(inst, x.vals, c.frame)
+                walks[rot] = c._replace(lands=landing[rot] is not None, exchanged=False)
+        screened = set(landing)
+
+        def land(rot):
+            if rot not in landing:
+                landing[rot] = _shifted(inst, x.vals, walks[rot].frame[0])
+            return landing[rot]
+
+        reps = sorted(rot for rot, c in walks.items() if c.lands)
+        firms_of = {rot: f_side.intersection(walks[rot].frame[1]) for rot in reps}
+        sharing = {}
+        for rot in reps:
+            for f in firms_of[rot]:
+                sharing.setdefault(f, []).append(rot)
+        verdicts = {}
+        found = []
+        for rot in reps:
+            rivals = {r for f in firms_of[rot] for r in sharing[f]} - {rot}
+            for other in sorted(rivals):
+                pair = (other, rot)
+                below = None if screened.intersection(pair) else self.verdicts.get(pair)
+                if below is None:
+                    firms = sorted(firms_of[other] | firms_of[rot])
+                    below = _weakly_below(inst, land(other), land(rot), firms)
+                verdicts[pair] = below
+                if below:
+                    break
+            else:
+                found.append(rot)
+
+        used_edges = set()
+        for rot in found:
+            overlap = used_edges & set(rot.edges)
+            if overlap:
+                raise VerificationError(
+                    "rotations at one vector share edges {}".format(sorted(overlap))
+                )
+            used_edges.update(rot.edges)
+        for rot in found:
+            if not walks[rot].exchanged:
+                _verify_aggregate_exchange(inst, x, rot)
+                walks[rot] = walks[rot]._replace(exchanged=True)
+        self.walks, self.verdicts, self.found = walks, verdicts, found
+
+    def _gains(self, f):
+        """The successor of the gain node of each edge of firm ``f``, or None."""
+        inst = self.inst
+        pos = inst.star_positions[f]
+        caps = inst.caps.vals
+        z = _star(inst, self.x.vals, f)
+        cf = inst.choice[f]
+        out = []
+        for j, i in enumerate(pos):
+            out.append(None)
+            if z[j] >= caps[i]:
+                continue
+            menu = _bumped(z, j)
+            kept = cf.choose_vals(menu)
+            if kept[j] <= z[j]:
+                continue
+            dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
+            if len(dropped) == 1 and dropped[0] != j and menu[dropped[0]] == kept[dropped[0]] + 1:
+                out[j] = ~pos[dropped[0]]
+        return out
+
+    def _losses(self, w):
+        """The successor of the loss node of each edge of worker ``w``, or None."""
+        inst = self.inst
+        pos = inst.star_positions[w]
+        caps = inst.caps.vals
+        succ = self.succ
+        z = _star(inst, self.x.vals, w)
+        cw = inst.choice[w]
+        wanted = [
+            j
+            for j, i in enumerate(pos)
+            if i in succ and z[j] < caps[i] and cw.choose_vals(_bumped(z, j)) == z
+        ]
+        out = []
+        for i in range(len(pos)):
+            others = [j for j in wanted if j != i]
+            nxt = None
+            if z[i] and others:
+                base = _bumped(z, i, -1)
+                menu = list(base)
+                for j in others:
+                    menu[j] += 1
+                kept = cw.choose_vals(tuple(menu))
+                gained = [j for j in others if kept[j] > base[j]]
+                if len(gained) == 1:
+                    nxt = pos[gained[0]]
+            out.append(nxt)
+        return out
+
+
 def find_rotations(inst, x, verified=False):
     """All rotations applicable at the stable vector ``x``.
 
@@ -437,13 +597,19 @@ def find_rotations(inst, x, verified=False):
 
     The candidates are the cycles of the exposed-rotation graph of
     Gusfield & Irving (1989), where each node has one successor at most;
-    see :func:`_candidate_walks`.  Finding them costs ``O(|E|)`` calls.
+    see :class:`_Discovery`.  Finding them costs ``O(|E|)`` calls.
     Each is screened by :func:`_shift_holds` on its own stars.  A landing
     differs from ``x`` only at its walk's stars, and every firm on a
     screened walk strictly prefers its new star, so two landings are
     comparable only if their walks share a firm; the minimal-landing
     filter compares just those pairs, on their firms' stars
     (:func:`_weakly_below`).  Walks that share no firm cost nothing.
+
+    This is the answer from scratch, a fresh :class:`_Discovery`.  The
+    rotation sweeps carry one state from vector to vector instead: a
+    climb along R changes only the stars of R's vertices, so they
+    recompute only the links, screens and verdicts that read those stars.
+    This function is their oracle.
     """
     if not verified:
         report = is_stable(inst, x)
@@ -451,45 +617,7 @@ def find_rotations(inst, x, verified=False):
             raise VerificationError(
                 "rotations are only defined at stable vectors: {!r}".format(report)
             )
-
-    # Distinct cycles of the functional graph share no node, so no two
-    # walks carry the same signed edges or land on the same vector.
-    landing = {}
-    for steps in _candidate_walks(inst, x):
-        y = _ray_point(inst, x.vals, _walk_frame(inst, steps))
-        if y is not None:
-            landing[Rotation(inst, steps)] = y
-    reps = sorted(landing)
-
-    firms = {rot: {v for v, _ in rot.steps} & inst.parts[1] for rot in reps}
-    sharing = {}
-    for rot in reps:
-        for f in firms[rot]:
-            sharing.setdefault(f, set()).add(rot)
-    found = []
-    for rot in reps:
-        rivals = set().union(*(sharing[f] for f in firms[rot]))
-        rivals.discard(rot)
-        if not any(
-            _weakly_below(
-                inst, landing[other], landing[rot], sorted(firms[other] | firms[rot])
-            )
-            for other in sorted(rivals)
-        ):
-            found.append(rot)
-
-    used_edges = set()
-    for rot in found:
-        overlap = used_edges & set(rot.edges)
-        if overlap:
-            raise VerificationError(
-                "rotations at one vector share edges {}".format(sorted(overlap))
-            )
-        used_edges.update(rot.edges)
-
-    for rot in found:
-        _verify_aggregate_exchange(inst, x, rot)
-    return found
+    return _Discovery(inst, x).found
 
 
 def _verify_aggregate_exchange(inst, x, rot):
@@ -567,7 +695,19 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
                 raise InputError(
                     "rotations climb only between stable vectors: {!r}".format(report)
                 )
-    frame = _walk_frame(inst, rot.steps)
+    return _climb(inst, x, _walk_frame(inst, rot.steps), ceiling, limit)
+
+
+def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):
+    """The walk of :func:`climb`, along a rotation's :func:`_walk_frame`.
+
+    The caller has made :func:`climb`'s checks: ``x`` and any ``ceiling``
+    are verified stable and ``limit`` is a non-negative integer or None.
+    With ``screened``, the landing at ``k = 1`` is known to be stable and
+    strictly above ``x`` (as for every rotation :class:`_Discovery`
+    finds), so that probe skips :func:`_shift_holds`; under a ceiling it
+    is still compared with the ceiling at the rotation's firms.
+    """
     firms = [f for f in frame[1] if f in inst.parts[1]]
     base = x.vals
     if ceiling is not None and not _weakly_below(
@@ -576,7 +716,10 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
         return 0, x
 
     def probe(k):
-        y = _ray_point(inst, base, frame, k)
+        if k == 1 and screened:
+            y = _shifted(inst, base, frame[0])
+        else:
+            y = _ray_point(inst, base, frame, k)
         if y is None or ceiling is None or _weakly_below(inst, y, ceiling.vals, firms):
             return y
         return None
@@ -633,40 +776,59 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
-def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=None):
+def _sweep(
+    inst, pick, state=None, used=None, ceiling=None, half=None, spend=None, saved=None
+):
     """Climb rotations upward from a stable vector until none is taken.
 
-    This is the one loop over :func:`find_rotations` and :func:`climb`;
-    callers differ only in their pick policy.  The sweep starts at
-    ``start``, by default the worker-optimal vector; a given ``start``
-    must be verified stable.  Every vector after it is a landing checked
-    by :func:`_shift_holds`, so no vector is checked whole again.  At
-    each vector it finds the rotations and, if there are any, asks
-    ``pick(rots, used)`` for the ones to try, in order; ``used`` counts
-    the applications of each rotation so far (on top of the ``used``
-    given to a sweep that starts higher up), keyed by its steps, which is
-    also the ordinal of its next occurrence.  The first candidate whose
-    climb moves at all is applied with the climb's weight ``tau``, or with
-    ``tau // 2`` where ``half(rot)`` holds, a landing checked by one more
-    probe of the ray.  With a ``ceiling`` every climb stays under it and
-    the sweep stops on reaching it.  ``spend``, if given, is called before
-    every climb.
+    This is the one loop over rotation discovery and :func:`_climb`;
+    callers differ only in their pick policy.  The sweep goes on from a
+    copy of the discovery ``state`` (see :class:`_Discovery`), by default
+    a fresh one at the worker-optimal vector.  Every vector after it is a
+    landing checked by :func:`_shift_holds`, so no vector is checked whole
+    again.  At each vector it takes the state's rotations and, if there
+    are any, asks ``pick(rots, used)`` for the ones to try, in order;
+    ``used`` counts the applications of each rotation so far (on top of
+    the ``used`` given to a sweep that starts higher up), keyed by its
+    steps, which is also the ordinal of its next occurrence.  The first
+    candidate whose climb moves at all is applied with the climb's weight
+    ``tau``, or with ``tau // 2`` where ``half(rot)`` holds, a landing
+    checked by one more probe of the ray.  The climb starts past the
+    probe at ``k = 1``, which discovery has screened.  With a ``ceiling``
+    every climb stays under it and the sweep stops on reaching it.
+    ``spend``, if given, is called before every climb.
+
+    A climb along R changes only the stars of R's vertices, so the state
+    is refreshed at those alone: the links of the gain nodes of the edges
+    whose firm is on R and of the loss nodes of the workers on R or next
+    to a firm on R, the cycles through a changed link, and the screens
+    and checks of the candidates whose stars R moved.  Where R touches
+    every vertex this is one full discovery, as from scratch.
+    ``saved``, if given, receives a copy of the state at every vector
+    where more than one rotation was found, keyed by the index of the
+    step taken there.
 
     Returns ``(start, steps, end, rots)``: the steps as :data:`RouteStep`
     records, the vector the sweep stopped at, and the rotations found
     there (None if it stopped at the ceiling).
     """
-    x = start if start is not None else deferred_acceptance(inst, "W")
-    start = x
+    if state is None:
+        state = _Discovery(inst, deferred_acceptance(inst, "W"))
+    else:
+        state = state.copy()
+    start = state.x
     used = Counter(used)
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
-    while ceiling is None or x != ceiling:
-        rots = find_rotations(inst, x, verified=True)
+    while ceiling is None or state.x != ceiling:
+        x, rots = state.x, state.found
+        if saved is not None and len(rots) > 1:
+            saved[len(steps)] = state.copy()
         for rot in pick(rots, used) if rots else ():
             if spend is not None:
                 spend()
-            tau, y = climb(inst, x, rot, ceiling=ceiling, verified=True)
+            frame = state.walks[rot].frame
+            tau, y = _climb(inst, x, frame, ceiling, screened=True)
             if tau:
                 break
         else:
@@ -676,7 +838,6 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
             weight = tau // 2
             # The climb probed only O(log tau) points of the ray, so the
             # half step gets a probe of its own.
-            frame = _walk_frame(inst, rot.steps)
             vals = _ray_point(inst, x.vals, frame, weight) if weight else x.vals
             if vals is None:
                 raise VerificationError(
@@ -685,11 +846,12 @@ def _sweep(inst, pick, start=None, used=None, ceiling=None, half=None, spend=Non
             y = EdgeVector._trusted(inst.space, vals)
         steps.append(RouteStep(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
-        x = y
+        if weight:
+            state.refresh(y, frame[1])
         fuel -= 1
         if fuel < 0:
             raise InternalError("rotation sweep failed to terminate")
-    return start, steps, x, None
+    return start, steps, state.x, None
 
 
 def build_full_route(inst, seed=0):

@@ -67,7 +67,10 @@ class ChoiceFunction:
     def __init__(self, vertex, space, caps):
         self.vertex = vertex
         self.space = space
-        self.caps = tuple(int(c) for c in caps)
+        caps = tuple(caps)
+        if not all(map(_is_int, caps)):
+            raise InputError("capacities must be integers")
+        self.caps = tuple(map(int, caps))
         if len(self.caps) != len(space):
             raise InputError("capacity list does not match the star")
         if any(c < 0 for c in self.caps):
@@ -147,6 +150,8 @@ class LinearOrderQuotaCF(ChoiceFunction):
 
     def __init__(self, vertex, space, caps, quota, order):
         super().__init__(vertex, space, caps)
+        if not _is_int(quota):
+            raise InputError("quota at {!r} must be an integer".format(vertex))
         self.quota = int(quota)
         if self.quota < 0:
             raise InputError("quota must be nonnegative")

@@ -9,6 +9,7 @@ rotations, the symmetrization machinery) works in terms of these types.
 """
 
 import json
+import numbers
 
 
 class InputError(ValueError):
@@ -72,7 +73,10 @@ class EdgeVector:
 
     def __init__(self, space, vals):
         self.space = space
-        self.vals = tuple(int(v) for v in vals)
+        vals = tuple(vals)
+        if not all(map(_is_int, vals)):
+            raise InputError("vector values must be integers")
+        self.vals = tuple(map(int, vals))
         if len(self.vals) != len(space):
             raise InputError("vector length does not match its edge space")
         self._hash = None
@@ -226,9 +230,11 @@ class Instance:
         if set(caps) != set(ends):
             raise InputError("capacities must cover exactly the edge set")
         for e, c in caps.items():
-            if int(c) < 0:
+            if not _is_int(c):
+                raise InputError("capacity of edge {!r} must be an integer".format(e))
+            if c < 0:
                 raise InputError("edge {!r} has negative capacity".format(e))
-        self.caps = EdgeVector(self.space, (int(caps[e]) for e in self.space.ids))
+        self.caps = EdgeVector(self.space, (caps[e] for e in self.space.ids))
 
         if parts is not None:
             w, f = parts
@@ -376,8 +382,14 @@ def parse_instance(text):
 
 
 def _is_int(value):
-    """True for a JSON integer; ``bool`` is an ``int`` subclass but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for an integer, numpy's included; ``bool`` is an ``int`` but not one.
+
+    The plain ``int`` test comes first: the ``numbers.Integral`` test is
+    several times slower, and every capacity and vector value passes here.
+    """
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _is_str_list(value):

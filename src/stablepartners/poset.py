@@ -14,6 +14,7 @@ from .core import BudgetError, InputError, InternalError, VerificationError, _is
 from .bipartite import (
     Route,
     RouteStep,
+    _Discovery,
     _sweep,
     climb,
     deferred_acceptance,
@@ -60,7 +61,7 @@ class RotationOrder:
     everything needed to evaluate and invert closed weight functions.
     """
 
-    __slots__ = ("occurrences", "tau", "less", "bottom", "top", "_stable_on")
+    __slots__ = ("occurrences", "tau", "less", "bottom", "top", "_at_bottom")
 
     def __init__(self, occurrences, tau, less, bottom, top):
         self.occurrences = tuple(sorted(occurrences))
@@ -68,8 +69,10 @@ class RotationOrder:
         self.less = frozenset(less)
         self.bottom = bottom
         self.top = top
-        # The instances on which ``bottom`` is known to be stable.
-        self._stable_on = set()
+        # For each instance on which ``bottom`` is known to be stable, the
+        # rotation discovery there, which the sweeps of
+        # :func:`closed_from_vector` go on from.
+        self._at_bottom = {}
 
     def covers(self):
         """The transitive reduction of the precedence order."""
@@ -131,7 +134,9 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     This is the rule of Irving & Leather (SIAM J. Comput. 1986): ``a``
     precedes ``b`` iff ``a`` is used in the least stable vector that
     exposes ``b``.  Where ``a`` was the only rotation found, its sweep has
-    nothing to do, so a chain costs the full sweep alone.
+    nothing to do, so a chain costs the full sweep alone.  Elsewhere the
+    full sweep saves its rotation discovery, and ``a``'s sweep goes on
+    from that state instead of finding the same rotations again.
 
     Every step of every sweep must be a known occurrence with its weight
     ``tau``, and where ``a``'s sweep stops, ``a`` must climb ``tau[a]``;
@@ -141,7 +146,12 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     is raised.
     """
     spend = _climb_budget(budget)
-    bottom, steps, top, _ = _sweep(inst, lambda rots, used: rots[:1], spend=spend)
+    # The bottom is the verified outcome of the proposal rounds.
+    at_bottom = _Discovery(inst, deferred_acceptance(inst, "W"))
+    saved = {}
+    bottom, steps, top, _ = _sweep(
+        inst, lambda rots, used: rots[:1], state=at_bottom, spend=spend, saved=saved
+    )
     if top != deferred_acceptance(inst, "F"):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
@@ -159,7 +169,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
 
             used = Counter(s.rotation.steps for s in steps[:i])
             _, more, end, rots = _sweep(
-                inst, avoid_a, start=step.source, used=used, spend=spend
+                inst, avoid_a, state=saved.pop(i), used=used, spend=spend
             )
             for s in more:
                 occ = Occurrence(s.rotation, s.ordinal)
@@ -180,8 +190,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
 
     order = RotationOrder(tau.keys(), tau, less, bottom, top)
     _sanity_check_order(order)
-    # The bottom is the verified outcome of the proposal rounds.
-    order._stable_on.add(inst)
+    order._at_bottom[inst] = at_bottom
     return order
 
 
@@ -258,22 +267,26 @@ def closed_from_vector(inst, order, x):
     Sweeps up from the minimum stable vector under the ceiling ``x``: at
     each vector the first rotation that climbs at all goes as far as it
     can without passing ``x`` on the firm side.  The weight each
-    occurrence gets on the way is its value.
+    occurrence gets on the way is its value.  Every call for one order and
+    instance goes on from the same rotation discovery at the bottom, made
+    once (by :func:`rotation_order` for its own instance).
     """
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
     # The sweep trusts its start, and the order may come from elsewhere:
-    # its bottom is checked on the first call for each instance.
-    if inst not in order._stable_on:
+    # its bottom is checked, and its rotations found, on the first call
+    # for each instance.
+    at_bottom = order._at_bottom.get(inst)
+    if at_bottom is None:
         report = is_stable(inst, order.bottom)
         if not report.stable:
             raise VerificationError(
                 "the order's bottom is not stable: {!r}".format(report)
             )
-        order._stable_on.add(inst)
+        at_bottom = order._at_bottom[inst] = _Discovery(inst, order.bottom)
     _, steps, end, _ = _sweep(
-        inst, lambda rots, used: rots, start=order.bottom, ceiling=x
+        inst, lambda rots, used: rots, state=at_bottom, ceiling=x
     )
     if end != x:
         raise VerificationError(

@@ -561,6 +561,30 @@ def with_edge_limits(rng, inst, vertices):
     )
 
 
+def sparse_graph_doc(rng, n=160, m=470):
+    """A random simple graph of ``n`` vertices and ``m`` edges, caps 1-3.
+
+    Each vertex ranks its star at random, with a quota of at least 1 and
+    at most half its capacity total.
+    """
+    names = ["v{}".format(i) for i in range(n)]
+    pairs = set()
+    while len(pairs) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        pairs.add((a, b))
+    edges = [("e{}_{}".format(a, b), names[a], names[b], rng.randint(1, 3)) for a, b in sorted(pairs)]
+    caps = {e: c for e, _, _, c in edges}
+    orders = {v: [] for v in names}
+    for e, u, w, _ in edges:
+        orders[u].append(e)
+        orders[w].append(e)
+    quotas = {}
+    for v, star in orders.items():
+        rng.shuffle(star)
+        quotas[v] = rng.randint(1, max(1, sum(caps[e] for e in star) // 2)) if star else 0
+    return quota_doc(edges, quotas, orders)
+
+
 def latin_doc(n):
     """The cyclic Latin-square market: ``n`` a side, every cap and quota 1.
 
@@ -789,6 +813,35 @@ def oracle_stable_set(inst):
         if not blocked:
             out.add(vals)
     return out
+
+
+def oracle_deferred_acceptance(inst, side):
+    """Proposal rounds in which every vertex chooses again every round.
+
+    Each round every proposer chooses from its bound, then every receiver
+    from its offers, and a receiver's refusal lowers the bound.  Returns
+    the offers once a round refuses nothing; no stability check.
+    """
+    proposers = inst.parts[0] if side == "W" else inst.parts[1]
+    receivers = inst.parts[1] if side == "W" else inst.parts[0]
+    positions = inst.star_positions
+    bound = list(inst.caps.vals)
+    offer = [0] * len(bound)
+    for _ in range(inst.caps.total() + 3):
+        for p in sorted(proposers):
+            sel = inst.choice[p].choose_vals(tuple(bound[i] for i in positions[p]))
+            for i, s in zip(positions[p], sel):
+                offer[i] = s
+        rejected = False
+        for r in sorted(receivers):
+            kept = inst.choice[r].choose_vals(tuple(offer[i] for i in positions[r]))
+            for i, k in zip(positions[r], kept):
+                if k < offer[i]:
+                    bound[i] = k
+                    rejected = True
+        if not rejected:
+            return EdgeVector(inst.space, offer)
+    raise VerificationError("proposal rounds did not converge")
 
 
 def oracle_precedes_F(inst, x_vals, y_vals):

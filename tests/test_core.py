@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import stablepartners
@@ -82,6 +83,47 @@ def test_vectors_hash_by_content():
     sp = space3()
     seen = {EdgeVector(sp, (1, 2, 3)): "a"}
     assert seen[EdgeVector(sp, (1, 2, 3))] == "a"
+
+
+def _build(kind, value):
+    """Build one of the four integer-taking constructors around ``value``."""
+    sp = EdgeSpace(["ab"])
+    if kind == "EdgeVector":
+        return EdgeVector(sp, [value])
+    if kind == "ChoiceFunction caps":
+        return LinearOrderQuotaCF("a", sp, [value], 1, ["ab"])
+    if kind == "LinearOrderQuotaCF quota":
+        return LinearOrderQuotaCF("a", sp, [1], value, ["ab"])
+    choice = {v: LinearOrderQuotaCF(v, sp, [2], 1, ["ab"]) for v in ("a", "b")}
+    return Instance(["a", "b"], {"ab": ("a", "b")}, {"ab": value}, choice)
+
+
+KINDS = ["EdgeVector", "ChoiceFunction caps", "LinearOrderQuotaCF quota", "Instance caps"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", "x", None])
+def test_integer_arguments_are_never_truncated(kind, value):
+    """A non-integer is an :class:`InputError`, never cast to an integer.
+
+    ``int()`` used to turn a cap of ``1.5`` or ``True`` into 1 and ``"2"``
+    into 2, and a quota of ``"x"`` raised ``ValueError``.
+    """
+    with pytest.raises(InputError, match="integer"):
+        _build(kind, value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_numpy_integers_are_integers(kind):
+    """Box rows are numpy arrays, so their integers are accepted as ints."""
+    built = _build(kind, np.int16(2))
+    got = {
+        "EdgeVector": lambda: built.vals,
+        "ChoiceFunction caps": lambda: built.caps,
+        "LinearOrderQuotaCF quota": lambda: (built.quota,),
+        "Instance caps": lambda: built.caps.vals,
+    }[kind]()
+    assert got == (2,) and type(got[0]) is int
 
 
 def test_instance_rejects_unknown_endpoint():

@@ -7,6 +7,7 @@ import pytest
 
 from stablepartners import (
     BudgetError,
+    ChoiceFunction,
     ClosedFunction,
     InputError,
     Occurrence,
@@ -22,6 +23,8 @@ from stablepartners import (
     is_closed,
     precedes_F,
     rotation_order,
+    run_qb,
+    symmetrize,
     vector_from_closed,
 )
 from stablepartners import bipartite, poset
@@ -29,6 +32,7 @@ from stablepartners import bipartite, poset
 from conftest import (
     blocks_doc,
     edgevec,
+    high_cap_market,
     latin_doc,
     oracle_family,
     oracle_full_routes,
@@ -37,6 +41,7 @@ from conftest import (
     oracle_rotation_order,
     oracle_stable_set,
     random_bipartite_doc,
+    table_market,
     twin_doc,
 )
 
@@ -372,15 +377,29 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_discovery_steps(monkeypatch):
+    """Count the sweeps' discovery steps: fresh states and refreshes alike."""
+    calls = [0]
+    refresh = bipartite._Discovery.refresh
+
+    def counting(self, x, vertices):
+        calls[0] += 1
+        return refresh(self, x, vertices)
+
+    monkeypatch.setattr(bipartite._Discovery, "refresh", counting)
+    return calls
+
+
 def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
     """k disjoint blocks make 2**k principal states but k + 1 sweeps.
 
-    Exploring the principal graph takes one ``find_rotations`` call per
-    state, 4,096 at k = 12.  The sweep that avoids the i-th occurrence
-    starts where the full sweep applied it, so the sweeps make
-    13 + (12 + 11 + ... + 2) = 90.
+    Exploring the principal graph takes one discovery per state, 4,096 at
+    k = 12.  The sweep that avoids the i-th occurrence goes on from the
+    full sweep's discovery state where it applied that occurrence, so the
+    sweeps make 13 + (11 + 10 + ... + 1) = 79 discovery steps (90 when
+    each avoidance sweep discovered its start again).
     """
-    calls = _count_calls(monkeypatch, "find_rotations")
+    calls = _count_discovery_steps(monkeypatch)
     k = 12
     order = rotation_order(instance_from_dict(blocks_doc(k)))
     assert len(order.occurrences) == k and not order.less
@@ -391,10 +410,10 @@ def test_order_of_a_chain_costs_one_sweep(monkeypatch):
     """A cyclic Latin square exposes one rotation at each stable vector.
 
     Its order is a chain, and each avoidance sweep would stop where it
-    starts, so the full sweep alone gives the order: one
-    ``find_rotations`` call per stable vector, as in the principal graph.
+    starts, so the full sweep alone gives the order: one discovery step
+    per stable vector, as in the principal graph.
     """
-    calls = _count_calls(monkeypatch, "find_rotations")
+    calls = _count_discovery_steps(monkeypatch)
     n = 16
     order = rotation_order(instance_from_dict(latin_doc(n)))
     assert len(order.occurrences) == n - 1
@@ -409,15 +428,87 @@ def test_sweeps_compare_and_check_locally(monkeypatch):
     nothing; comparing every pair of landings with ``precedes_F`` made
     2,574 ``precedes`` calls at k = 12.  The sweeps hold verified vectors
     only, so ``is_stable`` runs in the two proposal rounds and not in the
-    90 ``find_rotations`` calls.
+    79 discovery steps.
     """
     compared = _count_calls(monkeypatch, "precedes")
     checked = _count_calls(monkeypatch, "is_stable")
-    swept = _count_calls(monkeypatch, "find_rotations")
+    swept = _count_discovery_steps(monkeypatch)
     order = rotation_order(instance_from_dict(blocks_doc(12)))
     assert len(order.occurrences) == 12
     assert compared[0] == 0
     assert checked[0] <= 2 and swept[0] >= 13
+
+
+def test_order_of_forty_blocks_costs_few_choice_calls(monkeypatch):
+    """Discovery after a climb recomputes only what the climb touched.
+
+    When every sweep step rebuilt the whole exposed-rotation graph and
+    screened every candidate again, the order on 40 disjoint blocks made
+    248,738 choice calls.
+    """
+    calls = [0]
+    choose_vals = ChoiceFunction.choose_vals
+
+    def counting(self, vals):
+        calls[0] += 1
+        return choose_vals(self, vals)
+
+    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    order = rotation_order(instance_from_dict(blocks_doc(40)))
+    assert len(order.occurrences) == 40 and not order.less
+    assert calls[0] <= 75_000
+
+
+def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
+    monkeypatch, bipartite_corpus, general_corpus, gated
+):
+    """The state a sweep carries matches :func:`find_rotations` at each step.
+
+    After every refresh, the state's rotations are those found from
+    scratch at its vector, the same rotations in the same order.  The
+    sweeps are the full and avoidance sweeps of the order, the ceiling
+    sweeps of closed functions, seeded routes, and the balancing sweeps of
+    the doubles with their halved steps, on both corpora, the gated
+    instance and seeded table markets.
+    """
+    refresh = bipartite._Discovery.refresh
+    checked = {"fresh": 0, "moved": 0}
+    busy = [False]
+
+    def checking(self, x, vertices):
+        refresh(self, x, vertices)
+        if busy[0]:
+            return
+        busy[0] = True
+        try:
+            assert self.found == find_rotations(self.inst, x, verified=True)
+        finally:
+            busy[0] = False
+        checked["fresh" if len(vertices) == len(self.inst.vertices) else "moved"] += 1
+
+    monkeypatch.setattr(bipartite._Discovery, "refresh", checking)
+    # The gated instance's routes disagree on a weight, which the order
+    # detects; its sweeps are checked up to there and along its routes.
+    with pytest.raises(VerificationError, match="disagree"):
+        rotation_order(gated)
+    for seed in range(4):
+        build_full_route(gated, seed)
+    rng = random.Random(5)
+    markets = list(bipartite_corpus) + [table_market(rng)[0] for _ in range(150)]
+    markets += [high_cap_market(rng) for _ in range(12)]
+    for inst in markets:
+        order = rotation_order(inst)
+        for seed in (1, 2):
+            for x in build_full_route(inst, seed).vectors():
+                fn = closed_from_vector(inst, order, x)
+                assert vector_from_closed(inst, order, fn) == x
+    halved = 0
+    for inst in general_corpus:
+        si = symmetrize(inst)
+        for seed in (0, 1):
+            halved += sum(w != tau for _, w, tau in run_qb(si, seed).picks)
+        rotation_order(si.graph)
+    assert checked["moved"] >= 1_200 and checked["fresh"] >= 1_500 and halved >= 50
 
 
 def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
