@@ -390,9 +390,8 @@ class _Discovery:
 
     ``found`` is what :func:`find_rotations` returns at ``x``.  The state
     keeps what that answer is built from: the successor table of the
-    exposed-rotation graph, each candidate walk with its screen, the
-    minimal-landing filter's verdicts, and ``found``; stars are read off
-    ``x``.
+    exposed-rotation graph, each candidate walk with its screen, and
+    ``found``; stars are read off ``x``.
 
     **The graph.**  Node ``i`` gains a unit of the edge ``e`` at position
     ``i`` of the edge space, and node ``~i`` loses one; each node has one
@@ -418,29 +417,32 @@ class _Discovery:
     adjacent to a firm on R recompute theirs.  A cycle stays a cycle until
     one of its links changes, and a new cycle runs through a changed link,
     so only the changed nodes are followed.  A candidate's screen and
-    aggregate exchange read the stars of its ``reads`` alone, and a filter
-    verdict the stars of two candidates' firms, so each is kept while R
-    misses the candidates' ``reads`` (their firms are among them).
+    aggregate exchange read the stars of its ``reads`` alone, so each is
+    kept while R misses them.  The minimal-landing filter compares the
+    landings of candidates that share a firm again at every refresh; no
+    seeded workload has such a pair.
 
-    :meth:`refresh` is the one way to recompute, and a fresh state is a
-    refresh of every vertex.  ``x`` must be stable; the caller verifies it.
+    A new state is empty, and :meth:`refresh` is the one way to recompute:
+    :func:`find_rotations` makes every discovery step, from scratch (a
+    refresh of every vertex) or after a climb.  ``x`` must be stable; the
+    caller verifies it.
     """
 
-    __slots__ = ("inst", "x", "succ", "walks", "verdicts", "found")
+    __slots__ = ("inst", "x", "succ", "walks", "found")
 
-    def __init__(self, inst, x):
+    def __init__(self, inst):
         self.inst = inst
+        self.x = None
         self.succ = {}
         self.walks = {}
-        self.verdicts = {}
-        self.refresh(x, inst.vertices)
+        self.found = []
 
     def copy(self):
         """A state that refreshes apart from this one."""
-        twin = object.__new__(_Discovery)
-        twin.inst, twin.x, twin.succ = self.inst, self.x, dict(self.succ)
-        # refresh rebinds these three rather than changing them.
-        twin.walks, twin.verdicts, twin.found = self.walks, self.verdicts, self.found
+        twin = _Discovery(self.inst)
+        twin.x, twin.succ = self.x, dict(self.succ)
+        # refresh rebinds these two rather than changing them.
+        twin.walks, twin.found = self.walks, self.found
         return twin
 
     def refresh(self, x, vertices):
@@ -481,17 +483,10 @@ class _Discovery:
             frame = _walk_frame(inst, rot.steps)
             reads = set(frame[1]).union(*(inst.edge_ends[e] for e in frame[2]))
             walks[rot] = _Candidate(frame, tuple(reads), None, False)
-        landing = {}
         for rot, c in walks.items():
             if c.lands is None or not moved.isdisjoint(c.reads):
-                landing[rot] = _ray_point(inst, x.vals, c.frame)
-                walks[rot] = c._replace(lands=landing[rot] is not None, exchanged=False)
-        screened = set(landing)
-
-        def land(rot):
-            if rot not in landing:
-                landing[rot] = _shifted(inst, x.vals, walks[rot].frame[0])
-            return landing[rot]
+                lands = _ray_point(inst, x.vals, c.frame) is not None
+                walks[rot] = c._replace(lands=lands, exchanged=False)
 
         reps = sorted(rot for rot, c in walks.items() if c.lands)
         firms_of = {rot: f_side.intersection(walks[rot].frame[1]) for rot in reps}
@@ -499,21 +494,19 @@ class _Discovery:
         for rot in reps:
             for f in firms_of[rot]:
                 sharing.setdefault(f, []).append(rot)
-        verdicts = {}
-        found = []
-        for rot in reps:
-            rivals = {r for f in firms_of[rot] for r in sharing[f]} - {rot}
-            for other in sorted(rivals):
-                pair = (other, rot)
-                below = None if screened.intersection(pair) else self.verdicts.get(pair)
-                if below is None:
-                    firms = sorted(firms_of[other] | firms_of[rot])
-                    below = _weakly_below(inst, land(other), land(rot), firms)
-                verdicts[pair] = below
-                if below:
-                    break
-            else:
-                found.append(rot)
+
+        def below(lo, hi):
+            land = [_shifted(inst, x.vals, walks[r].frame[0]) for r in (lo, hi)]
+            return _weakly_below(inst, *land, sorted(firms_of[lo] | firms_of[hi]))
+
+        found = [
+            rot
+            for rot in reps
+            if not any(
+                below(other, rot)
+                for other in sorted({r for f in firms_of[rot] for r in sharing[f]} - {rot})
+            )
+        ]
 
         used_edges = set()
         for rot in found:
@@ -527,7 +520,7 @@ class _Discovery:
             if not walks[rot].exchanged:
                 _verify_aggregate_exchange(inst, x, rot)
                 walks[rot] = walks[rot]._replace(exchanged=True)
-        self.walks, self.verdicts, self.found = walks, verdicts, found
+        self.walks, self.found = walks, found
 
     def _gains(self, f):
         """The successor of the gain node of each edge of firm ``f``, or None."""
@@ -580,7 +573,7 @@ class _Discovery:
         return out
 
 
-def find_rotations(inst, x, verified=False):
+def find_rotations(inst, x, verified=False, state=None, moved=None):
     """All rotations applicable at the stable vector ``x``.
 
     Each returned rotation R satisfies: ``x + chi(R)`` is stable, strictly
@@ -605,11 +598,14 @@ def find_rotations(inst, x, verified=False):
     filter compares just those pairs, on their firms' stars
     (:func:`_weakly_below`).  Walks that share no firm cost nothing.
 
-    This is the answer from scratch, a fresh :class:`_Discovery`.  The
-    rotation sweeps carry one state from vector to vector instead: a
-    climb along R changes only the stars of R's vertices, so they
-    recompute only the links, screens and verdicts that read those stars.
-    This function is their oracle.
+    By default this is the answer from scratch, in a new
+    :class:`_Discovery`.  The rotation sweeps carry one ``state`` from
+    vector to vector instead, and make each of their discovery steps
+    here: the state is moved to ``x`` and its rotations returned.  A
+    climb along R changes only the stars of R's vertices, so a sweep
+    passes them as ``moved``, the vertices whose stars may differ between
+    the state's vector and ``x`` (by default every vertex), and only the
+    links and screens that read those stars are recomputed.
     """
     if not verified:
         report = is_stable(inst, x)
@@ -617,7 +613,10 @@ def find_rotations(inst, x, verified=False):
             raise VerificationError(
                 "rotations are only defined at stable vectors: {!r}".format(report)
             )
-    return _Discovery(inst, x).found
+    if state is None:
+        state = _Discovery(inst)
+    state.refresh(x, inst.vertices if moved is None else moved)
+    return state.found
 
 
 def _verify_aggregate_exchange(inst, x, rot):
@@ -781,19 +780,20 @@ def _sweep(
 ):
     """Climb rotations upward from a stable vector until none is taken.
 
-    This is the one loop over rotation discovery and :func:`_climb`;
-    callers differ only in their pick policy.  The sweep goes on from a
-    copy of the discovery ``state`` (see :class:`_Discovery`), by default
-    a fresh one at the worker-optimal vector.  Every vector after it is a
-    landing checked by :func:`_shift_holds`, so no vector is checked whole
-    again.  At each vector it takes the state's rotations and, if there
-    are any, asks ``pick(rots, used)`` for the ones to try, in order;
-    ``used`` counts the applications of each rotation so far (on top of
-    the ``used`` given to a sweep that starts higher up), keyed by its
-    steps, which is also the ordinal of its next occurrence.  The first
-    candidate whose climb moves at all is applied with the climb's weight
-    ``tau``, or with ``tau // 2`` where ``half(rot)`` holds, a landing
-    checked by one more probe of the ray.  The climb starts past the
+    This is the one loop over rotation discovery (:func:`find_rotations`)
+    and :func:`_climb`; callers differ only in their pick policy.  The
+    sweep goes on from a copy of the discovery ``state`` (see
+    :class:`_Discovery`), by default a fresh one at the worker-optimal
+    vector.  Every vector after it is a landing checked by
+    :func:`_shift_holds`, so no vector is checked whole again.  At each
+    vector it takes the state's rotations and, if there are any, asks
+    ``pick(rots, used)`` for the ones to try, in order; ``used`` counts
+    the applications of each rotation so far (on top of the ``used``
+    given to a sweep that starts higher up), keyed by its steps, which is
+    also the ordinal of its next occurrence.  The first candidate whose
+    climb moves at all is applied with the climb's weight ``tau``, or
+    with ``tau // 2`` where ``half(rot)`` holds, a landing checked by one
+    more probe of the ray.  The climb starts past the
     probe at ``k = 1``, which discovery has screened.  With a ``ceiling``
     every climb stays under it and the sweep stops on reaching it.
     ``spend``, if given, is called before every climb.
@@ -813,7 +813,8 @@ def _sweep(
     there (None if it stopped at the ceiling).
     """
     if state is None:
-        state = _Discovery(inst, deferred_acceptance(inst, "W"))
+        state = _Discovery(inst)
+        find_rotations(inst, deferred_acceptance(inst, "W"), verified=True, state=state)
     else:
         state = state.copy()
     start = state.x
@@ -847,7 +848,7 @@ def _sweep(
         steps.append(RouteStep(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
         if weight:
-            state.refresh(y, frame[1])
+            find_rotations(inst, y, verified=True, state=state, moved=frame[1])
         fuel -= 1
         if fuel < 0:
             raise InternalError("rotation sweep failed to terminate")

@@ -147,7 +147,8 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     """
     spend = _climb_budget(budget)
     # The bottom is the verified outcome of the proposal rounds.
-    at_bottom = _Discovery(inst, deferred_acceptance(inst, "W"))
+    at_bottom = _Discovery(inst)
+    find_rotations(inst, deferred_acceptance(inst, "W"), verified=True, state=at_bottom)
     saved = {}
     bottom, steps, top, _ = _sweep(
         inst, lambda rots, used: rots[:1], state=at_bottom, spend=spend, saved=saved
@@ -284,7 +285,8 @@ def closed_from_vector(inst, order, x):
             raise VerificationError(
                 "the order's bottom is not stable: {!r}".format(report)
             )
-        at_bottom = order._at_bottom[inst] = _Discovery(inst, order.bottom)
+        at_bottom = order._at_bottom[inst] = _Discovery(inst)
+        find_rotations(inst, order.bottom, verified=True, state=at_bottom)
     _, steps, end, _ = _sweep(
         inst, lambda rots, used: rots, state=at_bottom, ceiling=x
     )

@@ -290,6 +290,55 @@ def blocks_doc(k, prefixes=None):
     return quota_doc(edges, quotas, orders, parts=parts)
 
 
+def shared_firm_doc():
+    """Two crossed blocks whose first firms are one firm ``F``.
+
+    ``F`` keeps at most one unit from each block, the later worker's if it
+    can, so each block keeps its own single rotation.
+    """
+    edges, orders = [], {}
+    for p in ("a", "b"):
+        edges += [
+            (p + "1F", p + "1", "F"),
+            (p + "1g", p + "1", p + "g"),
+            (p + "2F", p + "2", "F"),
+            (p + "2g", p + "2", p + "g"),
+        ]
+        orders[p + "1"] = [p + "1F", p + "1g"]
+        orders[p + "2"] = [p + "2g", p + "2F"]
+        orders[p + "g"] = [p + "1g", p + "2g"]
+    choice = {
+        v: {"type": "linear_order_quota", "quota": 1, "order": order}
+        for v, order in orders.items()
+    }
+    ids = ["a1F", "a2F", "b1F", "b2F"]
+    entries = []
+    for z in itertools.product((0, 1), repeat=4):
+        c = (z[0] and not z[1], z[1], z[2] and not z[3], z[3])
+        entries.append({"z": dict(zip(ids, z)), "c": dict(zip(ids, map(int, c)))})
+    choice["F"] = {"type": "table", "entries": entries}
+    return {
+        "vertices": sorted(choice),
+        "edges": [{"id": e, "ends": [u, v], "cap": 1} for e, u, v in edges],
+        "choice": choice,
+        "bipartition": {"W": ["a1", "a2", "b1", "b2"], "F": ["F", "ag", "bg"]},
+    }
+
+
+def bridged_blocks_doc():
+    """Crossed blocks ``a``, ``b`` and ``c``, and a bridge from ``aw1`` to ``bf1``.
+
+    Both ends rank the bridge last.  It never blocks and never links in
+    the exposed-rotation graph, so each block keeps its single rotation,
+    but it is an edge at ``a``'s walk whose far end is on ``b``'s.
+    """
+    doc = blocks_doc(3, prefixes=["a", "b", "c"])
+    doc["edges"].append({"id": "bridge", "ends": ["aw1", "bf1"], "cap": 1})
+    doc["choice"]["aw1"]["order"].append("bridge")
+    doc["choice"]["bf1"]["order"].append("bridge")
+    return doc
+
+
 # -- frozen instances --------------------------------------------------------
 
 
@@ -820,14 +869,17 @@ def oracle_deferred_acceptance(inst, side):
 
     Each round every proposer chooses from its bound, then every receiver
     from its offers, and a receiver's refusal lowers the bound.  Returns
-    the offers once a round refuses nothing; no stability check.
+    the offers once a round refuses nothing; no stability check.  As in
+    :func:`deferred_acceptance`, ``caps.total() + 2`` rounds may refuse
+    something, and the next refusing round raises.
     """
     proposers = inst.parts[0] if side == "W" else inst.parts[1]
     receivers = inst.parts[1] if side == "W" else inst.parts[0]
     positions = inst.star_positions
     bound = list(inst.caps.vals)
     offer = [0] * len(bound)
-    for _ in range(inst.caps.total() + 3):
+    refusals_left = inst.caps.total() + 2
+    while True:
         for p in sorted(proposers):
             sel = inst.choice[p].choose_vals(tuple(bound[i] for i in positions[p]))
             for i, s in zip(positions[p], sel):
@@ -841,7 +893,9 @@ def oracle_deferred_acceptance(inst, side):
                     rejected = True
         if not rejected:
             return EdgeVector(inst.space, offer)
-    raise VerificationError("proposal rounds did not converge")
+        refusals_left -= 1
+        if refusals_left < 0:
+            raise VerificationError("proposal rounds did not converge")
 
 
 def oracle_precedes_F(inst, x_vals, y_vals):

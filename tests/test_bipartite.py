@@ -35,6 +35,7 @@ from stablepartners.bipartite import (
 from conftest import (
     _simple_cycles,
     blocks_doc,
+    bridged_blocks_doc,
     edgevec,
     high_cap_market,
     immediate_successors,
@@ -45,6 +46,7 @@ from conftest import (
     oracle_precedes_F,
     random_bipartite_doc,
     route_vectors,
+    shared_firm_doc,
     sparse_graph_doc,
     table_market,
 )
@@ -362,47 +364,13 @@ def test_discovery_matches_the_all_pairs_oracle(
         cases += [(inst, x) for x in route_vectors(inst)]
     found = 0
     for inst, x in cases:
-        rots = find_rotations(inst, x)
+        state = _Discovery(inst)
+        rots = find_rotations(inst, x, state=state)
         assert rots == oracle_find_rotations(inst, x)
         every = {Rotation(inst, w) for w in oracle_candidate_walks(inst, x)}
-        assert set(_Discovery(inst, x).walks) <= every
+        assert set(state.walks) <= every
         found += len(rots)
     assert len(cases) >= 1_400 and found >= 950
-
-
-def shared_firm_doc():
-    """Two crossed blocks whose first firms are one firm ``F``.
-
-    ``F`` keeps at most one unit from each block, the later worker's if it
-    can, so each block keeps its own single rotation.
-    """
-    edges, orders = [], {}
-    for p in ("a", "b"):
-        edges += [
-            (p + "1F", p + "1", "F"),
-            (p + "1g", p + "1", p + "g"),
-            (p + "2F", p + "2", "F"),
-            (p + "2g", p + "2", p + "g"),
-        ]
-        orders[p + "1"] = [p + "1F", p + "1g"]
-        orders[p + "2"] = [p + "2g", p + "2F"]
-        orders[p + "g"] = [p + "1g", p + "2g"]
-    choice = {
-        v: {"type": "linear_order_quota", "quota": 1, "order": order}
-        for v, order in orders.items()
-    }
-    ids = ["a1F", "a2F", "b1F", "b2F"]
-    entries = []
-    for z in itertools.product((0, 1), repeat=4):
-        c = (z[0] and not z[1], z[1], z[2] and not z[3], z[3])
-        entries.append({"z": dict(zip(ids, z)), "c": dict(zip(ids, map(int, c)))})
-    choice["F"] = {"type": "table", "entries": entries}
-    return {
-        "vertices": sorted(choice),
-        "edges": [{"id": e, "ends": [u, v], "cap": 1} for e, u, v in edges],
-        "choice": choice,
-        "bipartition": {"W": ["a1", "a2", "b1", "b2"], "F": ["F", "ag", "bg"]},
-    }
 
 
 def test_the_landing_filter_drops_a_walk_through_two_rotations(monkeypatch):
@@ -436,45 +404,48 @@ def test_the_landing_filter_drops_a_walk_through_two_rotations(monkeypatch):
         return _candidate_walks(inst, succ, roots) + [through_both]
 
     monkeypatch.setattr(bipartite, "_candidate_walks", with_both)
-    state = _Discovery(inst, lo)
+    state = _Discovery(inst)
+    assert find_rotations(inst, lo, state=state) == rots
     assert Rotation(inst, through_both) in state.walks
-    assert state.found == rots
-    assert find_rotations(inst, lo) == rots
 
 
-def test_a_climb_elsewhere_keeps_the_filter_verdicts(monkeypatch):
-    """Two rotations that share a firm are compared again only when moved.
+@pytest.mark.parametrize(
+    "make, climbed, again",
+    [(bridged_blocks_doc, "b", "a"), (shared_firm_doc, "a", "b")],
+    ids=["far-end-of-a-near-edge", "firm-on-both-walks"],
+)
+def test_a_refresh_screens_again_the_candidates_whose_stars_moved(
+    monkeypatch, make, climbed, again
+):
+    """After a climb, a kept candidate is screened again iff it reads a moved star.
 
-    At the bottom of the shared-firm market beside a disjoint crossed
-    block, the two rotations through ``F`` are compared both ways.  A
-    climb along the block's rotation moves no star they read, so the
-    refresh keeps both verdicts and compares nothing.
+    With the bridge, climbing ``b``'s rotation moves ``bf1``, which is no
+    vertex of ``a``'s walk but the far end of the bridge at it, so ``a``'s
+    candidate is screened again and ``c``'s is not.  In the shared-firm
+    market, climbing ``a``'s rotation moves ``F``, which is on ``b``'s
+    walk.  Neither climb changes a link of the other walk's cycle, so the
+    candidate is kept, not found again.
     """
-    doc = shared_firm_doc()
-    block = blocks_doc(1, prefixes=["z"])
-    doc["vertices"] += block["vertices"]
-    doc["edges"] += block["edges"]
-    doc["choice"].update(block["choice"])
-    for side in ("W", "F"):
-        doc["bipartition"][side] += block["bipartition"][side]
-    inst = instance_from_dict(doc)
+    inst = instance_from_dict(make())
     lo = deferred_acceptance(inst, "W")
-    compared = [0]
-    weakly_below = bipartite._weakly_below
-
-    def counting(*args):
-        compared[0] += 1
-        return weakly_below(*args)
-
-    monkeypatch.setattr(bipartite, "_weakly_below", counting)
-    state = _Discovery(inst, lo)
-    assert len(state.found) == 3 and compared[0] == 2
-    (rot,) = [r for r in state.found if r.steps[0][0].startswith("z")]
+    state = _Discovery(inst)
+    rots = find_rotations(inst, lo, state=state)
+    (rot,) = [r for r in rots if r.steps[0][0].startswith(climbed)]
+    (other,) = [r for r in rots if r.steps[0][0].startswith(again)]
     _, y = climb(inst, lo, rot, verified=True)
-    compared[0] = 0
-    state.refresh(y, [v for v, _ in rot.steps])
-    assert compared[0] == 0 and len(state.found) == 2
-    assert state.found == find_rotations(inst, y, verified=True)
+    screened = []
+    ray_point = bipartite._ray_point
+
+    def recording(inst, base, frame, k=1):
+        screened.append(frame[1])
+        return ray_point(inst, base, frame, k)
+
+    monkeypatch.setattr(bipartite, "_ray_point", recording)
+    kept = state.walks[other]
+    found = find_rotations(inst, y, verified=True, state=state, moved=[v for v, _ in rot.steps])
+    assert screened == [kept.frame[1]]
+    assert state.walks[other].frame is kept.frame
+    assert found == find_rotations(inst, y) == [r for r in rots if r != rot]
 
 
 def test_worklist_proposals_match_the_round_robin_loop(

@@ -31,6 +31,7 @@ from stablepartners import bipartite, poset
 
 from conftest import (
     blocks_doc,
+    bridged_blocks_doc,
     edgevec,
     high_cap_market,
     latin_doc,
@@ -41,6 +42,7 @@ from conftest import (
     oracle_rotation_order,
     oracle_stable_set,
     random_bipartite_doc,
+    shared_firm_doc,
     table_market,
     twin_doc,
 )
@@ -469,7 +471,9 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
     sweeps are the full and avoidance sweeps of the order, the ceiling
     sweeps of closed functions, seeded routes, and the balancing sweeps of
     the doubles with their halved steps, on both corpora, the gated
-    instance and seeded table markets.
+    instance, seeded table markets, and two markets where a climb moves a
+    star that a kept candidate reads.  Each order gets a budget of climbs,
+    so a refresh that never lets a sweep stop fails fast.
     """
     refresh = bipartite._Discovery.refresh
     checked = {"fresh": 0, "moved": 0}
@@ -490,14 +494,15 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
     # The gated instance's routes disagree on a weight, which the order
     # detects; its sweeps are checked up to there and along its routes.
     with pytest.raises(VerificationError, match="disagree"):
-        rotation_order(gated)
+        rotation_order(gated, budget=100)
     for seed in range(4):
         build_full_route(gated, seed)
     rng = random.Random(5)
     markets = list(bipartite_corpus) + [table_market(rng)[0] for _ in range(150)]
     markets += [high_cap_market(rng) for _ in range(12)]
+    markets += [instance_from_dict(make()) for make in (bridged_blocks_doc, shared_firm_doc)]
     for inst in markets:
-        order = rotation_order(inst)
+        order = rotation_order(inst, budget=100)
         for seed in (1, 2):
             for x in build_full_route(inst, seed).vectors():
                 fn = closed_from_vector(inst, order, x)
@@ -507,7 +512,7 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
         si = symmetrize(inst)
         for seed in (0, 1):
             halved += sum(w != tau for _, w, tau in run_qb(si, seed).picks)
-        rotation_order(si.graph)
+        rotation_order(si.graph, budget=100)
     assert checked["moved"] >= 1_200 and checked["fresh"] >= 1_500 and halved >= 50
 
 
