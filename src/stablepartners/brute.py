@@ -42,7 +42,7 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
         inv = np.ravel_multi_index(box[:, cols].T, [c + 1 for c in caps])
         chosen = inst.choice[v].batch_vals(patterns)
         ok &= (chosen == patterns).all(axis=1)[inv]
-        star_cache[v] = (patterns, inv)
+        star_cache[v] = (patterns, chosen, inv)
 
     unblocked = ok.copy()
     interest = {}
@@ -51,16 +51,13 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
         """Rows of the box where ``v`` would take one more unit of ``e``."""
         if (v, e) in interest:
             return interest[(v, e)]
-        patterns, inv = star_cache[v]
+        patterns, chosen, inv = star_cache[v]
         se = inst.star_ids[v].index(e)
-        cap = inst.caps[e]
-        room = patterns[:, se] < cap
+        # A unit of e moves a pattern on by the later radices (the last is caps).
+        step = int(np.prod(patterns[-1, se + 1 :].astype(np.int64) + 1))
+        room = np.flatnonzero(patterns[:, se] < inst.caps[e])
         mask_u = np.zeros(len(patterns), dtype=bool)
-        if room.any():
-            bumped = patterns[room].copy()
-            bumped[:, se] += 1
-            chosen = inst.choice[v].batch_vals(bumped)
-            mask_u[room] = chosen[:, se] > patterns[room, se]
+        mask_u[room] = chosen[room + step, se] > patterns[room, se]
         out = mask_u[inv]
         interest[(v, e)] = out
         return out
@@ -85,16 +82,8 @@ def lattice_extremes(inst, stable=None, budget=DEFAULT_ENUM_BUDGET):
         stable = enumerate_stable(inst, budget)
     if not stable:
         raise VerificationError("stable set is empty; choice axioms are suspect")
-    lo = [
-        x
-        for x in stable
-        if all(y == x or precedes_F(inst, x, y) for y in stable)
-    ]
-    hi = [
-        x
-        for x in stable
-        if all(y == x or precedes_F(inst, y, x) for y in stable)
-    ]
+    lo = [x for x in stable if all(y == x or precedes_F(inst, x, y) for y in stable)]
+    hi = [x for x in stable if all(y == x or precedes_F(inst, y, x) for y in stable)]
     if len(lo) != 1 or len(hi) != 1:
         raise VerificationError(
             "stable set lacks unique extremes; choice axioms are suspect"

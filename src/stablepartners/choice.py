@@ -8,9 +8,11 @@ solvers in this package assume two axioms:
   formally ``z >= z'`` implies ``min(C(z), z') <= C(z')``;
 * size monotonicity: larger menus never select fewer units in total.
 
-Both are checked, never assumed silently: :func:`check_axiom` enumerates
-comparable pairs within a configurable work budget and returns a report
-with a concrete witness when an axiom fails.
+Both are checked, never assumed silently: :func:`check_axiom` selects once
+over the whole box, compares covering pairs (SUB, MON, CON) or looks joins
+up in that selection (GL), and returns a report with a concrete witness
+when an axiom fails.  Its work budget still counts the comparable pairs a
+verdict covers (SUB, MON, CON) and the preference comparisons (GL).
 """
 
 import copy
@@ -38,9 +40,7 @@ def box_array(caps):
     fits in it and int64 otherwise, so no value ever wraps.
     """
     caps = tuple(int(c) for c in caps)
-    n = 1
-    for c in caps:
-        n *= c + 1
+    n = math.prod(c + 1 for c in caps)
     small = all(c <= np.iinfo(np.int16).max for c in caps)
     dtype = np.int16 if small else np.int64
     out = np.empty((n, len(caps)), dtype=dtype)
@@ -78,10 +78,7 @@ class ChoiceFunction:
         self._memo = {}
 
     def box_size(self):
-        n = 1
-        for c in self.caps:
-            n *= c + 1
-        return n
+        return math.prod(c + 1 for c in self.caps)
 
     def in_box(self, vals):
         return all(0 <= v <= c for v, c in zip(vals, self.caps))
@@ -343,14 +340,12 @@ class AxiomReport:
         if self.holds or self.witness is None:
             return False
         w = self.witness
+        z, zp = w.get("z"), w.get("zp")
         if self.axiom == "SUB":
-            z, zp = w["z"], w["zp"]
             return not cf.choose(z).meet(zp).le(cf.choose(zp))
         if self.axiom == "MON":
-            z, zp = w["z"], w["zp"]
             return cf.choose(z).total() < cf.choose(zp).total()
         if self.axiom == "CON":
-            z, zp = w["z"], w["zp"]
             if not (zp.le(z) and cf.choose(z).le(zp)):
                 return False
             return cf.choose(zp) != cf.choose(z)
@@ -387,19 +382,17 @@ class AxiomReport:
 
 
 def _comparable_pairs(caps):
-    n = 1
-    for c in caps:
-        n *= (c + 1) * (c + 2) // 2
-    return n
+    return math.prod((c + 1) * (c + 2) // 2 for c in caps)
 
 
 def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
     """Exhaustively check one axiom of ``cf`` within a pair budget.
 
     ``axiom`` is one of SUB, MON, CON, GL (case-insensitive).  The budget
-    counts comparable ordered pairs for the first three and preference
-    comparisons for GL; exceeding it raises :class:`BudgetError` rather
-    than returning a partial verdict.
+    counts the comparable ordered pairs a SUB, MON or CON verdict covers,
+    though only covering pairs are compared, and preference comparisons
+    for GL; exceeding it raises :class:`BudgetError` rather than returning
+    a partial verdict.
     """
     axiom = str(axiom).upper()
     if axiom in ("SUB", "MON", "CON"):
@@ -409,7 +402,39 @@ def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
     raise InputError("unknown axiom {!r}".format(axiom))
 
 
+def _violations(axiom, cz, sz, below, c_below, s_below):
+    """Where pairs ``below <= z`` violate ``axiom``, given ``C(z)`` and its size.
+
+    Each argument is one row (a scalar for sizes) or an array of them; they
+    broadcast against each other over the leading axes.
+    """
+    if axiom == "SUB":
+        return (np.minimum(cz, below) > c_below).any(axis=-1)
+    if axiom == "MON":
+        return s_below > sz
+    return (below >= cz).all(axis=-1) & (c_below != cz).any(axis=-1)
+
+
 def _check_pairwise(cf, axiom, budget):
+    """SUB, MON or CON over all comparable pairs, by their covering pairs.
+
+    A violation at ``z' <= z`` shows on a covering pair ``(y, y - e_j)``
+    with ``y <= z``.  Walk a chain from ``z`` down to ``z'`` one unit at a
+    time:
+
+    * SUB: if every step held, ``min(C(z), y) <= C(y)`` would pass down the
+      chain, since ``min(C(z), y'') <= min(C(y), y'') <= C(y'')``;
+    * MON: the sizes must rise at some step;
+    * CON: every ``y`` on the chain is ``>= z' >= C(z)``, so ``C`` stays
+      ``C(z)`` until the first step where it changes, and that step fails.
+
+    So the lexicographically first ``z`` with a failing covering pair is
+    the first ``z`` that fails against its whole sub-box, as a scan row by
+    row would find it.  Only that sub-box is scanned, for the first
+    failing ``z'``.  The pair count is what such a scan compares up to
+    ``z``: the sum of ``prod(y_j + 1)`` over the rows ``y`` up to ``z``,
+    or every comparable pair when the axiom holds.
+    """
     est = _comparable_pairs(cf.caps)
     if est > budget:
         raise BudgetError(
@@ -419,33 +444,26 @@ def _check_pairwise(cf, axiom, budget):
     chosen = cf.batch_vals(box)
     sizes = chosen.sum(axis=1, dtype=np.int64)
     shape = tuple(c + 1 for c in cf.caps)
-    box_grid = box.reshape(shape + (len(shape),))
-    chosen_grid = chosen.reshape(box_grid.shape)
-    size_grid = sizes.reshape(shape)
-    space = cf.space
-    checked = 0
-    for i, z in enumerate(box.tolist()):
-        # The rows below z are the sub-box [0, z_0] x ... x [0, z_(k-1)], a
-        # view in the same lexicographic order as the rows of the box.
-        below = tuple(slice(0, zj + 1) for zj in z)
-        checked += math.prod(zj + 1 for zj in z)
-        sub_box, sub_chosen = box_grid[below], chosen_grid[below]
-        if axiom == "SUB":
-            bad = (np.minimum(chosen[i], sub_box) > sub_chosen).any(axis=-1)
-        elif axiom == "MON":
-            bad = size_grid[below] > sizes[i]
-        else:  # CON
-            applies = (sub_box >= chosen[i]).all(axis=-1)
-            bad = applies & (sub_chosen != chosen[i]).any(axis=-1)
-        hits = np.flatnonzero(bad)
-        if len(hits):
-            j = np.ravel_multi_index(np.unravel_index(hits[0], np.shape(bad)), shape)
-            witness = {
-                "z": EdgeVector(space, box[i]),
-                "zp": EdgeVector(space, box[j]),
-            }
-            return AxiomReport(axiom, False, witness, checked)
-    return AxiomReport(axiom, True, None, checked)
+    grids = [g.reshape(shape + g.shape[1:]) for g in (box, chosen, sizes)]
+    bad = np.zeros(shape, dtype=bool)
+    for axis in range(len(shape)):
+        # The pairs (y, y - e_axis) as two shifted views of each grid.
+        hi = (slice(None),) * axis + (slice(1, None),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        ups = [g[hi] for g in grids[1:]]
+        bad[hi] |= _violations(axiom, *ups, *[g[lo] for g in grids])
+    hits = np.flatnonzero(bad)
+    if len(hits) == 0:
+        return AxiomReport(axiom, True, None, est)
+    i = hits[0]
+    below = tuple(slice(0, zj + 1) for zj in box[i].tolist())
+    sub = [g[below] for g in grids]
+    sub_bad = _violations(axiom, chosen[i], sizes[i], *sub)
+    first = np.unravel_index(np.flatnonzero(sub_bad)[0], sub_bad.shape)
+    j = np.ravel_multi_index(first, shape)
+    checked = int((box[: i + 1].astype(np.int64) + 1).prod(axis=1).sum())
+    witness = {"z": EdgeVector(cf.space, box[i]), "zp": EdgeVector(cf.space, box[j])}
+    return AxiomReport(axiom, False, witness, checked)
 
 
 def _check_gl(cf, budget):
@@ -454,21 +472,28 @@ def _check_gl(cf, budget):
     Along any strictly increasing chain of acceptable vectors, if adding a
     unit of edge ``a`` bumps exactly one unit at the chain's two ends and
     the bumped edge is the same, the middle must bump that edge too.
+
+    Every bumped vector and every join of two vectors lies in the box, so
+    each selection is read from one pass over the box by its mixed-radix
+    code, the row's index in :func:`box_array`.
     """
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
-    acceptable = box[(chosen == box).all(axis=1)]
+    weights = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
+    radix = np.array(weights, dtype=np.int64)
+    chosen_code = chosen.astype(np.int64) @ radix
+    acceptable = np.flatnonzero(chosen_code == np.arange(len(box)))
     space = cf.space
     checked = 0
     for a_pos, a_id in enumerate(space.ids):
-        room = acceptable[acceptable[:, a_pos] < cf.caps[a_pos]]
+        room = acceptable[box[acceptable, a_pos] < cf.caps[a_pos]]
         if len(room) == 0:
             continue
-        bumped = room.copy()
-        bumped[:, a_pos] += 1
-        deficit = bumped - cf.batch_vals(bumped)
+        bumped = room + radix[a_pos]
+        deficit = box[bumped] - chosen[bumped]
         single = deficit.sum(axis=1, dtype=np.int64) == 1
-        rows = room[single]
+        codes = room[single]
+        rows = box[codes]
         cpos = deficit[single].argmax(axis=1)
         m = len(rows)
         if m < 2 or len(set(cpos.tolist())) < 2:
@@ -480,10 +505,13 @@ def _check_gl(cf, budget):
                     checked, budget
                 )
             )
-        joins = np.maximum(rows[:, None, :], rows[None, :, :]).reshape(-1, len(space.ids))
-        cj = cf.batch_vals(joins).reshape(m, m, -1)
-        prec = (cj == rows[None, :, :]).all(axis=2)
-        prec &= (rows[:, None, :] != rows[None, :, :]).any(axis=2)
+        joins = np.zeros((m, m), dtype=np.int64)
+        for j, r in enumerate(radix.tolist()):
+            col = rows[:, j].astype(np.int64) * r
+            joins += np.maximum(col[:, None], col[None, :])
+        # prec[i, l]: rows[l] is chosen out of the two, and differs from rows[i].
+        prec = chosen_code[joins] == codes[None, :]
+        prec &= codes[:, None] != codes[None, :]
         for cval in sorted(set(cpos.tolist())):
             ingrp = np.nonzero(cpos == cval)[0]
             outgrp = np.nonzero(cpos != cval)[0]
@@ -496,16 +524,9 @@ def _check_gl(cf, budget):
             j = outgrp[hits[0]]
             i = ingrp[np.nonzero(first_hop[:, hits[0]])[0][0]]
             l = ingrp[np.nonzero(second_hop[hits[0]])[0][0]]
-            witness = {
-                "edge": a_id,
-                "z1": EdgeVector(space, rows[i]),
-                "z2": EdgeVector(space, rows[j]),
-                "z3": EdgeVector(space, rows[l]),
-                "rejected": (
-                    space.ids[cpos[i]],
-                    space.ids[cpos[j]],
-                    space.ids[cpos[l]],
-                ),
-            }
+            witness = {"edge": a_id}
+            for key, t in zip(("z1", "z2", "z3"), (i, j, l)):
+                witness[key] = EdgeVector(space, rows[t])
+            witness["rejected"] = tuple(space.ids[cpos[t]] for t in (i, j, l))
             return AxiomReport("GL", False, witness, checked)
     return AxiomReport("GL", True, None, checked)

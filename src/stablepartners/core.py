@@ -9,6 +9,7 @@ rotations, the symmetrization machinery) works in terms of these types.
 """
 
 import json
+import math
 import numbers
 
 
@@ -309,10 +310,7 @@ class Instance:
         return x.is_nonnegative() and x.le(self.caps)
 
     def box_size(self):
-        n = 1
-        for c in self.caps.vals:
-            n *= c + 1
-        return n
+        return math.prod(c + 1 for c in self.caps.vals)
 
     def __repr__(self):
         return "Instance({} vertices, {} edges)".format(
@@ -330,7 +328,7 @@ class _ClosedWalk:
     ``_check_length``.
     """
 
-    __slots__ = ("steps", "edges")
+    __slots__ = ("steps", "edges", "_hash")
     stride = 1
 
     def __init__(self, inst, steps):
@@ -350,12 +348,13 @@ class _ClosedWalk:
             steps[i:] + steps[:i] for i in range(0, len(steps), self.stride)
         )
         self.edges = tuple(e for _, e in self.steps)
+        self._hash = hash(self.steps)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.steps == other.steps
 
     def __hash__(self):
-        return hash(self.steps)
+        return self._hash
 
     def __lt__(self, other):
         return self.steps < other.steps

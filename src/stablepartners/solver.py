@@ -102,9 +102,7 @@ def verify_half_partnership(inst, hp):
         OddCycle(inst, cyc.steps)
         overlap = seen & set(cyc.edges)
         if overlap:
-            raise InputError(
-                "cycles share edges {}".format(sorted(overlap))
-            )
+            raise InputError("cycles share edges {}".format(sorted(overlap)))
         seen.update(cyc.edges)
 
     # Stars are raw tuples in star order; a visit of a cycle to v is the
@@ -134,9 +132,7 @@ def verify_half_partnership(inst, hp):
     for v in inst.vertices:
         for part, menu in (("in", star_in[v]), ("out", star_out[v])):
             if attempt(v, menu) != menu:
-                violations.append(
-                    {"condition": "C1", "vertex": v, "part": part}
-                )
+                violations.append({"condition": "C1", "vertex": v, "part": part})
         out_v = star_out[v]
         for cyc, pairs in visits[v]:
             menu = _moved(out_v, [i for i, _ in pairs], 1)
@@ -172,20 +168,14 @@ def verify_half_partnership(inst, hp):
             t = inst.star_space[taker].index[e]
             k = inst.star_space[keeper].index[e]
             if menu_t[t] != menu_k[k]:
-                raise InternalError(
-                    "cycle bookkeeping split edge {!r}".format(e)
-                )
+                raise InternalError("cycle bookkeeping split edge {!r}".format(e))
             if menu_t[t] >= caps[p]:
                 continue
             sel_t = attempt(taker, _moved(menu_t, [t], 1))
             sel_k = attempt(keeper, _moved(menu_k, [k], 1))
             if sel_t != menu_t and sel_k != menu_k:
                 violations.append(
-                    {
-                        "condition": "C3",
-                        "edge": e,
-                        "ends": [taker, keeper],
-                    }
+                    {"condition": "C3", "edge": e, "ends": [taker, keeper]}
                 )
 
     return VerificationReport(not violations, tuple(violations))

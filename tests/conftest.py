@@ -128,6 +128,74 @@ def degenerate_doc():
     )
 
 
+# The order-with-quota stars whose boxes the axiom checks scan whole, as
+# (caps, quota): 13 unit edges, 5 of cap 3, 3 of cap 9, and 2 of cap 79.
+ACCEPTANCE_STARS = [([1] * 13, 4), ([3] * 5, 7), ([9] * 3, 13), ([79] * 2, 55)]
+
+
+def star_cf(caps, quota):
+    """The order-with-quota choice of a hub on edges ``s1, s2, ...`` in order."""
+    ids = ["s{}".format(i + 1) for i in range(len(caps))]
+    return LinearOrderQuotaCF("hub", EdgeSpace(ids), caps, quota, ids)
+
+
+def hub_doc(cf):
+    """An instance document with ``cf`` at a hub and a one-edge leaf per edge."""
+    ids = cf.space.ids
+    leaves = ["n{}".format(i + 1) for i in range(len(ids))]
+    return {
+        "vertices": ["hub"] + leaves,
+        "edges": [
+            {"id": e, "ends": ["hub", n], "cap": c}
+            for e, n, c in zip(ids, leaves, cf.caps)
+        ],
+        "choice": {
+            "hub": cf.to_dict(),
+            **{
+                n: {"type": "linear_order_quota", "quota": c, "order": [e]}
+                for e, n, c in zip(ids, leaves, cf.caps)
+            },
+        },
+    }
+
+
+def _table(ids, caps, rows):
+    return TableCF("v", EdgeSpace(ids), caps, sorted(rows.items()))
+
+
+def sub_violating_table():
+    """The two-edge table that regrets a unit when its menu shrinks."""
+    rows = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (0, 0), (1, 1): (1, 0)}
+    return _table(("e1", "e2"), (1, 1), rows)
+
+
+def mon_violating_table():
+    """Two unit edges, each kept alone, both dropped together: fails MON."""
+    rows = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 0), (1, 1): (0, 0)}
+    return _table(("e1", "e2"), (1, 1), rows)
+
+
+def con_violating_table():
+    """Greedy quota 2 along ``e1, e2`` except that ``C(2, 1) = (1, 0)``.
+
+    Removing the unused second unit of ``e1`` changes the choice, so CON
+    fails (and MON with it) while SUB holds.
+    """
+    box = itertools.product(range(3), range(2))
+    rows = {(a, b): (a, min(b, 2 - a)) for a, b in box}
+    rows[(2, 1)] = (1, 0)
+    return _table(("e1", "e2"), (2, 1), rows)
+
+
+def gl_violating_table():
+    """Unit rejections that flip away from an edge and back along a chain."""
+    rows = {z: z for z in itertools.product(range(2), repeat=3)}
+    rows[(0, 0, 1)] = (0, 0, 0)
+    rows[(1, 0, 1)] = (0, 0, 1)
+    rows[(1, 1, 1)] = (1, 1, 0)
+    return _table(("a", "b", "t"), (1, 1, 1), rows)
+
+
 def triangle_doc():
     """Three parties in a cyclic tie: everyone prefers the next one around."""
     return quota_doc(
@@ -1293,6 +1361,65 @@ def oracle_check_pairwise(cf, axiom):
             }
             return AxiomReport(axiom, False, witness, checked)
     return AxiomReport(axiom, True, None, checked)
+
+
+def oracle_check_gl(cf):
+    """GL by selecting on every bumped vector and every join afresh.
+
+    Calls ``batch_vals`` once per edge on the bumped rows and once on the
+    ``m * m`` joins, instead of reading them from one selection over the
+    box, and returns an :class:`AxiomReport` exactly as :func:`check_axiom`
+    does.  It is the reference for the library's box lookup; it enforces
+    no budget.
+    """
+    box = box_array(cf.caps)
+    chosen = cf.batch_vals(box)
+    acceptable = box[(chosen == box).all(axis=1)]
+    space = cf.space
+    checked = 0
+    for a_pos, a_id in enumerate(space.ids):
+        room = acceptable[acceptable[:, a_pos] < cf.caps[a_pos]]
+        if len(room) == 0:
+            continue
+        bumped = room.copy()
+        bumped[:, a_pos] += 1
+        deficit = bumped - cf.batch_vals(bumped)
+        single = deficit.sum(axis=1, dtype=np.int64) == 1
+        rows = room[single]
+        cpos = deficit[single].argmax(axis=1)
+        m = len(rows)
+        if m < 2 or len(set(cpos.tolist())) < 2:
+            continue
+        checked += m * m
+        joins = np.maximum(rows[:, None, :], rows[None, :, :]).reshape(-1, len(space.ids))
+        cj = cf.batch_vals(joins).reshape(m, m, -1)
+        prec = (cj == rows[None, :, :]).all(axis=2)
+        prec &= (rows[:, None, :] != rows[None, :, :]).any(axis=2)
+        for cval in sorted(set(cpos.tolist())):
+            ingrp = np.nonzero(cpos == cval)[0]
+            outgrp = np.nonzero(cpos != cval)[0]
+            first_hop = prec[np.ix_(ingrp, outgrp)]
+            second_hop = prec[np.ix_(outgrp, ingrp)]
+            mid_ok = first_hop.any(axis=0) & second_hop.any(axis=1)
+            hits = np.nonzero(mid_ok)[0]
+            if len(hits) == 0:
+                continue
+            j = outgrp[hits[0]]
+            i = ingrp[np.nonzero(first_hop[:, hits[0]])[0][0]]
+            l = ingrp[np.nonzero(second_hop[hits[0]])[0][0]]
+            witness = {
+                "edge": a_id,
+                "z1": EdgeVector(space, rows[i]),
+                "z2": EdgeVector(space, rows[j]),
+                "z3": EdgeVector(space, rows[l]),
+                "rejected": (
+                    space.ids[cpos[i]],
+                    space.ids[cpos[j]],
+                    space.ids[cpos[l]],
+                ),
+            }
+            return AxiomReport("GL", False, witness, checked)
+    return AxiomReport("GL", True, None, checked)
 
 
 def oracle_enumerate_stable(inst):

@@ -7,8 +7,6 @@ so a quietly degenerate corpus fails loudly instead of passing by luck.
 """
 
 from stablepartners import (
-    LinearOrderQuotaCF,
-    TableCF,
     check_axiom,
     climb,
     closed_from_vector,
@@ -25,13 +23,15 @@ from stablepartners import (
     solve,
     verify_half_partnership,
 )
-from stablepartners.core import EdgeSpace
 
 from conftest import (
+    ACCEPTANCE_STARS,
     cycle_rotation,
     edgevec,
     immediate_successors,
     mirror_occurrences,
+    star_cf,
+    sub_violating_table,
 )
 
 
@@ -195,15 +195,8 @@ def test_choice_axioms_verified_exhaustively_on_stars():
     """Order-with-quota choices pass all four axioms over entire boxes of
     up to ten thousand vectors, and a table that keeps a unit after losing
     its companion is caught with a checkable witness."""
-    stars = [
-        ([1] * 13, 4),
-        ([3] * 5, 7),
-        ([9] * 3, 13),
-        ([79] * 2, 55),
-    ]
-    for caps, quota in stars:
-        ids = ["s{}".format(i + 1) for i in range(len(caps))]
-        cf = LinearOrderQuotaCF("hub", EdgeSpace(ids), caps, quota, ids)
+    for caps, quota in ACCEPTANCE_STARS:
+        cf = star_cf(caps, quota)
         assert cf.box_size() <= 10**4
         for axiom in ("SUB", "MON", "CON", "GL"):
             report = check_axiom(cf, axiom, budget=10**8)
@@ -211,14 +204,7 @@ def test_choice_axioms_verified_exhaustively_on_stars():
             assert report.witness is None
             assert report.pairs_checked > 0
 
-    space = EdgeSpace(("e1", "e2"))
-    entries = [
-        ((0, 0), (0, 0)),
-        ((0, 1), (0, 1)),
-        ((1, 0), (0, 0)),
-        ((1, 1), (1, 0)),
-    ]
-    bad = TableCF("hub", space, (1, 1), entries)
+    bad = sub_violating_table()
     report = check_axiom(bad, "SUB", budget=10**8)
     assert not report.holds
     z, zp = report.witness["z"], report.witness["zp"]

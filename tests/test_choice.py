@@ -16,7 +16,16 @@ from stablepartners.choice import (
 )
 from stablepartners.core import EdgeSpace, EdgeVector
 
-from conftest import gated_instance, oracle_check_pairwise
+from conftest import (
+    ACCEPTANCE_STARS,
+    gated_instance,
+    gl_violating_table,
+    mon_violating_table,
+    oracle_check_gl,
+    oracle_check_pairwise,
+    star_cf,
+    sub_violating_table,
+)
 
 
 def quota_cf(caps, quota, order=None):
@@ -106,18 +115,6 @@ def test_choosing_twice_changes_nothing():
 
 
 # -- tables and other stars ---------------------------------------------------
-
-
-def sub_violating_table():
-    """The two-edge table that regrets a unit when its menu shrinks."""
-    sp = EdgeSpace(("e1", "e2"))
-    entries = [
-        ((0, 0), (0, 0)),
-        ((0, 1), (0, 1)),
-        ((1, 0), (0, 0)),
-        ((1, 1), (1, 0)),
-    ]
-    return TableCF("v", sp, (1, 1), entries)
 
 
 def test_table_requires_full_coverage():
@@ -247,27 +244,10 @@ def test_documented_table_also_fails_consistence_but_not_monotonicity():
 
 
 def test_size_drop_is_caught_by_the_monotonicity_check():
-    sp = EdgeSpace(("e1", "e2"))
-    entries = [
-        ((0, 0), (0, 0)),
-        ((0, 1), (0, 1)),
-        ((1, 0), (1, 0)),
-        ((1, 1), (0, 0)),
-    ]
-    cf = TableCF("v", sp, (1, 1), entries)
+    cf = mon_violating_table()
     report = check_axiom(cf, "mon")
     assert not report.holds
     assert report.reevaluate(cf)
-
-
-def gl_violating_table():
-    """Unit rejections that flip away from an edge and back along a chain."""
-    sp = EdgeSpace(("a", "b", "t"))
-    entries = {z: z for z in itertools.product(range(2), repeat=3)}
-    entries[(0, 0, 1)] = (0, 0, 0)
-    entries[(1, 0, 1)] = (0, 0, 1)
-    entries[(1, 1, 1)] = (1, 1, 0)
-    return TableCF("v", sp, (1, 1, 1), sorted(entries.items()))
 
 
 def test_rejection_flip_is_caught_by_the_gapless_check():
@@ -346,6 +326,57 @@ def test_pairwise_checks_match_the_full_box_oracle_on_random_tables():
     for axiom in ("SUB", "MON", "CON"):
         assert verdicts.count((axiom, False)) >= 50
         assert verdicts.count((axiom, True)) >= 50
+
+
+def test_gapless_check_matches_its_oracle_on_random_tables():
+    """Quota choices with about 30% of their rows replaced by the menu less
+    one unit, which makes single-unit rejections: verdict, comparison count
+    and witness all equal the per-join oracle's, on holding and on failing
+    reports alike."""
+    rng = random.Random(496)
+    verdicts = []
+    for _ in range(200):
+        k = rng.randint(2, 4)
+        caps = [rng.randint(1, 2) for _ in range(k)]
+        base = quota_cf(caps, rng.randint(1, sum(caps)))
+        rows = []
+        for z in full_box(base):
+            c = base.choose_vals(z)
+            held = [j for j, zj in enumerate(z) if zj]
+            if held and rng.random() < 0.3:
+                j = rng.choice(held)
+                c = z[:j] + (z[j] - 1,) + z[j + 1 :]
+            rows.append((z, c))
+        cf = TableCF("v", base.space, caps, rows)
+        got = check_axiom(cf, "GL")
+        want = oracle_check_gl(cf)
+        assert (got.holds, got.pairs_checked, got.witness) == (
+            want.holds,
+            want.pairs_checked,
+            want.witness,
+        ), (caps, rows)
+        verdicts.append(got.holds)
+    assert verdicts.count(False) >= 50
+    assert verdicts.count(True) >= 50
+
+
+def test_each_axiom_check_selects_once_over_the_box():
+    """One ``batch_vals`` call over the whole box per check, on every
+    acceptance star; the verdicts read everything else from it."""
+    for caps, quota in ACCEPTANCE_STARS:
+        cf = star_cf(caps, quota)
+        select = cf.batch_vals
+        calls = []
+
+        def counted(arr):
+            calls.append(len(arr))
+            return select(arr)
+
+        cf.batch_vals = counted
+        for axiom in ("SUB", "MON", "CON", "GL"):
+            calls.clear()
+            assert check_axiom(cf, axiom, budget=10**8).holds
+            assert calls == [cf.box_size()], (caps, axiom)
 
 
 def test_pairwise_budget_is_enforced_before_work_starts():

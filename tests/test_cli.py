@@ -22,15 +22,22 @@ from stablepartners.cli import (
 )
 
 from conftest import (
+    ACCEPTANCE_STARS,
     b4_doc,
     bad_table_doc,
     blocks_doc,
+    con_violating_table,
     cycle3_doc,
     degenerate_doc,
     gated_instance,
+    gl_violating_table,
+    hub_doc,
     latin_doc,
+    mon_violating_table,
     random_general_doc,
     ring_doc,
+    star_cf,
+    sub_violating_table,
     triangle_doc,
 )
 
@@ -224,9 +231,26 @@ def _pinned_documents():
     }
     docs.update({"ring{}".format(n): ring_doc(n, 3, 3) for n in (3, 5, 7)})
     docs.update({"random{}".format(i): random_general_doc(rng) for i in range(12)})
+    docs.update(AXIOM_DOCUMENTS)
     return docs
 
 
+def _axiom_documents():
+    docs = {
+        "star{}x{}".format(len(caps), caps[0]): hub_doc(star_cf(caps, quota))
+        for caps, quota in ACCEPTANCE_STARS
+    }
+    for axiom, table in (
+        ("sub", sub_violating_table),
+        ("mon", mon_violating_table),
+        ("con", con_violating_table),
+        ("gl", gl_violating_table),
+    ):
+        docs["{}_table".format(axiom)] = hub_doc(table())
+    return docs
+
+
+AXIOM_DOCUMENTS = _axiom_documents()
 PINNED_DOCUMENTS = _pinned_documents()
 PINNED_DIGESTS = json.loads(
     (Path(__file__).parent / "cli_stdout_sha256.json").read_text(encoding="utf-8")
@@ -235,6 +259,9 @@ PINNED_DIGESTS = json.loads(
 
 def _pinned_runs():
     for name, doc in PINNED_DOCUMENTS.items():
+        if name in AXIOM_DOCUMENTS:
+            yield name, ["check-axioms", "--axiom", "all", "--budget", "100000000"]
+            continue
         commands = [["solve", "--seed", "0"], ["solve", "--seed", "2"], ["brute"]]
         if "bipartition" in doc:
             commands += [["route"], ["poset"], ["rotations"], ["bipartite-solve"]]

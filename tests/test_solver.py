@@ -122,7 +122,7 @@ def test_walks_of_two_kinds_never_compare_equal(triangle):
     assert rot != cyc and cyc != rot
     # Even a rotation with the cycle's very steps differs from the cycle.
     shell = object.__new__(Rotation)
-    shell.steps = cyc.steps
+    shell.steps, shell._hash = cyc.steps, hash(cyc)
     assert shell != cyc and cyc != shell
     assert len({cyc, shell}) == 2
     assert repr(cyc) == "OddCycle(a-ca c-bc b-ab)"
