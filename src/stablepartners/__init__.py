@@ -35,7 +35,6 @@ from .bipartite import (
     find_rotations,
     is_stable,
     precedes_F,
-    precedes_W,
 )
 from .brute import enumerate_stable, lattice_extremes
 from .poset import (

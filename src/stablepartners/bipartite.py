@@ -9,7 +9,8 @@ minimum and the firm-optimal one is the maximum.
 import random
 from collections import Counter, namedtuple
 
-from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
+from .core import EdgeVector, InputError, InternalError, VerificationError
+from .core import _ClosedWalk, _is_int
 from .choice import _weakly_prefers
 
 
@@ -183,10 +184,6 @@ def precedes(inst, x, y, side):
 def precedes_F(inst, x, y):
     """Strict firm-side comparison; the order all route machinery uses."""
     return precedes(inst, x, y, "F")
-
-
-def precedes_W(inst, x, y):
-    return precedes(inst, x, y, "W")
 
 
 def deferred_acceptance(inst, side):
@@ -422,10 +419,9 @@ class _Discovery:
     landings of candidates that share a firm again at every refresh; no
     seeded workload has such a pair.
 
-    A new state is empty, and :meth:`refresh` is the one way to recompute:
-    :func:`find_rotations` makes every discovery step, from scratch (a
-    refresh of every vertex) or after a climb.  ``x`` must be stable; the
-    caller verifies it.
+    A new state is empty; :meth:`refresh`, which :func:`find_rotations`
+    calls for every discovery step, is the one way to recompute.  ``x``
+    must be stable; the caller verifies it.
     """
 
     __slots__ = ("inst", "x", "succ", "walks", "found")
@@ -599,13 +595,12 @@ def find_rotations(inst, x, verified=False, state=None, moved=None):
     (:func:`_weakly_below`).  Walks that share no firm cost nothing.
 
     By default this is the answer from scratch, in a new
-    :class:`_Discovery`.  The rotation sweeps carry one ``state`` from
-    vector to vector instead, and make each of their discovery steps
-    here: the state is moved to ``x`` and its rotations returned.  A
-    climb along R changes only the stars of R's vertices, so a sweep
-    passes them as ``moved``, the vertices whose stars may differ between
-    the state's vector and ``x`` (by default every vertex), and only the
-    links and screens that read those stars are recomputed.
+    :class:`_Discovery`.  The rotation sweeps make every discovery step
+    here on the ``state`` they carry: it is moved to ``x`` and its
+    rotations returned.  ``moved`` names the vertices whose stars may
+    differ between the state's vector and ``x`` (by default every
+    vertex; after a climb along R, R's vertices), and only the links and
+    screens that read those stars are recomputed.
     """
     if not verified:
         report = is_stable(inst, x)
@@ -651,7 +646,7 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     checked here with the whole-instance :func:`is_stable`, and an
     unstable ``x`` raises :class:`InputError`.  So does a ``ceiling``
     outside the box, or unless verified one that is unstable, and a
-    ``limit`` that is not a non-negative integer.
+    ``limit`` that is not a non-negative integer, ``bool`` excluded.
 
     The weight is found by galloping, then bisecting: the probes are
     ``k = 1, 2, 4, ...`` up to the first that fails, then the midpoints
@@ -660,9 +655,9 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     against the verified ``x``, that it is stable and strictly above
     ``x`` on the firm side; only the stars of the rotation's vertices
     differ from ``x``, so only they, the edges incident to them and the
-    rotation's firms are re-checked.  The ceiling is compared once at
-    the firms off the rotation, whose stars stay those of ``x``, and at
-    every probe only at the rotation's firms.
+    rotation's firms are re-checked.  The ceiling is compared here once
+    at the firms off the rotation, whose stars stay those of ``x``, and
+    by :func:`_climb` at every probe only at the rotation's firms.
 
     Exactness rests on the interval property: the probes that hold are
     exactly those at ``k = 1..tau``, where ``tau`` is the weight a
@@ -681,10 +676,10 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     inst.check_vector(x)
     if rot.chi.space != inst.space:
         raise InputError("rotation does not live on this instance's edges")
-    if limit is not None and (
-        not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
-    ):
-        raise InputError("limit must be a non-negative integer")
+    if limit is not None:
+        if not _is_int(limit) or limit < 0:
+            raise InputError("limit must be a non-negative integer")
+        limit = int(limit)
     if ceiling is not None and not inst.in_box(ceiling):
         raise InputError("the ceiling is outside the capacity box")
     if not verified:
@@ -694,14 +689,22 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
                 raise InputError(
                     "rotations climb only between stable vectors: {!r}".format(report)
                 )
-    return _climb(inst, x, _walk_frame(inst, rot.steps), ceiling, limit)
+    frame = _walk_frame(inst, rot.steps)
+    if ceiling is not None and not _weakly_below(
+        inst, x.vals, ceiling.vals, sorted(inst.parts[1].difference(frame[1]))
+    ):
+        return 0, x
+    return _climb(inst, x, frame, ceiling, limit)
 
 
 def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):
     """The walk of :func:`climb`, along a rotation's :func:`_walk_frame`.
 
     The caller has made :func:`climb`'s checks: ``x`` and any ``ceiling``
-    are verified stable and ``limit`` is a non-negative integer or None.
+    are verified stable, ``limit`` is a non-negative integer or None, and
+    every firm off the rotation weakly prefers its star in ``ceiling`` to
+    its star in ``x``.  Those stars do not move along the ray, so each
+    probe is compared with the ceiling at the rotation's firms alone.
     With ``screened``, the landing at ``k = 1`` is known to be stable and
     strictly above ``x`` (as for every rotation :class:`_Discovery`
     finds), so that probe skips :func:`_shift_holds`; under a ceiling it
@@ -709,10 +712,6 @@ def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):
     """
     firms = [f for f in frame[1] if f in inst.parts[1]]
     base = x.vals
-    if ceiling is not None and not _weakly_below(
-        inst, base, ceiling.vals, sorted(inst.parts[1].difference(firms))
-    ):
-        return 0, x
 
     def probe(k):
         if k == 1 and screened:
@@ -775,49 +774,56 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
+def _discovery_at(inst, x):
+    """A new discovery state at ``x``, which the caller has verified stable.
+
+    Every rotation sweep starts from one (see :func:`_sweep`); the step
+    goes through :func:`find_rotations` like every other.
+    """
+    state = _Discovery(inst)
+    find_rotations(inst, x, verified=True, state=state)
+    return state
+
+
 def _sweep(
-    inst, pick, state=None, used=None, ceiling=None, half=None, spend=None, saved=None
+    inst, pick, state, used=None, ceiling=None, half=None, spend=None, saved=None
 ):
     """Climb rotations upward from a stable vector until none is taken.
 
     This is the one loop over rotation discovery (:func:`find_rotations`)
-    and :func:`_climb`; callers differ only in their pick policy.  The
-    sweep goes on from a copy of the discovery ``state`` (see
-    :class:`_Discovery`), by default a fresh one at the worker-optimal
-    vector.  Every vector after it is a landing checked by
-    :func:`_shift_holds`, so no vector is checked whole again.  At each
-    vector it takes the state's rotations and, if there are any, asks
-    ``pick(rots, used)`` for the ones to try, in order; ``used`` counts
-    the applications of each rotation so far (on top of the ``used``
-    given to a sweep that starts higher up), keyed by its steps, which is
-    also the ordinal of its next occurrence.  The first candidate whose
-    climb moves at all is applied with the climb's weight ``tau``, or
-    with ``tau // 2`` where ``half(rot)`` holds, a landing checked by one
-    more probe of the ray.  The climb starts past the
-    probe at ``k = 1``, which discovery has screened.  With a ``ceiling``
-    every climb stays under it and the sweep stops on reaching it.
-    ``spend``, if given, is called before every climb.
+    and :func:`_climb`; callers differ only in their pick policy.  It
+    starts at the vector of the discovery ``state`` (made by
+    :func:`_discovery_at`) and goes on from a copy, so the caller's state
+    never moves.  Every later vector is a landing checked by
+    :func:`_shift_holds`, so none is checked whole again.  Where the state
+    has rotations, ``pick(rots, used)`` names the ones to try, in order;
+    ``used`` counts the applications of each rotation so far (on top of
+    the ``used`` given to a sweep that starts higher up), keyed by its
+    steps, which is also the ordinal of its next occurrence.  The first
+    whose climb moves at all is applied with the climb's weight ``tau``,
+    or with ``tau // 2`` where ``half(rot)`` holds, a landing checked by
+    one more probe of the ray.  The climb starts past the probe at
+    ``k = 1``, which discovery has screened.  ``spend``, if given, is
+    called before every climb.
+
+    With a ``ceiling`` the sweep stops on reaching it.  The start must be
+    weakly below it at every firm, as the least stable vector is below
+    every stable one; each landing is compared with the ceiling at its
+    rotation's firms and no other firm moves, so every vector stays below
+    and :func:`_climb` compares no firm off the rotation.  From a start
+    not below the ceiling the sweep cannot reach it: each landing is
+    strictly above the vector before it, and the firm order is transitive.
 
     A climb along R changes only the stars of R's vertices, so the state
-    is refreshed at those alone: the links of the gain nodes of the edges
-    whose firm is on R and of the loss nodes of the workers on R or next
-    to a firm on R, the cycles through a changed link, and the screens
-    and checks of the candidates whose stars R moved.  Where R touches
-    every vertex this is one full discovery, as from scratch.
-    ``saved``, if given, receives a copy of the state at every vector
-    where more than one rotation was found, keyed by the index of the
-    step taken there.
+    is refreshed at those alone (see :class:`_Discovery`).  ``saved``, if
+    given, receives a copy of the state at every vector where more than
+    one rotation was found, keyed by the index of the step taken there.
 
-    Returns ``(start, steps, end, rots)``: the steps as :data:`RouteStep`
-    records, the vector the sweep stopped at, and the rotations found
-    there (None if it stopped at the ceiling).
+    Returns ``(steps, moved)``: the steps as :data:`RouteStep` records and
+    the state where the sweep stopped, at ``moved.x`` with the rotations
+    ``moved.found``.
     """
-    if state is None:
-        state = _Discovery(inst)
-        find_rotations(inst, deferred_acceptance(inst, "W"), verified=True, state=state)
-    else:
-        state = state.copy()
-    start = state.x
+    state = state.copy()
     used = Counter(used)
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
@@ -833,7 +839,7 @@ def _sweep(
             if tau:
                 break
         else:
-            return start, steps, x, rots
+            break
         weight = tau
         if half is not None and half(rot):
             weight = tau // 2
@@ -841,9 +847,7 @@ def _sweep(
             # half step gets a probe of its own.
             vals = _ray_point(inst, x.vals, frame, weight) if weight else x.vals
             if vals is None:
-                raise VerificationError(
-                    "half step along {!r} failed".format(rot)
-                )
+                raise VerificationError("half step along {!r} failed".format(rot))
             y = EdgeVector._trusted(inst.space, vals)
         steps.append(RouteStep(rot, used[rot.steps], weight, tau, x, y, rots))
         used[rot.steps] += 1
@@ -852,7 +856,7 @@ def _sweep(
         fuel -= 1
         if fuel < 0:
             raise InternalError("rotation sweep failed to terminate")
-    return start, steps, state.x, None
+    return steps, state
 
 
 def build_full_route(inst, seed=0):
@@ -864,11 +868,10 @@ def build_full_route(inst, seed=0):
     firm-optimal vector.
     """
     rng = random.Random(seed)
-    start, steps, end, _ = _sweep(
-        inst, lambda rots, used: [rots[rng.randrange(len(rots))]]
+    start = _discovery_at(inst, deferred_acceptance(inst, "W"))
+    steps, end = _sweep(
+        inst, lambda rots, used: [rots[rng.randrange(len(rots))]], start
     )
-    if end != deferred_acceptance(inst, "F"):
-        raise VerificationError(
-            "route stalled before the firm-optimal vector"
-        )
-    return Route(start, steps)
+    if end.x != deferred_acceptance(inst, "F"):
+        raise VerificationError("route stalled before the firm-optimal vector")
+    return Route(start.x, steps)

@@ -219,8 +219,9 @@ class TableCF(ChoiceFunction):
         super().__init__(vertex, space, caps)
         table = {}
         for z_vals, c_vals in entries:
-            z_vals = tuple(int(v) for v in z_vals)
-            c_vals = tuple(int(v) for v in c_vals)
+            if not all(map(_is_int, (*z_vals, *c_vals))):
+                raise InputError("table entries at {!r} must be integers".format(vertex))
+            z_vals, c_vals = tuple(map(int, z_vals)), tuple(map(int, c_vals))
             if not self.in_box(z_vals):
                 raise InputError("table key outside the box at {!r}".format(vertex))
             if z_vals in table:

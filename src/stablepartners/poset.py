@@ -14,7 +14,7 @@ from .core import BudgetError, InputError, InternalError, VerificationError, _is
 from .bipartite import (
     Route,
     RouteStep,
-    _Discovery,
+    _discovery_at,
     _sweep,
     climb,
     deferred_acceptance,
@@ -147,13 +147,12 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     """
     spend = _climb_budget(budget)
     # The bottom is the verified outcome of the proposal rounds.
-    at_bottom = _Discovery(inst)
-    find_rotations(inst, deferred_acceptance(inst, "W"), verified=True, state=at_bottom)
+    at_bottom = _discovery_at(inst, deferred_acceptance(inst, "W"))
     saved = {}
-    bottom, steps, top, _ = _sweep(
-        inst, lambda rots, used: rots[:1], state=at_bottom, spend=spend, saved=saved
+    steps, top = _sweep(
+        inst, lambda rots, used: rots[:1], at_bottom, spend=spend, saved=saved
     )
-    if top != deferred_acceptance(inst, "F"):
+    if top.x != deferred_acceptance(inst, "F"):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
 
@@ -169,9 +168,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
                 return [r for r in rots if (r, used[r.steps]) != a][:1]
 
             used = Counter(s.rotation.steps for s in steps[:i])
-            _, more, end, rots = _sweep(
-                inst, avoid_a, state=saved.pop(i), used=used, spend=spend
-            )
+            more, end = _sweep(inst, avoid_a, saved.pop(i), used=used, spend=spend)
             for s in more:
                 occ = Occurrence(s.rotation, s.ordinal)
                 if occ not in tau:
@@ -180,16 +177,16 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
                     )
                 _check_weight(tau, occ, s.weight)
                 seen.add(occ)
-            if rots != [a.rotation]:
+            if end.found != [a.rotation]:
                 raise VerificationError(
                     "the sweep that avoids {!r} does not stop at it".format(a)
                 )
             spend()
-            weight, _ = climb(inst, end, a.rotation, verified=True)
+            weight, _ = climb(inst, end.x, a.rotation, verified=True)
             _check_weight(tau, a, weight)
         less.update((a, b) for b in tau if b != a and b not in seen)
 
-    order = RotationOrder(tau.keys(), tau, less, bottom, top)
+    order = RotationOrder(tau.keys(), tau, less, at_bottom.x, top.x)
     _sanity_check_order(order)
     order._at_bottom[inst] = at_bottom
     return order
@@ -277,7 +274,8 @@ def closed_from_vector(inst, order, x):
         raise InputError("target vector is not stable: {!r}".format(report))
     # The sweep trusts its start, and the order may come from elsewhere:
     # its bottom is checked, and its rotations found, on the first call
-    # for each instance.
+    # for each instance.  A stable bottom that is not below ``x`` cannot
+    # sweep to ``x`` (see ``_sweep``), which the check after it catches.
     at_bottom = order._at_bottom.get(inst)
     if at_bottom is None:
         report = is_stable(inst, order.bottom)
@@ -285,14 +283,11 @@ def closed_from_vector(inst, order, x):
             raise VerificationError(
                 "the order's bottom is not stable: {!r}".format(report)
             )
-        at_bottom = order._at_bottom[inst] = _Discovery(inst)
-        find_rotations(inst, order.bottom, verified=True, state=at_bottom)
-    _, steps, end, _ = _sweep(
-        inst, lambda rots, used: rots, state=at_bottom, ceiling=x
-    )
-    if end != x:
+        at_bottom = order._at_bottom[inst] = _discovery_at(inst, order.bottom)
+    steps, end = _sweep(inst, lambda rots, used: rots, at_bottom, ceiling=x)
+    if end.x != x:
         raise VerificationError(
-            "no rotation leads from {!r} toward the target".format(end)
+            "no rotation leads from {!r} toward the target".format(end.x)
         )
     weights = {}
     for s in steps:

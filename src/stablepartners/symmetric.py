@@ -11,7 +11,7 @@ the doubles of plain vectors, which is what makes the doubling useful.
 import random
 
 from .core import EdgeSpace, EdgeVector, InputError, Instance, VerificationError
-from .bipartite import Rotation, _sweep
+from .bipartite import Rotation, _discovery_at, _sweep, deferred_acceptance
 
 
 def _copy_name(name, i):
@@ -161,9 +161,11 @@ def run_qb(si, seed=0):
         fresh = [r for r in rots if si.reflect_rotation(r).steps not in used]
         return [fresh[rng.randrange(len(fresh))]] if fresh else []
 
-    _, steps, x, _ = _sweep(
-        si.graph, mirror_fresh, half=lambda rot: is_singular(si, rot)
+    start = _discovery_at(si.graph, deferred_acceptance(si.graph, "W"))
+    steps, end = _sweep(
+        si.graph, mirror_fresh, start, half=lambda rot: is_singular(si, rot)
     )
+    x = end.x
     # The sweep halved exactly the singular steps; the odd core is those
     # whose half rounded down.
     odd_core = tuple(sorted(s.rotation for s in steps if 2 * s.weight < s.tau))

@@ -19,7 +19,6 @@ from stablepartners import (
     is_stable,
     lattice_extremes,
     precedes_F,
-    precedes_W,
     symmetrize,
 )
 from stablepartners import bipartite
@@ -86,8 +85,8 @@ def test_firm_order_is_strict_and_directed(b4):
     assert precedes_F(b4, lo, hi)
     assert not precedes_F(b4, hi, lo)
     assert not precedes_F(b4, lo, lo)
-    assert precedes_W(b4, hi, lo)
-    assert not precedes_W(b4, lo, hi)
+    assert bipartite.precedes(b4, hi, lo, "W")
+    assert not bipartite.precedes(b4, lo, hi, "W")
     full = edgevec(b4, {e: 1 for e in b4.space.ids})
     with pytest.raises(InputError):
         precedes_F(b4, lo, full)
@@ -103,7 +102,7 @@ def test_side_orders_match_the_oracle_and_oppose_on_stable_pairs(
         for x, y in itertools.product(stable, repeat=2):
             above = precedes_F(inst, x, y)
             assert above == oracle_precedes_F(inst, x.vals, y.vals)
-            assert precedes_W(inst, y, x) == above
+            assert bipartite.precedes(inst, y, x, "W") == above
             pairs += 1
     assert pairs >= 4000
 

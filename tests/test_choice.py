@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from stablepartners import BudgetError, InputError
@@ -127,6 +128,19 @@ def test_table_rejects_selections_above_the_argument():
     sp = EdgeSpace(("e1",))
     with pytest.raises(InputError):
         TableCF("v", sp, (1,), [((0,), (1,)), ((1,), (1,))])
+
+
+def test_table_rejects_entries_that_are_not_integers():
+    """A float, a string or a bool is no integer, in a key or in a value."""
+    sp = EdgeSpace(("a",))
+    for bad in [(1.7,), ("1",), (True,)]:
+        for row in [(bad, (0,)), ((1,), bad)]:
+            with pytest.raises(InputError, match="integers"):
+                TableCF("v", sp, (1,), [((0,), (0,)), row])
+    with pytest.raises(InputError, match="integers"):
+        TableCF("v", sp, (1,), [((0,), (0,)), ((1.7,), (0.9,))])
+    cf = TableCF("v", sp, (1,), [((np.int64(0),), (0,)), ((1,), (np.int64(1),))])
+    assert cf.choose_vals((1,)) == (1,)
 
 
 def test_table_rejects_duplicate_rows():

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from stablepartners import (
@@ -220,6 +221,23 @@ def test_climb_needs_a_vector_and_a_rotation_of_the_instance(b4, triangle):
     with pytest.raises(InputError):
         climb(b4, lo, rot, ceiling=other)
     assert climb(b4, lo, rot, limit=0) == (0, lo)
+
+
+def test_climb_takes_any_integer_limit_and_no_other(b4):
+    """A limit follows the integer rule of capacities and weights.
+
+    A numpy integer is an integer and gives the plain ``int`` result; a
+    float, a bool or a negative number is rejected.
+    """
+    lo = deferred_acceptance(b4, "W")
+    rot = find_rotations(b4, lo)[0]
+    for limit in (0, 1, 2):
+        weight, y = climb(b4, lo, rot, limit=np.int64(limit))
+        assert type(weight) is int
+        assert (weight, y) == climb(b4, lo, rot, limit=limit)
+    for bad in (1.0, True, -1, np.int64(-1), "1"):
+        with pytest.raises(InputError, match="limit"):
+            climb(b4, lo, rot, limit=bad)
 
 
 @pytest.mark.parametrize("verified", [False, True])

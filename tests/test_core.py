@@ -237,7 +237,7 @@ PUBLIC_NAMES = [
     "deferred_acceptance", "enumerate_stable", "family_from_route", "find_rotations",
     "full_routes", "instance_from_dict", "instance_to_dict", "is_acceptable",
     "is_closed", "is_singular", "is_stable", "lattice_extremes", "lift_vector",
-    "parse_instance", "precedes_F", "precedes_W", "prefers", "project_cycle",
+    "parse_instance", "precedes_F", "prefers", "project_cycle",
     "project_solution", "rotation_order", "run_qb", "serialize_instance", "solve",
     "symmetrize", "vector_from_closed", "verify_half_partnership",
 ]

@@ -519,20 +519,51 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
 def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
     """Every vector of a full route maps to its closed function locally.
 
-    Each climb under the ceiling compares the firms off its rotation once
-    and the rotation's firms at each probe, with no ``precedes`` call;
-    comparing all firms at a climb's first probe made one or more per
-    climb.
+    Each climb under the ceiling compares the ceiling with the rotation's
+    firms at each probe, and with no other firm: the sweep starts at the
+    bottom, below every stable vector, and no other firm moves.  There is
+    no ``precedes`` call; comparing all firms at a climb's first probe
+    made one or more per climb, and comparing the firms off the rotation
+    passed the other 22 firms before each climb.
     """
     inst = instance_from_dict(blocks_doc(12))
     order = rotation_order(inst)
     route = build_full_route(inst)
     compared = _count_calls(monkeypatch, "precedes")
+    firm_lists = []
+    weakly_below = bipartite._weakly_below
+
+    def recording(inst, lo, hi, firms):
+        firm_lists.append(list(firms))
+        return weakly_below(inst, lo, hi, firms)
+
+    monkeypatch.setattr(bipartite, "_weakly_below", recording)
     for x in route.vectors():
         fn = closed_from_vector(inst, order, x)
         assert vector_from_closed(inst, order, fn) == x
     assert len(route) == 12
     assert compared[0] == 0
+    # A block's firms are its prefix plus f1 and f2.
+    assert firm_lists
+    for firms in firm_lists:
+        assert len(firms) <= 2 and len({f[:-2] for f in firms}) == 1
+
+
+def test_a_sweep_never_moves_the_state_it_starts_from(bipartite_corpus):
+    """Every sweep goes on from a copy of the bottom's discovery state.
+
+    After a route and a closed function at each of its vectors, the state
+    the order keeps is still at the bottom, with the rotations found there
+    from scratch.
+    """
+    for inst in bipartite_corpus[:30] + [instance_from_dict(blocks_doc(6))]:
+        order = rotation_order(inst)
+        at_bottom = order._at_bottom[inst]
+        for x in build_full_route(inst, 1).vectors():
+            closed_from_vector(inst, order, x)
+        assert order._at_bottom[inst] is at_bottom
+        assert at_bottom.x == order.bottom
+        assert at_bottom.found == find_rotations(inst, order.bottom)
 
 
 def test_an_orders_bottom_is_checked_once_per_instance(monkeypatch, twin):
@@ -556,6 +587,27 @@ def test_an_orders_bottom_is_checked_once_per_instance(monkeypatch, twin):
         for x in stable:
             closed_from_vector(inst, by_hand, x)
         assert checked[0] == len(stable) + 1
+
+
+def test_a_hand_built_order_whose_bottom_is_not_below_the_target_raises():
+    """A stable bottom that is not below the target cannot sweep to it.
+
+    Of two disjoint blocks, the bottom has the first block's rotation
+    applied and the target the second's.  The sweep climbs the second
+    block without passing the target at its firms, lands above the
+    target, and stops there.
+    """
+    inst = instance_from_dict(blocks_doc(2))
+    order = rotation_order(inst)
+    first, second = (
+        vector_from_closed(inst, order, {occ: order.tau[occ]})
+        for occ in order.occurrences
+    )
+    by_hand = poset.RotationOrder(
+        order.occurrences, order.tau, order.less, first, order.top
+    )
+    with pytest.raises(VerificationError, match="toward the target"):
+        closed_from_vector(inst, by_hand, second)
 
 
 def test_a_hand_built_order_with_an_unstable_bottom_raises(b4):
