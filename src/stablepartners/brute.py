@@ -1,16 +1,15 @@
 """Exhaustive enumeration oracles.
 
-These certify the constructive machinery at small scale by scanning the
-whole capacity box.  The scan is vectorized per vertex: acceptability and
-single-unit interest are evaluated once per star pattern, on the star's own
-box, and read back for every row of the full box through the row's
-mixed-radix code on the star's columns.
+These certify the constructive machinery at small scale.  The stable set
+is built as a pruned product of the capacity box, never listed whole.
 """
+
+import math
 
 import numpy as np
 
 from .core import BudgetError, EdgeVector, VerificationError
-from .choice import box_array
+from .choice import box_array, box_dtype
 from .bipartite import precedes_F
 
 DEFAULT_ENUM_BUDGET = 2_000_000
@@ -21,53 +20,59 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
 
     Works on any instance, bipartite or not.  Raises :class:`BudgetError`
     when the capacity box holds more than ``budget`` vectors.
+
+    Rows grow one edge column at a time in index order, each repeated once
+    per value of the new column, so they stay lexicographic.  A row goes as
+    soon as a vertex rejects its complete star or an edge between two
+    complete stars blocks, each read off the star's own box by the row's
+    mixed-radix code.  Complete stars never change, so a dropped row has no
+    stable completion and the rows left are exactly the stable vectors.
     """
     n = inst.box_size()
     if n > budget:
-        raise BudgetError(
-            "capacity box holds {} vectors, budget is {}".format(n, budget)
-        )
-    box = box_array(inst.caps.vals)
-    ok = np.ones(n, dtype=bool)
+        raise BudgetError("capacity box holds {} vectors, budget is {}".format(n, budget))
+    caps, positions = inst.caps.vals, inst.star_positions
+    last = {v: max(cols) for v, cols in positions.items() if cols}
+    # Per column, the stars it completes and the edges whose two stars it
+    # completes, each edge as its ends with its place in their stars.
+    due = [([], []) for _ in caps]
+    for v, col in last.items():
+        due[col][0].append(v)
+    for pos, (u, w) in enumerate(map(inst.ends, inst.space.ids)):
+        test = (u, positions[u].index(pos), w, positions[w].index(pos))
+        due[max(last[u], last[w])][1].append(test)
+    stars = {}
+    rows = np.zeros((1, 0), dtype=box_dtype(caps))
+    for col, cap in enumerate(caps):
+        grown = np.empty((len(rows), cap + 1, col + 1), dtype=rows.dtype)
+        grown[:, :, :col] = rows[:, None, :]
+        grown[:, :, col] = np.arange(cap + 1)
+        rows = grown.reshape(-1, col + 1)
+        vertices, edges = due[col]
+        stars.update((v, _star_table(inst.choice[v])) for v in vertices)
+        ends = {*vertices, *(x for test in edges for x in test[::2])}
+        codes = {v: rows[:, positions[v]] @ stars[v][2] for v in ends}
+        keep = np.ones(len(rows), dtype=bool)
+        for v in vertices:
+            keep &= stars[v][0][codes[v]]
+        for u, su, w, sw in edges:
+            keep &= ~(stars[u][1][codes[u], su] & stars[w][1][codes[w], sw])
+        rows = rows[keep]
+    return [EdgeVector._trusted(inst.space, tuple(row)) for row in rows.tolist()]
 
-    star_cache = {}
-    for v in inst.vertices:
-        cols = list(inst.star_positions[v])
-        if not cols:
-            continue
-        # box_array lists the star's box in lexicographic order, so a row's
-        # pattern sits at its mixed-radix code with the star caps as radices.
-        caps = [inst.caps.vals[c] for c in cols]
-        patterns = box_array(caps)
-        inv = np.ravel_multi_index(box[:, cols].T, [c + 1 for c in caps])
-        chosen = inst.choice[v].batch_vals(patterns)
-        ok &= (chosen == patterns).all(axis=1)[inv]
-        star_cache[v] = (patterns, chosen, inv)
 
-    unblocked = ok.copy()
-    interest = {}
-
-    def interest_mask(v, e):
-        """Rows of the box where ``v`` would take one more unit of ``e``."""
-        if (v, e) in interest:
-            return interest[(v, e)]
-        patterns, chosen, inv = star_cache[v]
-        se = inst.star_ids[v].index(e)
-        # A unit of e moves a pattern on by the later radices (the last is caps).
-        step = int(np.prod(patterns[-1, se + 1 :].astype(np.int64) + 1))
-        room = np.flatnonzero(patterns[:, se] < inst.caps[e])
-        mask_u = np.zeros(len(patterns), dtype=bool)
-        mask_u[room] = chosen[room + step, se] > patterns[room, se]
-        out = mask_u[inv]
-        interest[(v, e)] = out
-        return out
-
-    for e in inst.space.ids:
-        u, v = inst.ends(e)
-        blocked = interest_mask(u, e) & interest_mask(v, e)
-        unblocked &= ~blocked
-
-    return [EdgeVector(inst.space, row) for row in box[ok & unblocked].tolist()]
+def _star_table(cf):
+    """Per pattern of ``cf``'s star box: is it accepted, and would it take
+    one more unit of each edge; with the radices of the pattern codes (the
+    box is listed in lexicographic order, so a pattern sits at its code)."""
+    patterns = box_array(cf.caps)
+    chosen = cf.batch_vals(patterns)
+    radix = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
+    wants = np.zeros(patterns.shape, dtype=bool)
+    for j, step in enumerate(radix):
+        # One more unit of edge j; at j's cap the carry lands on a 0 at j.
+        wants[:-step, j] = chosen[step:, j] > patterns[:-step, j]
+    return (chosen == patterns).all(axis=1), wants, np.array(radix, dtype=np.int64)
 
 
 def lattice_extremes(inst, stable=None, budget=DEFAULT_ENUM_BUDGET):

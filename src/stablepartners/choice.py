@@ -11,8 +11,8 @@ solvers in this package assume two axioms:
 Both are checked, never assumed silently: :func:`check_axiom` selects once
 over the whole box, compares covering pairs (SUB, MON, CON) or looks joins
 up in that selection (GL), and returns a report with a concrete witness
-when an axiom fails.  Its work budget still counts the comparable pairs a
-verdict covers (SUB, MON, CON) and the preference comparisons (GL).
+when an axiom fails.  Its work budget counts the work done: the covering
+pairs compared (SUB, MON, CON) and the preference comparisons (GL).
 """
 
 import copy
@@ -32,24 +32,21 @@ from .core import (
 DEFAULT_AXIOM_BUDGET = 10**6
 
 
+def box_dtype(caps):
+    """int16 when every capacity fits in it and int64 otherwise: no value wraps."""
+    return np.int16 if max(caps, default=0) <= np.iinfo(np.int16).max else np.int64
+
+
 def box_array(caps):
     """All integer vectors of the box ``0 <= z <= caps`` in lexicographic order.
 
-    Returns an ``(n, k)`` array whose rows are sorted with the first
-    coordinate most significant.  The dtype is int16 when every capacity
-    fits in it and int64 otherwise, so no value ever wraps.
+    Returns an ``(n, k)`` array of dtype :func:`box_dtype` whose rows are
+    sorted with the first coordinate most significant.
     """
     caps = tuple(int(c) for c in caps)
     n = math.prod(c + 1 for c in caps)
-    small = all(c <= np.iinfo(np.int16).max for c in caps)
-    dtype = np.int16 if small else np.int64
-    out = np.empty((n, len(caps)), dtype=dtype)
-    rep = n
-    for j, c in enumerate(caps):
-        rep //= c + 1
-        cycle = np.repeat(np.arange(c + 1, dtype=dtype), rep)
-        out[:, j] = np.tile(cycle, n // (rep * (c + 1)))
-    return out
+    grid = np.indices([c + 1 for c in caps], dtype=box_dtype(caps))
+    return np.ascontiguousarray(grid.reshape(len(caps), n).T)
 
 
 class ChoiceFunction:
@@ -382,18 +379,14 @@ class AxiomReport:
         return doc
 
 
-def _comparable_pairs(caps):
-    return math.prod((c + 1) * (c + 2) // 2 for c in caps)
-
-
 def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
-    """Exhaustively check one axiom of ``cf`` within a pair budget.
+    """Exhaustively check one axiom of ``cf`` within a work budget.
 
     ``axiom`` is one of SUB, MON, CON, GL (case-insensitive).  The budget
-    counts the comparable ordered pairs a SUB, MON or CON verdict covers,
-    though only covering pairs are compared, and preference comparisons
-    for GL; exceeding it raises :class:`BudgetError` rather than returning
-    a partial verdict.
+    counts the covering pairs a SUB, MON or CON check compares, one per
+    box vector and coordinate, and the preference comparisons of GL;
+    exceeding it raises :class:`BudgetError` rather than returning a
+    partial verdict.
     """
     axiom = str(axiom).upper()
     if axiom in ("SUB", "MON", "CON"):
@@ -432,15 +425,13 @@ def _check_pairwise(cf, axiom, budget):
     So the lexicographically first ``z`` with a failing covering pair is
     the first ``z`` that fails against its whole sub-box, as a scan row by
     row would find it.  Only that sub-box is scanned, for the first
-    failing ``z'``.  The pair count is what such a scan compares up to
-    ``z``: the sum of ``prod(y_j + 1)`` over the rows ``y`` up to ``z``,
-    or every comparable pair when the axiom holds.
+    failing ``z'``.  The reported pair count is what such a scan compares
+    up to ``z``: the sum of ``prod(y_j + 1)`` over the rows ``y`` up to
+    ``z``, or every comparable pair when the axiom holds.
     """
-    est = _comparable_pairs(cf.caps)
-    if est > budget:
-        raise BudgetError(
-            "axiom check needs {} pairs, budget is {}".format(est, budget)
-        )
+    work = len(cf.caps) * cf.box_size()
+    if work > budget:
+        raise BudgetError("axiom check compares {} pairs, budget is {}".format(work, budget))
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
     sizes = chosen.sum(axis=1, dtype=np.int64)
@@ -455,7 +446,8 @@ def _check_pairwise(cf, axiom, budget):
         bad[hi] |= _violations(axiom, *ups, *[g[lo] for g in grids])
     hits = np.flatnonzero(bad)
     if len(hits) == 0:
-        return AxiomReport(axiom, True, None, est)
+        pairs = math.prod((c + 1) * (c + 2) // 2 for c in cf.caps)
+        return AxiomReport(axiom, True, None, pairs)
     i = hits[0]
     below = tuple(slice(0, zj + 1) for zj in box[i].tolist())
     sub = [g[below] for g in grids]

@@ -128,6 +128,16 @@ def degenerate_doc():
     )
 
 
+def wide_cap_doc():
+    """One edge of capacity 40,000, above int16, between two quota-40,000 ends."""
+    return quota_doc(
+        [("wf", "w", "f", 40000)],
+        {"w": 40000, "f": 40000},
+        {"w": ["wf"], "f": ["wf"]},
+        parts=(["w"], ["f"]),
+    )
+
+
 # The order-with-quota stars whose boxes the axiom checks scan whole, as
 # (caps, quota): 13 unit edges, 5 of cap 3, 3 of cap 9, and 2 of cap 79.
 ACCEPTANCE_STARS = [([1] * 13, 4), ([3] * 5, 7), ([9] * 3, 13), ([79] * 2, 55)]
@@ -480,6 +490,19 @@ def random_bipartite_doc(rng, max_side=4, max_cap=3, box_limit=80_000):
         else:
             doc = _block_pair_doc(rng, max_cap)
         if doc is not None and box_size(doc) <= box_limit:
+            return doc
+
+
+def large_box_market_doc(seed=0, lo=10**6, hi=2 * 10**6):
+    """A seeded random market whose capacity box holds ``lo..hi`` vectors.
+
+    Seed 0 gives 13 edges of cap 2 (1,594,323 vectors, no star box above
+    81) and three stable vectors.
+    """
+    rng = random.Random(seed)
+    while True:
+        doc = random_bipartite_doc(rng, box_limit=hi)
+        if box_size(doc) >= lo:
             return doc
 
 

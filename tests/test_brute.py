@@ -6,6 +6,7 @@ import pytest
 from stablepartners import (
     BudgetError,
     VerificationError,
+    brute,
     deferred_acceptance,
     enumerate_stable,
     instance_from_dict,
@@ -17,10 +18,11 @@ from conftest import (
     degenerate_doc,
     edgevec,
     immediate_successors,
+    large_box_market_doc,
     oracle_check_pairwise,
     oracle_enumerate_stable,
     oracle_stable_set,
-    quota_doc,
+    wide_cap_doc,
 )
 
 
@@ -35,6 +37,26 @@ def test_enumeration_agrees_with_the_direct_definition(b4, b4_scaled, triangle, 
     for inst in (b4, b4_scaled, triangle, path3):
         got = {x.vals for x in enumerate_stable(inst)}
         assert got == oracle_stable_set(inst)
+
+
+def test_enumeration_never_lists_more_than_a_star_box(monkeypatch):
+    """The work, not the clock: on a 1.6 M-vector box, every array the
+    enumeration asks ``box_array`` for is a star's box."""
+    inst = instance_from_dict(large_box_market_doc())
+    assert 10**6 <= inst.box_size() <= 2 * 10**6
+    asked = []
+
+    def counted(caps):
+        out = box_array(caps)
+        asked.append(len(out))
+        return out
+
+    monkeypatch.setattr(brute, "box_array", counted)
+    stable = enumerate_stable(inst)
+    assert asked and max(asked) <= max(cf.box_size() for cf in inst.choice.values())
+    assert len(stable) == 3
+    lo, hi = lattice_extremes(inst, stable)
+    assert (lo, hi) == (deferred_acceptance(inst, "W"), deferred_acceptance(inst, "F"))
 
 
 def test_enumeration_respects_its_budget(b4_scaled):
@@ -72,13 +94,7 @@ def test_successors_step_one_cover_at_a_time(b4, b4_scaled):
 
 
 def test_capacities_beyond_int16_do_not_wrap():
-    doc = quota_doc(
-        [("wf", "w", "f", 40000)],
-        {"w": 40000, "f": 40000},
-        {"w": ["wf"], "f": ["wf"]},
-        parts=(["w"], ["f"]),
-    )
-    inst = instance_from_dict(doc)
+    inst = instance_from_dict(wide_cap_doc())
     da = deferred_acceptance(inst, "W")
     assert da.to_mapping() == {"wf": 40000}
     assert enumerate_stable(inst) == [da]

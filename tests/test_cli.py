@@ -261,6 +261,11 @@ def _pinned_runs():
     for name, doc in PINNED_DOCUMENTS.items():
         if name in AXIOM_DOCUMENTS:
             yield name, ["check-axioms", "--axiom", "all", "--budget", "100000000"]
+            # The default budget counts the work done: the 13x1 star's SUB
+            # passes, its GL (2,940,300 comparisons) exits 3.
+            yield name, ["check-axioms", "--axiom", "all"]
+            if name == "star13x1":
+                yield name, ["check-axioms", "--axiom", "sub"]
             continue
         commands = [["solve", "--seed", "0"], ["solve", "--seed", "2"], ["brute"]]
         if "bipartition" in doc:
