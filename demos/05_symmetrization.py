@@ -34,17 +34,29 @@ double = si.graph
 print("double vertices:", double.vertices)
 print("double edges:", list(double.space.ids))
 
-# The mirror swaps the two copies of each vertex and each edge.
-print("mirror of a^0:", si.sigma_vertex["a^0"])
-print("mirror of ab^0:", si.sigma_edge["ab^0"])
+# The mirror swaps the two copies of each vertex and each edge: the copy
+# suffix ^0 becomes ^1 and back.  On vectors it swaps the values of the two
+# copies of each edge, so it turns the worker-optimal vector of the double
+# into the firm-optimal one.
+from stablepartners import deferred_acceptance
+
+
+
+def support(x):
+    return {e: v for e, v in x.to_mapping().items() if v}
+
+
+bottom = deferred_acceptance(double, "W")
+print("bottom of the double:", support(bottom))
+print("its mirror image:", support(si.reflect_vector(bottom)))
+print("mirror image is the top:", si.reflect_vector(bottom) == deferred_acceptance(double, "F"))
 
 # The double always has stable vectors, and the base instance is solvable
 # exactly when one of them is symmetric under the mirror.  The obstruction
 # lives in the rotations: this one is its own mirror image.
-from stablepartners import deferred_acceptance
-
-bottom = deferred_acceptance(double, "W")
 rot = find_rotations(double, bottom)[0]
+print("rotation:", rot)
+print("its mirror image:", si.reflect_rotation(rot))
 print("rotation is its own mirror:", is_singular(si, rot))
 
 # The balancing sweep climbs the double while refusing to use a rotation
@@ -52,7 +64,7 @@ print("rotation is its own mirror:", is_singular(si, rot))
 # when that weight is odd the leftover unit cannot be split, and the
 # rotation lands in the odd core.
 outcome = run_qb(si)
-print("sweep endpoint:", {e: v for e, v in outcome.vector.to_mapping().items() if v})
+print("sweep endpoint:", support(outcome.vector))
 print("odd core size:", len(outcome.odd_core))
 
 # Quasi-balance, checked by hand: reflecting the endpoint and applying

@@ -793,9 +793,10 @@ def _sweep(
     This is the one loop over rotation discovery (:func:`find_rotations`)
     and :func:`_climb`; callers differ only in their pick policy.  It
     starts at the vector of the discovery ``state`` (made by
-    :func:`_discovery_at`) and goes on from a copy, so the caller's state
-    never moves.  Every later vector is a landing checked by
-    :func:`_shift_holds`, so none is checked whole again.  Where the state
+    :func:`_discovery_at`) and takes the state over, refreshing it in
+    place; a caller that keeps the state passes a copy.  Every later
+    vector is a landing checked by :func:`_shift_holds`, so none is
+    checked whole again.  Where the state
     has rotations, ``pick(rots, used)`` names the ones to try, in order;
     ``used`` counts the applications of each rotation so far (on top of
     the ``used`` given to a sweep that starts higher up), keyed by its
@@ -823,7 +824,6 @@ def _sweep(
     the state where the sweep stopped, at ``moved.x`` with the rotations
     ``moved.found``.
     """
-    state = state.copy()
     used = Counter(used)
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
@@ -868,10 +868,12 @@ def build_full_route(inst, seed=0):
     firm-optimal vector.
     """
     rng = random.Random(seed)
-    start = _discovery_at(inst, deferred_acceptance(inst, "W"))
+    bottom = deferred_acceptance(inst, "W")
     steps, end = _sweep(
-        inst, lambda rots, used: [rots[rng.randrange(len(rots))]], start
+        inst,
+        lambda rots, used: [rots[rng.randrange(len(rots))]],
+        _discovery_at(inst, bottom),
     )
     if end.x != deferred_acceptance(inst, "F"):
         raise VerificationError("route stalled before the firm-optimal vector")
-    return Route(start.x, steps)
+    return Route(bottom, steps)

@@ -150,7 +150,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     at_bottom = _discovery_at(inst, deferred_acceptance(inst, "W"))
     saved = {}
     steps, top = _sweep(
-        inst, lambda rots, used: rots[:1], at_bottom, spend=spend, saved=saved
+        inst, lambda rots, used: rots[:1], at_bottom.copy(), spend=spend, saved=saved
     )
     if top.x != deferred_acceptance(inst, "F"):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
@@ -284,7 +284,7 @@ def closed_from_vector(inst, order, x):
                 "the order's bottom is not stable: {!r}".format(report)
             )
         at_bottom = order._at_bottom[inst] = _discovery_at(inst, order.bottom)
-    steps, end = _sweep(inst, lambda rots, used: rots, at_bottom, ceiling=x)
+    steps, end = _sweep(inst, lambda rots, used: rots, at_bottom.copy(), ceiling=x)
     if end.x != x:
         raise VerificationError(
             "no rotation leads from {!r} toward the target".format(end.x)

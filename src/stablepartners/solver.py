@@ -213,12 +213,13 @@ def project_cycle(si, rot):
 
     Step ``i + L/2`` of the rotation's ``L`` steps is the mirror of step
     ``i`` (see :func:`is_singular`), so the walk runs twice around one odd
-    cycle, and its first half, mapped to the base graph, is that cycle.
+    cycle, and its first half, with each copy's suffix cut off, is that
+    cycle.
     """
     if not is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
     base = si.base
-    edges = [si.base_edge[e] for _, e in rot.steps[: len(rot) // 2]]
+    edges = [e[:-2] for _, e in rot.steps[: len(rot) // 2]]
     (here,) = set(base.ends(edges[-1])) & set(base.ends(edges[0]))
     walk = []
     for e in edges:
@@ -235,15 +236,17 @@ def lift_vector(si, hp):
     unit higher.
     """
     base = si.base
-    vals = {}
-    for e in base.space.ids:
-        lo, hi = si.copies[e]
-        vals[lo] = vals[hi] = hp.x[e]
+    base.check_vector(hp.x)
+    vals = [0] * len(si.graph.space)
+    for (q0, q1), value in zip(si.copy_positions, hp.x.vals):
+        vals[q0] = vals[q1] = value
     for cyc in hp.cycles:
         for v, e in cyc.steps:
-            lo = si.copy_at(e, v, 0)
-            vals[si.sigma_edge[lo]] = hp.x[e] + 1
-    return EdgeVector(si.graph.space, (vals[e] for e in si.graph.space.ids))
+            # The copy of ``e`` at ``v^1`` goes up: it is ``e^1`` exactly
+            # where ``v`` is ``e``'s first end (see :func:`symmetrize`).
+            p = base.space.index[e]
+            vals[si.copy_positions[p][base.ends(e)[0] == v]] = hp.x.vals[p] + 1
+    return EdgeVector(si.graph.space, vals)
 
 
 def project_solution(si, outcome):
@@ -264,18 +267,18 @@ def project_solution(si, outcome):
             )
         covered.update(cyc.edges)
 
-    base = si.base
+    si.graph.check_vector(outcome.vector)
+    vals = outcome.vector.vals
     folded = []
-    for e in base.space.ids:
-        lo_id, hi_id = si.copies[e]
-        a, b = outcome.vector[lo_id], outcome.vector[hi_id]
+    for e, (q0, q1) in zip(si.base.space.ids, si.copy_positions):
+        a, b = vals[q0], vals[q1]
         want = 1 if e in covered else 0
         if abs(a - b) != want:
             raise VerificationError(
                 "projected values are unbalanced at edge {!r}".format(e)
             )
         folded.append(min(a, b))
-    return HalfPartnership(EdgeVector(base.space, folded), cycles)
+    return HalfPartnership(EdgeVector(si.base.space, folded), cycles)
 
 
 class SolveResult:

@@ -14,33 +14,37 @@ from .core import EdgeSpace, EdgeVector, InputError, Instance, VerificationError
 from .bipartite import Rotation, _discovery_at, _sweep, deferred_acceptance
 
 
-def _copy_name(name, i):
-    return "{}^{}".format(name, i)
+def _mirror(name):
+    """The other copy of a vertex or edge id of the double.
+
+    Every id of the double is a base id followed by ``^0`` or ``^1``, so
+    the mirror swaps the last character and ``name[:-2]`` is the base id,
+    whatever the base id itself holds.
+    """
+    return name[:-1] + ("1" if name[-1] == "0" else "0")
 
 
 class SymmetricInstance:
-    """An instance together with its bipartite double and the mirror maps."""
+    """An instance together with its bipartite double.
 
-    __slots__ = ("base", "graph", "sigma_vertex", "sigma_edge", "base_edge", "copies")
+    The mirror is the copy suffix (:func:`_mirror`).  ``copy_positions[p]``
+    is the pair of positions in ``graph.space`` of the copies ``e^0`` and
+    ``e^1`` of the base edge at position ``p``.
+    """
 
-    def __init__(self, base, graph, sigma_vertex, sigma_edge, base_edge, copies):
+    __slots__ = ("base", "graph", "copy_positions")
+
+    def __init__(self, base, graph, copy_positions):
         self.base = base
         self.graph = graph
-        self.sigma_vertex = sigma_vertex
-        self.sigma_edge = sigma_edge
-        self.base_edge = base_edge
-        self.copies = copies
-
-    def copy_at(self, e, v, i):
-        """The copy of base edge ``e`` incident to the copy ``v^i``."""
-        a, _ = self.base.ends(e)
-        return self.copies[e][0 if (v == a) == (i == 0) else 1]
+        self.copy_positions = copy_positions
 
     def reflect_vector(self, x):
         self.graph.check_vector(x)
-        return EdgeVector(
-            self.graph.space, (x[self.sigma_edge[e]] for e in self.graph.space.ids)
-        )
+        vals = list(x.vals)
+        for q0, q1 in self.copy_positions:
+            vals[q0], vals[q1] = vals[q1], vals[q0]
+        return EdgeVector._trusted(self.graph.space, tuple(vals))
 
     def _check_rotation(self, rot):
         if rot.chi.space != self.graph.space:
@@ -48,53 +52,43 @@ class SymmetricInstance:
 
     def reflect_rotation(self, rot):
         self._check_rotation(rot)
-        mapped = [
-            (self.sigma_vertex[v], self.sigma_edge[e]) for v, e in rot.steps
-        ]
+        mapped = [(_mirror(v), _mirror(e)) for v, e in rot.steps]
         return Rotation(self.graph, mapped[1:] + mapped[:1])
 
 
 def symmetrize(inst):
-    """The bipartite double of ``inst``; both copies of ``v`` choose by ``C_v``."""
-    vertices = [
-        _copy_name(v, i) for v in inst.vertices for i in (0, 1)
-    ]
+    """The bipartite double of ``inst``; both copies of ``v`` choose by ``C_v``.
+
+    The copy ``e^0`` of an edge with ends ``a < b`` joins ``a^0`` to
+    ``b^1``, and ``e^1`` joins ``b^0`` to ``a^1``.
+    """
+    vcopies = {v: ("{}^0".format(v), "{}^1".format(v)) for v in inst.vertices}
+    ecopies = {e: ("{}^0".format(e), "{}^1".format(e)) for e in inst.space.ids}
     edges = {}
     caps = {}
-    copies = {}
-    sigma_edge = {}
-    base_edge = {}
-    for e in inst.space.ids:
+    for e, cap in zip(inst.space.ids, inst.caps.vals):
         a, b = inst.ends(e)
-        e0, e1 = _copy_name(e, 0), _copy_name(e, 1)
-        edges[e0] = (_copy_name(a, 0), _copy_name(b, 1))
-        edges[e1] = (_copy_name(b, 0), _copy_name(a, 1))
-        caps[e0] = caps[e1] = inst.caps[e]
-        copies[e] = (e0, e1)
-        sigma_edge[e0], sigma_edge[e1] = e1, e0
-        base_edge[e0] = base_edge[e1] = e
-
-    sigma_vertex = {}
-    for v in inst.vertices:
-        sigma_vertex[_copy_name(v, 0)] = _copy_name(v, 1)
-        sigma_vertex[_copy_name(v, 1)] = _copy_name(v, 0)
-
-    parts = (
-        [_copy_name(v, 0) for v in inst.vertices],
-        [_copy_name(v, 1) for v in inst.vertices],
-    )
-    si = SymmetricInstance(inst, None, sigma_vertex, sigma_edge, base_edge, copies)
+        e0, e1 = ecopies[e]
+        edges[e0] = (vcopies[a][0], vcopies[b][1])
+        edges[e1] = (vcopies[b][0], vcopies[a][1])
+        caps[e0] = caps[e1] = cap
 
     # Each copy lists its star in the base star's order, so it runs the
-    # base choice function, memo included, with no translation.
+    # base choice function, memo included, with no translation.  The copy
+    # ``v^i`` holds ``e^i`` where ``v`` is ``e``'s first end, else ``e^(1-i)``.
     choice = {}
     for v in inst.vertices:
-        for i in (0, 1):
-            star = EdgeSpace(si.copy_at(e, v, i) for e in inst.star_ids[v])
-            choice[_copy_name(v, i)] = inst.choice[v].on_star(_copy_name(v, i), star)
+        for i, copy in enumerate(vcopies[v]):
+            star = EdgeSpace(
+                ecopies[e][i ^ (inst.edge_ends[e][0] != v)] for e in inst.star_ids[v]
+            )
+            choice[copy] = inst.choice[v].on_star(copy, star)
 
-    si.graph = Instance(vertices, edges, caps, choice, parts)
-    return si
+    parts = tuple([vcopies[v][i] for v in inst.vertices] for i in (0, 1))
+    graph = Instance(parts[0] + parts[1], edges, caps, choice, parts)
+    index = graph.space.index
+    copy_positions = tuple((index[e0], index[e1]) for e0, e1 in ecopies.values())
+    return SymmetricInstance(inst, graph, copy_positions)
 
 
 def is_singular(si, rot):
@@ -111,7 +105,7 @@ def is_singular(si, rot):
     steps = rot.steps
     half = len(steps) // 2
     return all(
-        steps[i + half] == (si.sigma_vertex[v], si.sigma_edge[e])
+        steps[i + half] == (_mirror(v), _mirror(e))
         for i, (v, e) in enumerate(steps[:half])
     )
 

@@ -1538,10 +1538,12 @@ def oracle_is_singular(si, rot):
     must agree, and a singular rotation's length must be twice an odd
     number; otherwise :class:`InternalError`.
     """
-    by_walk = si.reflect_rotation(rot) == rot
+    maps = oracle_mirror_maps(si)
+    mapped = [(maps.sigma_vertex[v], maps.sigma_edge[e]) for v, e in rot.steps]
+    by_walk = Rotation(si.graph, mapped[1:] + mapped[:1]) == rot
     positives = {e for e in rot.edges if rot.chi[e] == 1}
     negatives = {e for e in rot.edges if rot.chi[e] == -1}
-    by_edges = {si.sigma_edge[e] for e in positives} == negatives
+    by_edges = {maps.sigma_edge[e] for e in positives} == negatives
     if by_walk != by_edges:
         raise InternalError("singularity tests disagree on {!r}".format(rot))
     if by_walk and len(rot.steps) % 4 != 2:
@@ -1563,7 +1565,7 @@ def cycle_rotation(si, cyc):
     steps = []
     for t in range(2 * len(es)):
         e = es[t % len(es)]
-        steps.append((copy_vertex(here, parity), si.copy_at(e, here, parity)))
+        steps.append((copy_vertex(here, parity), copy_at(si, e, here, parity)))
         here = base.other_end(e, here)
         parity = 1 - parity
     if (here, parity) != (start, 0):
@@ -1584,22 +1586,23 @@ def oracle_project_cycle(si, rot):
     """
     if not oracle_is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
+    maps = oracle_mirror_maps(si)
     steps = rot.steps
     length = len(steps)
     pos_index = {e: i for i, (_, e) in enumerate(steps) if i % 2 == 0}
     seq = [steps[0][1]]
     idx = 0
     for _ in range(length // 2 - 1):
-        nxt = si.sigma_edge[steps[idx + 1][1]]
+        nxt = maps.sigma_edge[steps[idx + 1][1]]
         if nxt not in pos_index or nxt in seq:
             raise InternalError("singular walk does not chain through mirrors")
         idx = pos_index[nxt]
         seq.append(nxt)
-    if si.sigma_edge[steps[idx + 1][1]] != seq[0]:
+    if maps.sigma_edge[steps[idx + 1][1]] != seq[0]:
         raise InternalError("singular walk does not close through mirrors")
 
     base = si.base
-    base_seq = [si.base_edge[e] for e in seq]
+    base_seq = [maps.base_edge[e] for e in seq]
     if len(set(base_seq)) != len(base_seq):
         raise InternalError("projected edges collide")
     walk = []
@@ -1620,17 +1623,52 @@ def copy_vertex(v, i):
     return "{}^{}".format(v, i)
 
 
+MirrorMaps = namedtuple("MirrorMaps", "sigma_vertex sigma_edge base_edge copies")
+
+
+def oracle_mirror_maps(si):
+    """The double's mirror as name-keyed maps, built from the base alone.
+
+    ``sigma_vertex`` and ``sigma_edge`` swap the two copies of each vertex
+    and edge, ``base_edge`` names the base edge of each copy, and
+    ``copies[e]`` is ``(e^0, e^1)``.  The library reads the mirror off the
+    copy suffix and ``copy_positions``; these maps check that rule.
+    """
+    sigma_vertex, sigma_edge, base_edge, copies = {}, {}, {}, {}
+    for v in si.base.vertices:
+        v0, v1 = copy_vertex(v, 0), copy_vertex(v, 1)
+        sigma_vertex[v0], sigma_vertex[v1] = v1, v0
+    for e in si.base.space.ids:
+        e0, e1 = copy_vertex(e, 0), copy_vertex(e, 1)
+        sigma_edge[e0], sigma_edge[e1] = e1, e0
+        base_edge[e0] = base_edge[e1] = e
+        copies[e] = (e0, e1)
+    return MirrorMaps(sigma_vertex, sigma_edge, base_edge, copies)
+
+
+def copy_at(si, e, v, i):
+    """The copy of base edge ``e`` incident to the copy ``v^i``.
+
+    The copy ``e^0`` joins ``a^0`` to ``b^1`` for ``e``'s ends ``a < b``.
+    """
+    a, _ = si.base.ends(e)
+    return oracle_mirror_maps(si).copies[e][0 if (v == a) == (i == 0) else 1]
+
+
 def double_vector(si, x):
     """The symmetric doubled image of a vector on the base edges."""
     si.base.check_vector(x)
-    return EdgeVector(si.graph.space, (x[si.base_edge[e]] for e in si.graph.space.ids))
+    base_edge = oracle_mirror_maps(si).base_edge
+    return EdgeVector(si.graph.space, (x[base_edge[e]] for e in si.graph.space.ids))
 
 
 def halve_vector(si, x):
     """Inverse of :func:`double_vector`; requires a symmetric vector."""
-    if si.reflect_vector(x) != x:
+    si.graph.check_vector(x)
+    maps = oracle_mirror_maps(si)
+    if any(x[e] != x[maps.sigma_edge[e]] for e in si.graph.space.ids):
         raise InputError("vector is not symmetric")
-    return EdgeVector(si.base.space, (x[si.copies[e][0]] for e in si.base.space.ids))
+    return EdgeVector(si.base.space, (x[maps.copies[e][0]] for e in si.base.space.ids))
 
 
 def cycle_vertices(cyc):

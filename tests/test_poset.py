@@ -24,6 +24,7 @@ from stablepartners import (
     precedes_F,
     rotation_order,
     run_qb,
+    solve,
     symmetrize,
     vector_from_closed,
 )
@@ -564,6 +565,25 @@ def test_a_sweep_never_moves_the_state_it_starts_from(bipartite_corpus):
         assert order._at_bottom[inst] is at_bottom
         assert at_bottom.x == order.bottom
         assert at_bottom.found == find_rotations(inst, order.bottom)
+
+
+def test_a_sweep_takes_over_the_state_it_is_given(
+    monkeypatch, bipartite_corpus, general_corpus, triangle
+):
+    """A route and a solve keep no start state, so neither copies one."""
+    copies = [0]
+    copy = bipartite._Discovery.copy
+
+    def counting(state):
+        copies[0] += 1
+        return copy(state)
+
+    monkeypatch.setattr(bipartite._Discovery, "copy", counting)
+    for inst in bipartite_corpus[:30] + [instance_from_dict(blocks_doc(6))]:
+        build_full_route(inst, 1)
+    for inst in general_corpus[:30] + [triangle]:
+        solve(inst)
+    assert copies[0] == 0
 
 
 def test_an_orders_bottom_is_checked_once_per_instance(monkeypatch, twin):

@@ -8,6 +8,7 @@ import pytest
 from stablepartners import (
     EdgeVector,
     InputError,
+    OddCycle,
     build_full_route,
     climb,
     deferred_acceptance,
@@ -19,10 +20,13 @@ from stablepartners import (
     rotation_order,
     run_qb,
     serialize_instance,
+    solve,
     symmetrize,
 )
+from stablepartners.symmetric import _mirror
 
 from conftest import (
+    copy_at,
     copy_vertex,
     double_vector,
     edgevec,
@@ -30,7 +34,9 @@ from conftest import (
     halve_vector,
     mirror_occurrences,
     oracle_is_singular,
+    oracle_mirror_maps,
     ring_doc,
+    triangle_doc,
 )
 
 TRI_MIN = {"ab^0": 1, "bc^0": 1, "ca^1": 1}
@@ -61,15 +67,15 @@ def test_double_has_two_copies_of_everything(tri_double):
     assert sorted(g.space.ids) == ["ab^0", "ab^1", "bc^0", "bc^1", "ca^0", "ca^1"]
     assert g.is_bipartite_labeled
     assert {v for v in g.vertices if g.side(v) == "W"} == {"a^0", "b^0", "c^0"}
-    for e in tri_double.base.space.ids:
-        e0, e1 = tri_double.copies[e]
-        assert g.caps[e0] == g.caps[e1] == tri_double.base.caps[e]
+    for p, (q0, q1) in enumerate(tri_double.copy_positions):
+        assert g.caps.vals[q0] == g.caps.vals[q1] == tri_double.base.caps.vals[p]
 
 
 def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
     """Both copies of ``v`` are ``C_v`` itself, on a star in ``v``'s order."""
     for inst in [triangle, b4] + list(general_corpus):
         si = symmetrize(inst)
+        base_edge = oracle_mirror_maps(si).base_edge
         for v in inst.vertices:
             base = inst.choice[v]
             for i in (0, 1):
@@ -77,7 +83,7 @@ def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
                 cf = si.graph.choice[copy]
                 assert type(cf) is type(base)
                 assert cf._memo is base._memo
-                star = tuple(si.base_edge[e] for e in si.graph.star_ids[copy])
+                star = tuple(base_edge[e] for e in si.graph.star_ids[copy])
                 assert star == inst.star_ids[v]
 
 
@@ -95,27 +101,100 @@ def test_a_parsed_double_chooses_as_the_double(triangle):
                 assert parsed.choose(menu).to_mapping() == cf.choose(z).to_mapping()
 
 
-def test_mirror_maps_are_involutions(tri_double):
-    for v in tri_double.graph.vertices:
-        image = tri_double.sigma_vertex[v]
-        assert image != v
-        assert tri_double.sigma_vertex[image] == v
-    for e in tri_double.graph.space.ids:
-        image = tri_double.sigma_edge[e]
-        assert image != e
-        assert tri_double.sigma_edge[image] == e
-        assert tri_double.base_edge[image] == tri_double.base_edge[e]
+def test_mirror_maps_are_involutions(triangle, bipartite_corpus, general_corpus):
+    """The copy suffix and ``copy_positions`` are the maps built from the base."""
+    for inst in [triangle] + list(bipartite_corpus) + list(general_corpus):
+        si = symmetrize(inst)
+        maps = oracle_mirror_maps(si)
+        for v in si.graph.vertices:
+            image = _mirror(v)
+            assert image == maps.sigma_vertex[v]
+            assert image != v
+            assert _mirror(image) == v
+        for e in si.graph.space.ids:
+            image = _mirror(e)
+            assert image == maps.sigma_edge[e]
+            assert image != e
+            assert _mirror(image) == e
+            assert image[:-2] == e[:-2] == maps.base_edge[e]
+        ids = si.graph.space.ids
+        for e, (q0, q1) in zip(inst.space.ids, si.copy_positions):
+            assert (ids[q0], ids[q1]) == maps.copies[e]
 
 
-def test_copies_attach_to_the_requested_end(tri_double):
-    """copy_at(e, v, i) is the copy of e incident to the copy v^i."""
-    base = tri_double.base
-    for e in base.space.ids:
-        for v in base.ends(e):
-            for i in (0, 1):
-                copy = tri_double.copy_at(e, v, i)
-                assert copy in tri_double.copies[e]
-                assert copy_vertex(v, i) in tri_double.graph.ends(copy)
+def test_copies_attach_to_the_requested_end(triangle, bipartite_corpus, general_corpus):
+    """copy_at(si, e, v, i) is the copy of e incident to the copy v^i."""
+    for inst in [triangle] + list(bipartite_corpus) + list(general_corpus):
+        si = symmetrize(inst)
+        copies = oracle_mirror_maps(si).copies
+        for p, e in enumerate(inst.space.ids):
+            for v in inst.ends(e):
+                for i in (0, 1):
+                    copy = copy_at(si, e, v, i)
+                    assert copy in copies[e]
+                    assert copy_vertex(v, i) in si.graph.ends(copy)
+                    assert si.graph.space.index[copy] in si.copy_positions[p]
+
+
+def _renamed(doc, names):
+    """``doc`` with every vertex and edge id ``u`` renamed ``names[u]``."""
+    return {
+        "vertices": [names[v] for v in doc["vertices"]],
+        "edges": [
+            {"id": names[d["id"]], "ends": [names[u] for u in d["ends"]], "cap": d["cap"]}
+            for d in doc["edges"]
+        ],
+        "choice": {
+            names[v]: dict(spec, order=[names[e] for e in spec["order"]])
+            for v, spec in doc["choice"].items()
+        },
+    }
+
+
+SUFFIX_NAMES = [
+    (
+        triangle_doc(),
+        {"a": "a", "b": "a^0b", "c": "a^1", "ab": "e1", "bc": "e10", "ca": "e2"},
+    ),
+    (
+        ring_doc(5, 2, 1),
+        {
+            "v1": "a", "v2": "a^0b", "v3": "a^1", "v4": "b^", "v5": "^0",
+            "r1": "e1", "r2": "e10", "r3": "e2", "r4": "e1^0", "r5": "e^1",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, names", SUFFIX_NAMES, ids=["triangle", "ring5"])
+def test_ids_that_hold_the_suffix_keep_the_answer(doc, names):
+    """Base ids with ``^`` and digits in them solve as the plain ids do."""
+    plain = instance_from_dict(doc)
+    inst = instance_from_dict(_renamed(doc, names))
+    for seed in range(3):
+        want, got = solve(plain, seed), solve(inst, seed)
+        assert got.solvable == want.solvable
+        assert got.hp.x.to_mapping() == {
+            names[e]: val for e, val in want.hp.x.to_mapping().items()
+        }
+        renamed = [
+            OddCycle(inst, [(names[v], names[e]) for v, e in cyc.steps])
+            for cyc in want.hp.cycles
+        ]
+        assert list(got.hp.cycles) == sorted(renamed)
+    assert not want.solvable
+
+    si = symmetrize(inst)
+    g = si.graph
+    for v in g.vertices:
+        assert _mirror(v) != v and _mirror(_mirror(v)) == v
+        assert g.side(_mirror(v)) != g.side(v)
+    for e in g.space.ids:
+        assert _mirror(e) != e and _mirror(_mirror(e)) == e
+        assert sorted(map(_mirror, g.ends(e))) == list(g.ends(_mirror(e)))
+    ids = g.space.ids
+    for e, (q0, q1) in zip(inst.space.ids, si.copy_positions):
+        assert (ids[q0], ids[q1]) == (e + "^0", e + "^1")
 
 
 def test_double_extremes_are_mirror_images(tri_double):
