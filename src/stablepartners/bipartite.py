@@ -285,26 +285,6 @@ class Rotation(_ClosedWalk):
             "chi": {e: self.chi[e] for e in sorted(self.edges)},
         }
 
-    @classmethod
-    def from_dict(cls, inst, doc):
-        if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
-            raise InputError("rotation document needs a list of steps")
-        steps = []
-        for step in doc["steps"]:
-            if not (
-                isinstance(step, dict)
-                and isinstance(step.get("v"), str)
-                and isinstance(step.get("e"), str)
-            ):
-                raise InputError("a rotation step is {\"v\": vertex, \"e\": edge}")
-            steps.append((step["v"], step["e"]))
-        rot = cls(inst, steps)
-        if "chi" in doc:
-            declared = EdgeVector.from_mapping(inst.space, doc["chi"])
-            if declared != rot.chi:
-                raise InputError("declared incidence disagrees with the walk")
-        return rot
-
 
 def _candidate_walks(inst, succ, roots):
     """Closed alternating walks of the exposed-rotation graph through ``roots``.
@@ -366,7 +346,9 @@ def _weakly_below(inst, lo, hi, firms):
     ``lo`` and ``hi`` are raw vectors, acceptable at ``firms``.  Where they
     agree at every firm outside ``firms`` and differ somewhere, this is
     ``precedes_F(lo, hi)``: an edge on which they differ has a firm end
-    whose star differs, and no other firm can object.
+    whose star differs, and no other firm can object.  The minimal-landing
+    filter compares two landings at their walks' firms, and
+    :func:`_climb` a probe with a sweep's ceiling at the rotation's firms.
     """
     return all(
         _weakly_prefers(inst.choice[f], _star(inst, hi, f), _star(inst, lo, f))
@@ -629,7 +611,7 @@ def _verify_aggregate_exchange(inst, x, rot):
             )
 
 
-def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
+def climb(inst, x, rot, limit=None, verified=False):
     """Walk the ray ``x, x + chi, x + 2 chi, ...`` of a rotation once.
 
     This is the one ray walk: it gives both a rotation's feasible weight
@@ -637,16 +619,13 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     ``(weight, y)`` with ``y = x + weight * chi``: the largest ``weight``,
     at most ``limit``, such that every step up to it stays in the box and
     lands on a stable vector strictly above the one before it on the firm
-    side.  With a ``ceiling`` vector the landing must also not pass it:
-    every firm weakly prefers its star in ``ceiling``.  A rotation that
-    cannot move from ``x`` gets weight 0.
+    side.  A rotation that cannot move from ``x`` gets weight 0.
 
     ``x`` must be stable.  Unless the caller has just verified that
     (``verified=True``, as after :func:`find_rotations` at ``x``), it is
     checked here with the whole-instance :func:`is_stable`, and an
-    unstable ``x`` raises :class:`InputError`.  So does a ``ceiling``
-    outside the box, or unless verified one that is unstable, and a
-    ``limit`` that is not a non-negative integer, ``bool`` excluded.
+    unstable ``x`` raises :class:`InputError`.  So does a ``limit`` that is
+    not a non-negative integer, ``bool`` excluded.
 
     The weight is found by galloping, then bisecting: the probes are
     ``k = 1, 2, 4, ...`` up to the first that fails, then the midpoints
@@ -655,9 +634,7 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
     against the verified ``x``, that it is stable and strictly above
     ``x`` on the firm side; only the stars of the rotation's vertices
     differ from ``x``, so only they, the edges incident to them and the
-    rotation's firms are re-checked.  The ceiling is compared here once
-    at the firms off the rotation, whose stars stay those of ``x``, and
-    by :func:`_climb` at every probe only at the rotation's firms.
+    rotation's firms are re-checked.
 
     Exactness rests on the interval property: the probes that hold are
     exactly those at ``k = 1..tau``, where ``tau`` is the weight a
@@ -680,35 +657,29 @@ def climb(inst, x, rot, ceiling=None, limit=None, verified=False):
         if not _is_int(limit) or limit < 0:
             raise InputError("limit must be a non-negative integer")
         limit = int(limit)
-    if ceiling is not None and not inst.in_box(ceiling):
-        raise InputError("the ceiling is outside the capacity box")
     if not verified:
-        for y in (x,) if ceiling is None else (x, ceiling):
-            report = is_stable(inst, y)
-            if not report.stable:
-                raise InputError(
-                    "rotations climb only between stable vectors: {!r}".format(report)
-                )
-    frame = _walk_frame(inst, rot.steps)
-    if ceiling is not None and not _weakly_below(
-        inst, x.vals, ceiling.vals, sorted(inst.parts[1].difference(frame[1]))
-    ):
-        return 0, x
-    return _climb(inst, x, frame, ceiling, limit)
+        report = is_stable(inst, x)
+        if not report.stable:
+            raise InputError(
+                "rotations climb only between stable vectors: {!r}".format(report)
+            )
+    return _climb(inst, x, _walk_frame(inst, rot.steps), limit=limit)
 
 
 def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):
     """The walk of :func:`climb`, along a rotation's :func:`_walk_frame`.
 
-    The caller has made :func:`climb`'s checks: ``x`` and any ``ceiling``
-    are verified stable, ``limit`` is a non-negative integer or None, and
-    every firm off the rotation weakly prefers its star in ``ceiling`` to
-    its star in ``x``.  Those stars do not move along the ray, so each
-    probe is compared with the ceiling at the rotation's firms alone.
-    With ``screened``, the landing at ``k = 1`` is known to be stable and
-    strictly above ``x`` (as for every rotation :class:`_Discovery`
-    finds), so that probe skips :func:`_shift_holds`; under a ceiling it
-    is still compared with the ceiling at the rotation's firms.
+    The caller has made :func:`climb`'s checks: ``x`` is verified stable
+    and ``limit`` is a non-negative integer or None.  A ``ceiling``, which
+    only :func:`_sweep` passes, is a stable vector at which every firm off
+    the rotation weakly prefers its star to its star in ``x``, as holds
+    all along a sweep from the least stable vector.  Those stars do not
+    move along the ray, so each probe is compared with the ceiling at the
+    rotation's firms alone.  With ``screened``, the landing at ``k = 1`` is
+    known to be stable and strictly above ``x`` (as for every rotation
+    :class:`_Discovery` finds), so that probe skips :func:`_shift_holds`;
+    under a ceiling it is still compared with the ceiling at the
+    rotation's firms.
     """
     firms = [f for f in frame[1] if f in inst.parts[1]]
     base = x.vals

@@ -136,13 +136,6 @@ class EdgeVector:
         if not isinstance(other, EdgeVector) or other.space != self.space:
             raise InputError("vectors live on different edge spaces")
 
-    def join(self, other):
-        """Componentwise maximum."""
-        self._need_same_space(other)
-        return EdgeVector._trusted(
-            self.space, tuple(map(max, self.vals, other.vals))
-        )
-
     def meet(self, other):
         """Componentwise minimum."""
         self._need_same_space(other)

@@ -235,12 +235,6 @@ class ClosedFunction:
                     "weight {!r} at {!r} is not in 0..{}".format(w, occ, order.tau[occ])
                 )
 
-    def __eq__(self, other):
-        return isinstance(other, ClosedFunction) and self.weights == other.weights
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.weights.items())))
-
     def __repr__(self):
         live = {repr(o): w for o, w in self.weights.items() if w}
         return "ClosedFunction({})".format(live)

@@ -128,10 +128,6 @@ class QBOutcome:
         self.picks = picks
         self.odd_core = odd_core
 
-    @property
-    def symmetric(self):
-        return not self.odd_core
-
     def __repr__(self):
         return "QBOutcome({} picks, odd core of {})".format(
             len(self.picks), len(self.odd_core)

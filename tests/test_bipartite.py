@@ -92,6 +92,19 @@ def test_firm_order_is_strict_and_directed(b4):
         precedes_F(b4, lo, full)
 
 
+def test_one_sided_comparison_guards_name_what_is_wrong(b4, triangle):
+    lo, hi = edgevec(b4, B4_MIN), edgevec(b4, B4_MAX)
+    zero = edgevec(triangle, {})
+    with pytest.raises(InputError, match="needs a bipartition"):
+        bipartite.precedes(triangle, zero, zero, "F")
+    with pytest.raises(InputError, match="side must be W or F"):
+        bipartite.precedes(b4, lo, hi, "X")
+    over = edgevec(b4, {"w1f1": 2})
+    for x, y in ((over, hi), (lo, over)):
+        with pytest.raises(InputError, match="vectors must lie in the capacity box"):
+            precedes_F(b4, x, y)
+
+
 def test_side_orders_match_the_oracle_and_oppose_on_stable_pairs(
     bipartite_artifacts,
 ):
@@ -181,40 +194,23 @@ def test_rotation_walks_are_validated(b4, triangle):
         Rotation(b4, (B4_STEPS[1], B4_STEPS[2], B4_STEPS[3], B4_STEPS[0]))
 
 
-def test_rotation_document_round_trip(b4):
-    rot = Rotation(b4, B4_STEPS)
-    doc = rot.to_dict()
-    assert Rotation.from_dict(b4, doc) == rot
-    doc["chi"]["w1f1"] = 1
-    with pytest.raises(InputError):
-        Rotation.from_dict(b4, doc)
-
-
-def _walk_doc(*steps):
-    return [{"v": v, "e": e} for v, e in steps]
-
-
 @pytest.mark.parametrize(
-    "steps",
+    "steps, message",
     [
-        5,
-        [5],
-        [{"v": "w1"}],
-        [{"v": "w1", "e": 3}],
-        "w1-w1f2",
-        [],
-        _walk_doc(*B4_STEPS[:3]),
-        _walk_doc(("w1", "w1f2"), ("f2", "w2f2"), ("w2", "w2f1"), ("f1", "w1f2")),
-        _walk_doc(("w1", "w1f2"), ("f1", "w2f1"), ("w2", "w2f2"), ("f2", "w1f1")),
-        _walk_doc(("w1", "w1f2"), ("f2", "w2f2")),
-        _walk_doc(*(B4_STEPS[1:] + B4_STEPS[:1])),
+        ((), "even number"),
+        (B4_STEPS[:3], "even number"),
+        (
+            (("w1", "w1f2"), ("f2", "w2f2"), ("w2", "w2f1"), ("f1", "w1f2")),
+            "at most once",
+        ),
+        (
+            (("w1", "w1f2"), ("f1", "w2f1"), ("w2", "w2f2"), ("f2", "w1f1")),
+            "do not chain",
+        ),
+        ((("w1", "w1f2"), ("f2", "w2f2")), "does not close"),
+        (B4_STEPS[1:] + B4_STEPS[:1], "alternate sides"),
     ],
     ids=[
-        "number",
-        "number-step",
-        "step-without-edge",
-        "edge-not-a-string",
-        "string",
         "too-short",
         "odd-length",
         "repeated-edge",
@@ -223,9 +219,9 @@ def _walk_doc(*steps):
         "sides-do-not-alternate",
     ],
 )
-def test_ill_typed_rotation_steps_raise_input_error(b4, steps):
-    with pytest.raises(InputError):
-        Rotation.from_dict(b4, {"steps": steps})
+def test_ill_typed_rotation_steps_raise_input_error(b4, steps, message):
+    with pytest.raises(InputError, match=message):
+        Rotation(b4, steps)
 
 
 def test_climb_validates_the_limit(b4):

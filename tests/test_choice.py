@@ -82,6 +82,13 @@ def test_choose_validates_box_and_space():
         cf.choose(other)
 
 
+def test_capacities_must_fit_the_star():
+    with pytest.raises(InputError, match="capacity list does not match the star"):
+        LinearOrderQuotaCF("v", EdgeSpace(("e1", "e2")), (1,), 1, ["e1", "e2"])
+    with pytest.raises(InputError, match="capacities must be nonnegative"):
+        quota_cf((1, -1), quota=1)
+
+
 def test_order_must_be_a_permutation_of_the_star():
     with pytest.raises(InputError):
         quota_cf((1, 1), quota=1, order=("e1", "e1"))
@@ -122,6 +129,13 @@ def test_table_requires_full_coverage():
     sp = EdgeSpace(("e1", "e2"))
     with pytest.raises(InputError):
         TableCF("v", sp, (1, 1), [((0, 0), (0, 0))])
+
+
+def test_table_rejects_keys_outside_the_box():
+    sp = EdgeSpace(("e1",))
+    rows = [((0,), (0,)), ((1,), (1,)), ((2,), (1,))]
+    with pytest.raises(InputError, match="table key outside the box"):
+        TableCF("v", sp, (1,), rows)
 
 
 def test_table_rejects_selections_above_the_argument():

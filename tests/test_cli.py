@@ -127,6 +127,20 @@ def test_unusable_input_exits_one(tmp_path, capsys):
     assert run(capsys, "solve", "--instance", inst)[0] == EXIT_INPUT
 
 
+def test_unreadable_solutions_and_unwritable_outputs_exit_one(tmp_path, capsys):
+    """Each failure reaches the exit-1 line with its own message."""
+    inst = write_json(tmp_path / "triangle.json", triangle_doc())
+    garbled = tmp_path / "solution.json"
+    garbled.write_text("{not json", encoding="utf-8")
+    code = main(["verify", "--instance", inst, "--solution", str(garbled)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: invalid JSON in ")
+    nowhere = str(tmp_path / "missing" / "out.json")
+    code = main(["solve", "--instance", inst, "--out", nowhere])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+
+
 TRI_ZERO = {"ab": 0, "bc": 0, "ca": 0}
 
 # Each case: a command, its instance document, the option naming the second

@@ -36,6 +36,7 @@ from stablepartners import (
     symmetrize,
 )
 from stablepartners.bipartite import (
+    _climb,
     _ray_point,
     _shift_holds,
     _walk_frame,
@@ -114,13 +115,16 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     The interval property: the local check against ``x`` holds at
     ``x + k chi`` exactly for ``k = 1..tau``, where ``tau`` is the oracle's
     weight.  Then ``climb`` must reach the oracle's landing with and
-    without ``verified``, with limits from 0 to past ``tau``, and under
-    each ceiling.  With ``every_k`` each local verdict is also compared
-    with the whole-instance check, and every ``k = 1..tau`` is tried as a
-    limit, with and without ``verified``; long rays pass
-    ``every_k=False`` and try every ``k`` up to 64, the gallop points and
-    their neighbours, ``tau`` and a few random ``k``.  Returns ``tau`` and
-    the number of in-box points past it.
+    without ``verified`` and with limits from 0 to past ``tau``, and
+    :func:`_climb` must reach the oracle's landing under each ceiling at
+    which every firm off the rotation weakly prefers its star, as in a
+    sweep; a point inside the ray is always one.  With ``every_k`` each
+    local verdict is also compared with the whole-instance check, and
+    every ``k = 1..tau`` is tried as a limit, with and without
+    ``verified``; long rays pass ``every_k=False`` and try every ``k`` up
+    to 64, the gallop points and their neighbours, ``tau`` and a few
+    random ``k``.  Returns ``tau`` and the number of in-box points past
+    it.
     """
     tau, top = oracle_two_pass_walk(inst, x, rot)
     assert tau >= 1
@@ -156,11 +160,30 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
         )
     assert climb(inst, x, rot, limit=tau + 1) == (tau, top)
     inside = x.plus(rot.chi.scaled(rng.randint(1, tau)))
+    frame = _walk_frame(inst, rot.steps)
+    assert firms_off_the_walk_rise_to(inst, x, rot, inside)
     for ceiling in list(ceilings) + [inside]:
-        assert climb(inst, x, rot, ceiling=ceiling, verified=True) == (
-            oracle_two_pass_walk(inst, x, rot, ceiling=ceiling)
-        )
+        if firms_off_the_walk_rise_to(inst, x, rot, ceiling):
+            assert _climb(inst, x, frame, ceiling) == (
+                oracle_two_pass_walk(inst, x, rot, ceiling=ceiling)
+            )
     return tau, len(holds) - tau
+
+
+def firms_off_the_walk_rise_to(inst, x, rot, ceiling):
+    """True iff every firm off ``rot`` weakly prefers its star in ``ceiling``.
+
+    That is the contract under which a sweep hands :func:`_climb` its
+    ceiling; every point of the ray meets it.
+    """
+    on_walk = {v for v, _ in rot.steps}
+    for f in inst.parts[1] - on_walk:
+        spots = inst.star_positions[f]
+        mine = tuple(ceiling.vals[i] for i in spots)
+        join = tuple(max(ceiling.vals[i], x.vals[i]) for i in spots)
+        if inst.choice[f].choose_vals(join) != mine:
+            return False
+    return True
 
 
 def test_climb_matches_the_two_pass_walk_on_the_bipartite_corpus(bipartite_artifacts):
@@ -182,8 +205,7 @@ def test_climb_matches_the_two_pass_walk_on_the_doubled_corpus(doubled_artifacts
 def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
     """A climb stops at its weight and does not move past the ray's end.
 
-    An unstable start, or with ``verified=False`` an unstable ceiling,
-    raises :class:`InputError`.
+    An unstable start raises :class:`InputError`.
     """
     unstable_starts = 0
     for inst, _, rotations in bipartite_artifacts:
@@ -204,8 +226,6 @@ def test_public_walks_reject_what_they_cannot_do(bipartite_artifacts):
                         climb(inst, u, rot)
                     with pytest.raises(InputError):
                         climb(inst, u, rot, limit=1)
-                    with pytest.raises(InputError, match="stable"):
-                        climb(inst, x, rot, ceiling=u)
     assert unstable_starts > 0
 
 
@@ -218,8 +238,6 @@ def test_climb_needs_a_vector_and_a_rotation_of_the_instance(b4, triangle):
         climb(double, other, rot)
     with pytest.raises(InputError):
         climb(b4, other, rot)
-    with pytest.raises(InputError):
-        climb(b4, lo, rot, ceiling=other)
     assert climb(b4, lo, rot, limit=0) == (0, lo)
 
 
@@ -240,31 +258,19 @@ def test_climb_takes_any_integer_limit_and_no_other(b4):
             climb(b4, lo, rot, limit=bad)
 
 
-@pytest.mark.parametrize("verified", [False, True])
-def test_climb_rejects_a_ceiling_outside_the_box(b4, verified):
+def test_the_sweep_climb_stops_at_its_ceiling(b4):
+    """Under a ceiling :func:`_climb` lands on it at most.
+
+    A ceiling below the start at the rotation's firms stops it at once.
+    """
     lo = deferred_acceptance(b4, "W")
     rot = find_rotations(b4, lo)[0]
+    frame = _walk_frame(b4, rot.steps)
     hi = lo.plus(rot.chi)
-    assert climb(b4, lo, rot, ceiling=hi, verified=verified) == (1, hi)
-    for i in range(len(b4.space)):
-        vals = list(hi.vals)
-        vals[i] = b4.caps.vals[i] + 1
-        with pytest.raises(InputError, match="box"):
-            climb(b4, lo, rot, ceiling=EdgeVector(b4.space, vals), verified=verified)
-    under = EdgeVector(b4.space, [-1] * len(b4.space))
-    with pytest.raises(InputError, match="box"):
-        climb(b4, lo, rot, ceiling=under, verified=verified)
-
-
-def test_climb_rejects_an_unstable_ceiling_unless_verified(b4):
-    lo = deferred_acceptance(b4, "W")
-    rot = find_rotations(b4, lo)[0]
+    assert _climb(b4, lo, frame, hi) == (1, hi)
     zero = EdgeVector(b4.space, [0] * len(b4.space))
     assert not is_stable(b4, zero).stable
-    with pytest.raises(InputError, match="stable"):
-        climb(b4, lo, rot, ceiling=zero)
-    # The caller vouches for a verified ceiling; this one is below ``lo``.
-    assert climb(b4, lo, rot, ceiling=zero, verified=True) == (0, lo)
+    assert _climb(b4, lo, frame, zero) == (0, lo)
 
 
 # -- long rays ---------------------------------------------------------------
@@ -322,8 +328,8 @@ def test_table_choice_rays_match_the_unit_step_walk():
 
     The gated instance, whose maximal weights jump after another rotation,
     and seeded markets whose choices are mostly conditional-order, laminar
-    or shrunk tables (:func:`table_market`).  Every stable vector is a
-    ceiling.
+    or shrunk tables (:func:`table_market`).  Every stable vector that
+    meets the sweep's contract is a ceiling.
     """
     rng = random.Random(9)
     markets = [(gated_instance(), {"w1"})]

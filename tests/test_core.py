@@ -41,13 +41,11 @@ def test_vector_basic_arithmetic():
     sp = space3()
     x = EdgeVector(sp, (1, 0, 2))
     y = EdgeVector.from_mapping(sp, {"p": 0, "q": 3, "r": 1})
-    assert x.join(y).vals == (1, 3, 2)
     assert x.meet(y).vals == (0, 0, 1)
     assert x.plus(y).vals == (1, 3, 3)
     assert y.minus(x).vals == (-1, 3, -1)
     assert x.scaled(3).vals == (3, 0, 6)
     assert x.total() == 3
-    assert x.le(x.join(y))
     assert not y.minus(x).is_nonnegative()
     assert x["r"] == 2
 
@@ -55,7 +53,7 @@ def test_vector_basic_arithmetic():
 def test_vector_arithmetic_rejects_mismatched_spaces():
     x = EdgeVector(space3(), (0, 0, 0))
     y = EdgeVector(EdgeSpace(["p", "q"]), (0, 0))
-    for op in (x.join, x.meet, x.plus, x.minus, x.le):
+    for op in (x.meet, x.plus, x.minus, x.le):
         with pytest.raises(InputError):
             op(y)
 
@@ -140,18 +138,19 @@ def test_instance_rejects_unknown_endpoint():
         )
 
 
+def _quota(v, ids, caps):
+    return LinearOrderQuotaCF(v, EdgeSpace(ids), caps, 1, list(ids))
+
+
 def test_instance_rejects_loops_and_parallel_edges():
-    base = {
-        "vertices": ["a", "b"],
-        "edges": [{"id": "aa", "ends": ["a", "a"], "cap": 1}],
-        "choice": {
-            "a": {"type": "linear_order_quota", "quota": 1, "order": ["aa"]},
-            "b": {"type": "linear_order_quota", "quota": 0, "order": []},
-        },
-    }
-    with pytest.raises(InputError):
-        instance_from_dict(base)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="is a loop"):
+        Instance(
+            ["a", "b"],
+            {"aa": ("a", "a")},
+            {"aa": 1},
+            {"a": _quota("a", ["aa"], [1]), "b": _quota("b", [], [])},
+        )
+    with pytest.raises(InputError, match="parallel edge"):
         instance_from_dict(
             {
                 "vertices": ["a", "b"],
@@ -165,6 +164,50 @@ def test_instance_rejects_loops_and_parallel_edges():
                 },
             }
         )
+
+
+PATH = {"ab": ("a", "b"), "bc": ("b", "c")}
+PATH_CHOICE = {
+    "a": _quota("a", ["ab"], [1]),
+    "b": _quota("b", ["ab", "bc"], [1, 1]),
+    "c": _quota("c", ["bc"], [1]),
+}
+
+
+CAPS = {"ab": 1, "bc": 1}
+ABC = ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "vertices, caps, choice, message",
+    [
+        (["a", "b", "b", "c"], CAPS, PATH_CHOICE, "vertex ids must be distinct"),
+        (ABC, {"ab": 1}, PATH_CHOICE, "cover exactly the edge set"),
+        (ABC, {"ab": 1, "bc": -1}, PATH_CHOICE, "negative capacity"),
+        (ABC, CAPS, {"a": PATH_CHOICE["a"]}, "cover exactly the vertex set"),
+        (ABC, CAPS, dict(PATH_CHOICE, a=PATH_CHOICE["c"]), "does not act on its star"),
+    ],
+    ids=[
+        "repeated-vertex",
+        "caps-miss-an-edge",
+        "negative-cap",
+        "choice-misses-a-vertex",
+        "choice-off-its-star",
+    ],
+)
+def test_instance_guards_name_what_is_wrong(vertices, caps, choice, message):
+    Instance(ABC, PATH, CAPS, PATH_CHOICE)
+    with pytest.raises(InputError, match=message):
+        Instance(vertices, PATH, caps, choice)
+
+
+def test_documents_and_vectors_name_what_is_wrong():
+    doc = b4_doc()
+    doc["edges"].append(dict(doc["edges"][0]))
+    with pytest.raises(InputError, match="duplicate edge id"):
+        instance_from_dict(doc)
+    with pytest.raises(InputError, match="vector length does not match"):
+        EdgeVector(space3(), (0, 0))
 
 
 def test_instance_rejects_bad_bipartitions():

@@ -5,23 +5,24 @@ deterministic; raise ``max_examples`` locally for a deeper search.
 """
 
 import itertools
+import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablepartners import (
+    EdgeVector,
     HalfPartnership,
     InputError,
     LinearOrderQuotaCF,
-    Rotation,
     TableCF,
     check_axiom,
     closed_from_vector,
-    deferred_acceptance,
     enumerate_stable,
-    find_rotations,
     instance_from_dict,
     instance_to_dict,
+    is_stable,
     parse_instance,
     rotation_order,
     serialize_instance,
@@ -45,6 +46,7 @@ from conftest import (
     path3_doc,
     quota_doc,
     sub_violating_table,
+    table_market,
     triangle_doc,
     wide_cap_doc,
 )
@@ -132,25 +134,6 @@ def _solution(*cycles):
 def test_solution_documents_verify_or_raise_input_error(doc):
     try:
         verify_half_partnership(TRIANGLE, HalfPartnership.from_dict(TRIANGLE, doc))
-    except InputError:
-        pass
-
-
-B4 = instance_from_dict(b4_doc())
-
-
-@st.composite
-def mutated_rotations(draw):
-    """The crossed block's rotation document with one node mutated."""
-    rot = find_rotations(B4, deferred_acceptance(B4, "W"))[0]
-    return _mutate(draw, rot.to_dict())
-
-
-@PROPERTY
-@given(mutated_rotations())
-def test_rotation_documents_parse_or_raise_input_error(doc):
-    try:
-        Rotation.from_dict(B4, doc)
     except InputError:
         pass
 
@@ -339,6 +322,38 @@ def test_solver_verdicts_agree_with_enumeration(inst):
     assert result.solvable == bool(stable)
     if result.solvable:
         assert result.hp.x in stable
+
+
+@pytest.fixture(scope="module")
+def certified_pool(bipartite_corpus, general_corpus):
+    """Both corpora, seeded table markets and the SUB-breaking table hub."""
+    rng = random.Random(9)
+    tables = [table_market(rng)[0] for _ in range(10)]
+    pool = bipartite_corpus + general_corpus + tables
+    pool.append(instance_from_dict(bad_table_doc()))
+    return [(inst, enumerate_stable(inst)) for inst in pool]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_verified_empty_cycle_family_is_a_stable_vector(certified_pool, data):
+    """What certifies ``solve`` alone: with K empty, C1 and C3 imply stability.
+
+    ``x`` is drawn from the box, or is a stable vector moved by one unit
+    on one edge, where a single blocking edge is likely.
+    """
+    inst, stable = data.draw(st.sampled_from(certified_pool))
+    caps = inst.caps.vals
+    if stable and caps and data.draw(st.booleans()):
+        vals = list(data.draw(st.sampled_from(stable)).vals)
+        p = data.draw(st.integers(0, len(caps) - 1))
+        vals[p] = data.draw(st.sampled_from([vals[p] - 1, vals[p] + 1]))
+        vals[p] = min(max(vals[p], 0), caps[p])
+    else:
+        vals = [data.draw(st.integers(0, c)) for c in caps]
+    x = EdgeVector(inst.space, vals)
+    if verify_half_partnership(inst, HalfPartnership(x, ())).ok:
+        assert is_stable(inst, x).stable
 
 
 def _rare(draw):

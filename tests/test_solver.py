@@ -186,6 +186,18 @@ def test_verifier_flags_a_missing_cycle_family(triangle):
     )
 
 
+def test_verifier_flags_an_unacceptable_star_on_both_sides(triangle):
+    """With no cycles C1 tests each star once as ``in`` and once as ``out``."""
+    doc = {"x": {"ab": 1, "ca": 1}, "K": []}
+    report = verify_half_partnership(triangle, HalfPartnership.from_dict(triangle, doc))
+    assert not report.ok
+    c1 = [v for v in report.violations if v["condition"] == "C1"]
+    assert c1 == [
+        {"condition": "C1", "vertex": "a", "part": "in"},
+        {"condition": "C1", "vertex": "a", "part": "out"},
+    ]
+
+
 def test_verifier_flags_the_wrong_orientation(triangle):
     good = solve(triangle).hp.cycles[0]
     backward = OddCycle(triangle, reversed_steps(good))
@@ -258,3 +270,29 @@ def test_solver_output_satisfies_the_independent_checker(
     for inst in (b4, b4_scaled, triangle, path3, cycle3, twin):
         hp = solve(inst).hp
         assert verify_half_partnership(inst, hp).ok
+
+
+def test_solve_checks_no_stability_on_the_base_instance(
+    monkeypatch, b4, b4_scaled, triangle, path3, cycle3, twin
+):
+    """The verifier alone certifies ``solve``: see its docstring for why.
+
+    Deferred acceptance on the double still checks its own outcome, so
+    only the calls on the base instance are counted.
+    """
+    from stablepartners import bipartite, solver
+
+    assert not hasattr(solver, "is_stable")
+    checked = []
+
+    def counting(inst, x):
+        checked.append(inst)
+        return is_stable(inst, x)
+
+    monkeypatch.setattr(bipartite, "is_stable", counting)
+    for inst in (b4, b4_scaled, triangle, path3, cycle3, twin):
+        checked.clear()
+        result = solve(inst)
+        assert result.report.ok
+        assert any(seen is result.symmetric.graph for seen in checked)
+        assert not any(seen is inst for seen in checked)

@@ -281,7 +281,7 @@ def test_balancing_sweep_hits_the_triangle_odd_core(tri_double):
     assert out.vector == lo
     assert [(w, tau) for _, w, tau in out.picks] == [(0, 1)]
     assert len(out.odd_core) == 1
-    assert not out.symmetric
+    assert out.odd_core
     rot = out.odd_core[0]
     assert tri_double.reflect_vector(out.vector) == out.vector.plus(rot.chi)
     for seed in range(4):
@@ -292,7 +292,7 @@ def test_balancing_sweep_hits_the_triangle_odd_core(tri_double):
 
 def test_balancing_sweep_balances_the_block(b4_double):
     out = run_qb(b4_double)
-    assert out.symmetric
+    assert not out.odd_core
     assert out.odd_core == ()
     assert b4_double.reflect_vector(out.vector) == out.vector
     assert [(w, tau) for _, w, tau in out.picks] == [(1, 1)]
