@@ -258,18 +258,36 @@ def test_climb_takes_any_integer_limit_and_no_other(b4):
             climb(b4, lo, rot, limit=bad)
 
 
-def test_the_sweep_climb_stops_at_its_ceiling(b4):
-    """Under a ceiling :func:`_climb` lands on it at most.
+@pytest.mark.parametrize("verified", [False, True])
+def test_climb_rejects_a_ceiling_outside_the_box(b4, verified):
+    """:func:`climb` takes no ceiling: the box alone bounds its landing.
+
+    Under a ceiling one step up, :func:`_climb` lands on it.
+    """
+    lo = deferred_acceptance(b4, "W")
+    rot = find_rotations(b4, lo)[0]
+    frame = _walk_frame(b4, rot.steps)
+    hi = lo.plus(rot.chi)
+    assert b4.in_box(hi) and not b4.in_box(hi.plus(rot.chi))
+    assert climb(b4, lo, rot, verified=verified) == (1, hi)
+    assert _climb(b4, lo, frame, hi) == (1, hi)
+    under = EdgeVector(b4.space, [-1] * len(b4.space))
+    with pytest.raises(TypeError, match="ceiling"):
+        climb(b4, lo, rot, ceiling=under, verified=verified)
+
+
+def test_climb_rejects_an_unstable_ceiling_unless_verified(b4):
+    """An unstable start raises unless verified; :func:`_climb` trusts its ceiling.
 
     A ceiling below the start at the rotation's firms stops it at once.
     """
     lo = deferred_acceptance(b4, "W")
     rot = find_rotations(b4, lo)[0]
     frame = _walk_frame(b4, rot.steps)
-    hi = lo.plus(rot.chi)
-    assert _climb(b4, lo, frame, hi) == (1, hi)
     zero = EdgeVector(b4.space, [0] * len(b4.space))
     assert not is_stable(b4, zero).stable
+    with pytest.raises(InputError, match="stable"):
+        climb(b4, zero, rot)
     assert _climb(b4, lo, frame, zero) == (0, lo)
 
 
