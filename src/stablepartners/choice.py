@@ -15,7 +15,6 @@ when an axiom fails.  Its work budget counts the work done: the covering
 pairs compared (SUB, MON, CON) and the preference comparisons (GL).
 """
 
-import copy
 import math
 
 import numpy as np
@@ -119,7 +118,8 @@ class ChoiceFunction:
         """
         if len(space) != len(self.space):
             raise InputError("star of {!r} has the wrong size".format(vertex))
-        twin = copy.copy(self)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
         twin.vertex = vertex
         twin.space = space
         return twin

@@ -9,6 +9,7 @@ is explicitly ordered.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -180,6 +181,7 @@ def cmd_brute(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(prog="stablepartners", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -205,30 +205,34 @@ class Instance:
             raise InputError("vertex ids must be distinct")
         vset = set(self.vertices)
 
+        ids = sorted(edges)
         ends = {}
         seen_pairs = set()
-        for e in sorted(edges):
+        incident = {v: set() for v in self.vertices}
+        for e in ids:
             u, v = edges[e]
             if u not in vset or v not in vset:
                 raise InputError("edge {!r} has an unknown endpoint".format(e))
             if u == v:
                 raise InputError("edge {!r} is a loop".format(e))
-            pair = frozenset((u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in seen_pairs:
                 raise InputError("parallel edge {!r}".format(e))
             seen_pairs.add(pair)
-            ends[e] = tuple(sorted((u, v)))
+            ends[e] = pair
+            incident[u].add(e)
+            incident[v].add(e)
         self.edge_ends = ends
-        self.space = EdgeSpace(sorted(ends))
+        self.space = EdgeSpace(ids)
 
-        if set(caps) != set(ends):
+        if set(caps) != ends.keys():
             raise InputError("capacities must cover exactly the edge set")
         for e, c in caps.items():
             if not _is_int(c):
                 raise InputError("capacity of edge {!r} must be an integer".format(e))
             if c < 0:
                 raise InputError("edge {!r} has negative capacity".format(e))
-        self.caps = EdgeVector(self.space, (caps[e] for e in self.space.ids))
+        self.caps = EdgeVector._trusted(self.space, tuple(int(caps[e]) for e in ids))
 
         if parts is not None:
             w, f = parts
@@ -246,26 +250,21 @@ class Instance:
 
         if set(choice) != vset:
             raise InputError("choice functions must cover exactly the vertex set")
-        incident = {v: set() for v in self.vertices}
-        for e, (u, v) in ends.items():
-            incident[u].add(e)
-            incident[v].add(e)
         for v, cf in choice.items():
             if set(cf.space.ids) != incident[v]:
                 raise InputError(
                     "choice function at {!r} does not act on its star".format(v)
                 )
-            expected = tuple(self.caps[e] for e in cf.space.ids)
-            if tuple(cf.caps) != expected:
+            if tuple(cf.caps) != tuple(caps[e] for e in cf.space.ids):
                 raise InputError(
                     "choice function at {!r} disagrees with edge capacities".format(v)
                 )
         self.choice = dict(choice)
         self.star_space = {v: choice[v].space for v in self.vertices}
         self.star_ids = {v: space.ids for v, space in self.star_space.items()}
+        index = self.space.index
         self.star_positions = {
-            v: tuple(self.space.index[e] for e in ids)
-            for v, ids in self.star_ids.items()
+            v: tuple(index[e] for e in star) for v, star in self.star_ids.items()
         }
 
     # -- basic queries ----------------------------------------------------

@@ -10,7 +10,7 @@ doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
 from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
-from .bipartite import _star
+from .bipartite import _bumped, _star
 from .symmetric import is_singular, run_qb, symmetrize
 
 
@@ -110,6 +110,8 @@ def verify_half_partnership(inst, hp):
     star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
     star_out = {v: list(z) for v, z in star_in.items()}
     visits = {v: [] for v in inst.vertices}
+    # hp.x is in the box: a menu can leave it only where a cycle or probe adds a unit.
+    enters, leaves = {}, {}
     for cyc in hp.cycles:
         per_vertex = {}
         for j, (v, e_out) in enumerate(cyc.steps):
@@ -120,23 +122,28 @@ def verify_half_partnership(inst, hp):
             for i, o in pairs:
                 star_in[v][i] += 1
                 star_out[v][o] += 1
+                enters.setdefault(v, []).append(i)
+                leaves.setdefault(v, []).append(o)
             visits[v].append((cyc, pairs))
     star_in = {v: tuple(z) for v, z in star_in.items()}
     star_out = {v: tuple(z) for v, z in star_out.items()}
     violations = []
 
-    def attempt(v, menu):
+    def attempt(v, menu, raised):
         cf = inst.choice[v]
-        return cf.choose_vals(menu) if cf.in_box(menu) else None
+        if raised and any(menu[j] > cf.caps[j] for j in raised):
+            return None
+        return cf.choose_vals(menu)
 
     for v in inst.vertices:
-        for part, menu in (("in", star_in[v]), ("out", star_out[v])):
-            if attempt(v, menu) != menu:
+        for part, stars, raised in (("in", star_in, enters), ("out", star_out, leaves)):
+            if attempt(v, stars[v], raised.get(v, ())) != stars[v]:
                 violations.append({"condition": "C1", "vertex": v, "part": part})
         out_v = star_out[v]
         for cyc, pairs in visits[v]:
             menu = _moved(out_v, [i for i, _ in pairs], 1)
-            if attempt(v, menu) != _moved(menu, [o for _, o in pairs], -1):
+            raised = leaves[v] + [i for i, _ in pairs]
+            if attempt(v, menu, raised) != _moved(menu, [o for _, o in pairs], -1):
                 violations.append(
                     {
                         "condition": "C1",
@@ -147,7 +154,7 @@ def verify_half_partnership(inst, hp):
                 )
             for i, o in pairs:
                 menu = _moved(out_v, [i], 1)
-                if attempt(v, menu) != _moved(menu, [o], -1):
+                if attempt(v, menu, leaves[v] + [i]) != _moved(menu, [o], -1):
                     violations.append(
                         {
                             "condition": "C2",
@@ -171,9 +178,9 @@ def verify_half_partnership(inst, hp):
                 raise InternalError("cycle bookkeeping split edge {!r}".format(e))
             if menu_t[t] >= caps[p]:
                 continue
-            sel_t = attempt(taker, _moved(menu_t, [t], 1))
-            sel_k = attempt(keeper, _moved(menu_k, [k], 1))
-            if sel_t != menu_t and sel_k != menu_k:
+            if attempt(taker, _bumped(menu_t, t), enters.get(taker, ())) == menu_t:
+                continue  # the taker does not want the unit
+            if attempt(keeper, _bumped(menu_k, k), leaves.get(keeper, ())) != menu_k:
                 violations.append(
                     {"condition": "C3", "edge": e, "ends": [taker, keeper]}
                 )

@@ -38,8 +38,10 @@ from stablepartners import (
     rotation_order,
     symmetrize,
 )
+from stablepartners.bipartite import _star
 from stablepartners.choice import AxiomReport, LinearOrderQuotaCF, TableCF, box_array
 from stablepartners.core import EdgeSpace
+from stablepartners.solver import VerificationReport, _moved
 
 
 # -- document builders -------------------------------------------------------
@@ -1613,6 +1615,119 @@ def oracle_project_cycle(si, rot):
             raise InternalError("projected edges do not chain")
         walk.append((shared.pop(), e))
     return OddCycle(base, walk)
+
+
+def oracle_verify_half_partnership(inst, hp):
+    """Check the exchange conditions of a half-partnership, one by one.
+
+    The whole-menu verifier: every probe tests its whole menu against the
+    box, and C3 asks both ends of every edge.  The library's
+    :func:`verify_half_partnership` must report exactly what this does.
+
+    Returns a report with a list of violations; an empty list means the
+    pair is genuine.  Malformed input (overlapping cycles, values outside
+    the box) raises :class:`InputError` instead of reporting violations.
+
+    The conditions, per vertex v with cycle-adjusted stars ``in(v)`` and
+    ``out(v)`` (its star in ``hp.x`` plus one unit per cycle edge entering,
+    respectively leaving, v):
+
+    * C1: both adjusted stars are acceptable, and for each cycle through
+      v the choice on ``out(v)`` plus the cycle's entering units returns
+      exactly the star with the cycle's leaving units removed;
+    * C2: each single entering unit bumps exactly its successor unit on
+      the cycle;
+    * C3: no edge below capacity is wanted from both of its ends, where
+      each end is probed on its own adjusted star whenever the probe
+      stays within capacity.
+
+    A menu outside the capacity box counts as a violation.
+    """
+    inst.check_vector(hp.x)
+    if not inst.in_box(hp.x):
+        raise InputError("solution vector is outside the capacity box")
+    seen = set()
+    for cyc in hp.cycles:
+        OddCycle(inst, cyc.steps)
+        overlap = seen & set(cyc.edges)
+        if overlap:
+            raise InputError("cycles share edges {}".format(sorted(overlap)))
+        seen.update(cyc.edges)
+
+    # Stars are raw tuples in star order; a visit of a cycle to v is the
+    # star positions of its (entering, leaving) edges there.
+    star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
+    star_out = {v: list(z) for v, z in star_in.items()}
+    visits = {v: [] for v in inst.vertices}
+    for cyc in hp.cycles:
+        per_vertex = {}
+        for j, (v, e_out) in enumerate(cyc.steps):
+            index = inst.star_space[v].index
+            e_in = cyc.steps[j - 1][1]
+            per_vertex.setdefault(v, []).append((index[e_in], index[e_out]))
+        for v, pairs in per_vertex.items():
+            for i, o in pairs:
+                star_in[v][i] += 1
+                star_out[v][o] += 1
+            visits[v].append((cyc, pairs))
+    star_in = {v: tuple(z) for v, z in star_in.items()}
+    star_out = {v: tuple(z) for v, z in star_out.items()}
+    violations = []
+
+    def attempt(v, menu):
+        cf = inst.choice[v]
+        return cf.choose_vals(menu) if cf.in_box(menu) else None
+
+    for v in inst.vertices:
+        for part, menu in (("in", star_in[v]), ("out", star_out[v])):
+            if attempt(v, menu) != menu:
+                violations.append({"condition": "C1", "vertex": v, "part": part})
+        out_v = star_out[v]
+        for cyc, pairs in visits[v]:
+            menu = _moved(out_v, [i for i, _ in pairs], 1)
+            if attempt(v, menu) != _moved(menu, [o for _, o in pairs], -1):
+                violations.append(
+                    {
+                        "condition": "C1",
+                        "vertex": v,
+                        "part": "exchange",
+                        "cycle": cyc.to_list(),
+                    }
+                )
+            for i, o in pairs:
+                menu = _moved(out_v, [i], 1)
+                if attempt(v, menu) != _moved(menu, [o], -1):
+                    violations.append(
+                        {
+                            "condition": "C2",
+                            "vertex": v,
+                            "cycle": cyc.to_list(),
+                            "enter": inst.star_ids[v][i],
+                            "leave": inst.star_ids[v][o],
+                        }
+                    )
+
+    caps = inst.caps.vals
+    for p, e in enumerate(inst.space.ids):
+        if hp.x.vals[p] >= caps[p]:
+            continue
+        u, w = inst.ends(e)
+        for taker, keeper in ((u, w), (w, u)):
+            menu_t, menu_k = star_in[taker], star_out[keeper]
+            t = inst.star_space[taker].index[e]
+            k = inst.star_space[keeper].index[e]
+            if menu_t[t] != menu_k[k]:
+                raise InternalError("cycle bookkeeping split edge {!r}".format(e))
+            if menu_t[t] >= caps[p]:
+                continue
+            sel_t = attempt(taker, _moved(menu_t, [t], 1))
+            sel_k = attempt(keeper, _moved(menu_k, [k], 1))
+            if sel_t != menu_t and sel_k != menu_k:
+                violations.append(
+                    {"condition": "C3", "edge": e, "ends": [taker, keeper]}
+                )
+
+    return VerificationReport(not violations, tuple(violations))
 
 
 # -- views of the double and of odd cycles that only tests read ----------------

@@ -78,7 +78,7 @@ def test_choose_validates_box_and_space():
     with pytest.raises(InputError):
         cf.choose(vec(cf, 2, 0))
     other = EdgeVector(EdgeSpace(("x",)), (0,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="does not live on this star"):
         cf.choose(other)
 
 

@@ -181,6 +181,24 @@ def test_unexpected_exceptions_exit_four_with_an_error_line(
     assert capsys.readouterr().err == "error: KeyError: 'w9'\n"
 
 
+def test_two_calls_build_the_parser_once(tmp_path, capsys):
+    inst = write_json(tmp_path / "b4.json", b4_doc())
+    sol = str(tmp_path / "solution.json")
+    cli.build_parser.cache_clear()
+    assert run(capsys, "solve", "--instance", inst, "--out", sol)[0] == EXIT_OK
+    assert run(capsys, "verify", "--instance", inst, "--solution", sol)[0] == EXIT_OK
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_a_seed_does_not_outlive_its_call(tmp_path, capsys):
+    """The shared parser hands a plain ``solve`` the default seed again."""
+    inst = write_json(tmp_path / "b4.json", b4_doc())
+    seeded = run(capsys, "solve", "--instance", inst, "--seed", "2")
+    plain = run(capsys, "solve", "--instance", inst)
+    zero = run(capsys, "solve", "--instance", inst, "--seed", "0")
+    assert seeded != plain == zero
+
+
 def test_budget_exhaustion_exits_three(tmp_path, capsys):
     inst = write_json(tmp_path / "b4.json", b4_doc())
     assert run(capsys, "brute", "--instance", inst, "--budget", "1")[0] == EXIT_BUDGET

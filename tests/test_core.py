@@ -150,6 +150,16 @@ def test_instance_rejects_loops_and_parallel_edges():
             {"aa": 1},
             {"a": _quota("a", ["aa"], [1]), "b": _quota("b", [], [])},
         )
+    with pytest.raises(InputError, match="parallel edge 'ba'"):
+        Instance(
+            ["a", "b"],
+            {"ab": ("a", "b"), "ba": ("b", "a")},
+            {"ab": 1, "ba": 1},
+            {
+                "a": _quota("a", ["ab", "ba"], [1, 1]),
+                "b": _quota("b", ["ab", "ba"], [1, 1]),
+            },
+        )
     with pytest.raises(InputError, match="parallel edge"):
         instance_from_dict(
             {
@@ -208,20 +218,28 @@ def test_documents_and_vectors_name_what_is_wrong():
         instance_from_dict(doc)
     with pytest.raises(InputError, match="vector length does not match"):
         EdgeVector(space3(), (0, 0))
+    doc = b4_doc()
+    doc["edges"][0]["cap"] = 1.0
+    with pytest.raises(InputError, match="'w1f1' needs an integer capacity"):
+        instance_from_dict(doc)
+    doc = b4_doc()
+    doc["choice"]["w1"] = ["w1f1", "w1f2"]
+    with pytest.raises(InputError, match="choice spec at 'w1' needs a type"):
+        instance_from_dict(doc)
 
 
 def test_instance_rejects_bad_bipartitions():
     doc = b4_doc()
     doc["bipartition"] = {"W": ["w1", "w2", "f1"], "F": ["f1", "f2"]}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="sides overlap"):
         instance_from_dict(doc)
     doc = b4_doc()
     doc["bipartition"] = {"W": ["w1"], "F": ["f1", "f2"]}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="must cover every vertex"):
         instance_from_dict(doc)
     doc = b4_doc()
     doc["bipartition"] = {"W": ["w1", "f1"], "F": ["w2", "f2"]}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="does not join the two sides"):
         instance_from_dict(doc)
 
 

@@ -15,8 +15,10 @@ from stablepartners import (
     EdgeVector,
     HalfPartnership,
     InputError,
+    InternalError,
     LinearOrderQuotaCF,
     TableCF,
+    VerificationError,
     check_axiom,
     closed_from_vector,
     enumerate_stable,
@@ -43,8 +45,10 @@ from conftest import (
     oracle_check_pairwise,
     oracle_rotation_order,
     oracle_stable_set,
+    oracle_verify_half_partnership,
     path3_doc,
     quota_doc,
+    ring_doc,
     sub_violating_table,
     table_market,
     triangle_doc,
@@ -464,3 +468,64 @@ def test_axiom_checks_equal_their_oracles(cf):
             want.pairs_checked,
             want.witness,
         ), axiom
+
+
+@pytest.fixture(scope="module")
+def solved_pool(bipartite_corpus, general_corpus):
+    """Instances with the half-partnership ``solve`` gives them.
+
+    Both corpora, odd rings at caps 1-3, the triangle, seeded table markets
+    and the SUB-breaking table hub, which ``solve`` refuses: it gets the
+    empty vector and no cycles.
+    """
+    rng = random.Random(30)
+    pool = bipartite_corpus + general_corpus
+    pool += [instance_from_dict(ring_doc(n, c, c)) for n in (3, 5, 7) for c in (1, 2, 3)]
+    pool.append(TRIANGLE)
+    pool += [table_market(rng)[0] for _ in range(10)]
+    pool.append(instance_from_dict(bad_table_doc()))
+    solved = []
+    for inst in pool:
+        try:
+            hp = solve(inst).hp
+        except VerificationError:
+            hp = HalfPartnership(EdgeVector.zero(inst.space), ())
+        solved.append((inst, hp))
+    return solved
+
+
+def _verdict(verify, inst, hp):
+    """A verifier's report as plain data, or the error it raised."""
+    try:
+        report = verify(inst, hp)
+    except (InputError, InternalError) as exc:
+        return type(exc), str(exc)
+    return report.ok, report.violations
+
+
+@PROPERTY
+@given(data=st.data())
+def test_the_verifier_reports_what_the_whole_menu_oracle_reports(solved_pool, data):
+    """Box tests at the raised positions only lose no violation.
+
+    ``x`` is drawn in the box, at the caps, or one unit off ``solve``'s
+    ``x``, each with and without ``solve``'s cycles, so adjusted stars
+    often leave the box.
+    """
+    inst, solved = data.draw(st.sampled_from(solved_pool))
+    caps = inst.caps.vals
+    how = data.draw(st.sampled_from(["box", "caps", "off"]))
+    if how == "box":
+        vals = [data.draw(st.integers(0, c)) for c in caps]
+    elif how == "caps":
+        vals = list(caps)
+    else:
+        vals = list(solved.x.vals)
+        if caps:
+            p = data.draw(st.integers(0, len(caps) - 1))
+            vals[p] = min(max(vals[p] + data.draw(st.sampled_from([-1, 1])), 0), caps[p])
+    cycles = solved.cycles if data.draw(st.booleans()) else ()
+    hp = HalfPartnership(EdgeVector(inst.space, vals), cycles)
+    assert _verdict(verify_half_partnership, inst, hp) == _verdict(
+        oracle_verify_half_partnership, inst, hp
+    )

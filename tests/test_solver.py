@@ -25,8 +25,10 @@ from conftest import (
     cycle_vertices,
     edgevec,
     oracle_project_cycle,
+    oracle_verify_half_partnership,
     reversed_steps,
     ring_doc,
+    triangle_doc,
     undirected_key,
 )
 
@@ -222,6 +224,25 @@ def test_verifier_flags_the_wrong_orientation(triangle):
             }
         )
     assert report.violations == tuple(expected)
+
+
+def test_verifier_tests_the_box_at_a_raised_position():
+    """x at cap on a cycle's edge into c puts c's ``in`` star over capacity.
+
+    With quota 2 every vertex keeps a menu of two units, over-full ones
+    included, so C1 flags ``in`` at c only if the raised unit is tested
+    against the box.
+    """
+    doc = triangle_doc()
+    for spec in doc["choice"].values():
+        spec["quota"] = 2
+    roomy = instance_from_dict(doc)
+    cycle = OddCycle(roomy, [("a", "ca"), ("c", "bc"), ("b", "ab")])
+    hp = HalfPartnership(edgevec(roomy, {"ca": 1}), [cycle])
+    report = verify_half_partnership(roomy, hp)
+    assert {"condition": "C1", "vertex": "c", "part": "in"} in report.violations
+    want = oracle_verify_half_partnership(roomy, hp)
+    assert (report.ok, report.violations) == (want.ok, want.violations)
 
 
 def test_verifier_flags_a_tampered_vector(path3):
