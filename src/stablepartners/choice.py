@@ -183,7 +183,8 @@ class LinearOrderQuotaCF(ChoiceFunction):
             return arr.copy()
         perm = np.asarray(self._perm)
         zp = arr[:, perm]
-        prefix = np.cumsum(zp, axis=1, dtype=np.int64)
+        # No prefix sum of a box row passes the sum of the capacities.
+        prefix = np.cumsum(zp, axis=1, dtype=np.min_scalar_type(sum(self.caps)))
         q = self.quota
         out = np.where(prefix <= q, zp, 0).astype(arr.dtype)
         over = np.nonzero(prefix[:, -1] > q)[0]
@@ -468,13 +469,20 @@ def _check_gl(cf, budget):
 
     Every bumped vector and every join of two vectors lies in the box, so
     each selection is read from one pass over the box by its mixed-radix
-    code, the row's index in :func:`box_array`.
+    code, the row's index in :func:`box_array`.  The join codes are summed
+    in place in ``np.min_scalar_type(len(box) - 1)``, which holds every
+    code.  With the rows sorted by bumped edge, one ``logical_or.reduceat``
+    each finds the rows ``j`` that some row of a group precedes and those
+    that precede some row of it.  The witness is the first chain in the
+    order (bumped edge, middle row, lower end, upper end), so it does not
+    depend on how the table is reduced.
     """
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
     weights = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
     radix = np.array(weights, dtype=np.int64)
-    chosen_code = chosen.astype(np.int64) @ radix
+    code_dtype = np.min_scalar_type(len(box) - 1)
+    chosen_code = (chosen.astype(np.int64) @ radix).astype(code_dtype)
     acceptable = np.flatnonzero(chosen_code == np.arange(len(box)))
     space = cf.space
     checked = 0
@@ -488,8 +496,10 @@ def _check_gl(cf, budget):
         codes = room[single]
         rows = box[codes]
         cpos = deficit[single].argmax(axis=1)
+        order = np.argsort(cpos, kind="stable")
+        groups, starts = np.unique(cpos[order], return_index=True)
         m = len(rows)
-        if m < 2 or len(set(cpos.tolist())) < 2:
+        if m < 2 or len(groups) < 2:
             continue
         checked += m * m
         if checked > budget:
@@ -498,28 +508,26 @@ def _check_gl(cf, budget):
                     checked, budget
                 )
             )
-        joins = np.zeros((m, m), dtype=np.int64)
+        joins = np.zeros((m, m), dtype=code_dtype)
+        part = np.empty_like(joins)
         for j, r in enumerate(radix.tolist()):
-            col = rows[:, j].astype(np.int64) * r
-            joins += np.maximum(col[:, None], col[None, :])
-        # prec[i, l]: rows[l] is chosen out of the two, and differs from rows[i].
-        prec = chosen_code[joins] == codes[None, :]
-        prec &= codes[:, None] != codes[None, :]
-        for cval in sorted(set(cpos.tolist())):
-            ingrp = np.nonzero(cpos == cval)[0]
-            outgrp = np.nonzero(cpos != cval)[0]
-            first_hop = prec[np.ix_(ingrp, outgrp)]
-            second_hop = prec[np.ix_(outgrp, ingrp)]
-            mid_ok = first_hop.any(axis=0) & second_hop.any(axis=1)
-            hits = np.nonzero(mid_ok)[0]
-            if len(hits) == 0:
-                continue
-            j = outgrp[hits[0]]
-            i = ingrp[np.nonzero(first_hop[:, hits[0]])[0][0]]
-            l = ingrp[np.nonzero(second_hop[hits[0]])[0][0]]
-            witness = {"edge": a_id}
-            for key, t in zip(("z1", "z2", "z3"), (i, j, l)):
-                witness[key] = EdgeVector(space, rows[t])
-            witness["rejected"] = tuple(space.ids[cpos[t]] for t in (i, j, l))
-            return AxiomReport("GL", False, witness, checked)
+            col = (rows[:, j].astype(np.int64) * r).astype(code_dtype)
+            joins += np.maximum(col[:, None], col[None, :], out=part)
+        # prec[i, l]: rows[l] is chosen out of the two.  The diagonal is
+        # never read: a group's rows are compared only with rows outside it.
+        prec = chosen_code.take(joins) == codes.astype(code_dtype)
+        into = np.logical_or.reduceat(prec[order], starts, axis=0)
+        out_of = np.logical_or.reduceat(prec[:, order], starts, axis=1)
+        hits = np.flatnonzero(into & out_of.T & (cpos != groups[:, None]))
+        if len(hits) == 0:
+            continue
+        g, j = divmod(int(hits[0]), m)
+        ingrp = np.flatnonzero(cpos == groups[g])
+        i = ingrp[prec[ingrp, j].argmax()]
+        l = ingrp[prec[j, ingrp].argmax()]
+        witness = {"edge": a_id}
+        for key, t in zip(("z1", "z2", "z3"), (i, j, l)):
+            witness[key] = EdgeVector(space, rows[t])
+        witness["rejected"] = tuple(space.ids[cpos[t]] for t in (i, j, l))
+        return AxiomReport("GL", False, witness, checked)
     return AxiomReport("GL", True, None, checked)

@@ -8,6 +8,7 @@ reverses the firm-side order.  Vectors fixed by the involution are exactly
 the doubles of plain vectors, which is what makes the doubling useful.
 """
 
+import functools
 import random
 
 from .core import EdgeSpace, EdgeVector, InputError, Instance, VerificationError
@@ -143,12 +144,13 @@ def run_qb(si, seed=0):
     by half their feasible weight rounded down, checked by one probe of
     the ray after the full climb; all others by their full feasible
     weight.  The sweep stops when every applicable rotation's mirror is
-    used up.
+    used up.  Each rotation is mirrored once, when it is first found.
     """
     rng = random.Random(seed)
+    mirror = functools.cache(lambda rot: si.reflect_rotation(rot).steps)
 
     def mirror_fresh(rots, used):
-        fresh = [r for r in rots if si.reflect_rotation(r).steps not in used]
+        fresh = [r for r in rots if mirror(r) not in used]
         return [fresh[rng.randrange(len(fresh))]] if fresh else []
 
     start = _discovery_at(si.graph, deferred_acceptance(si.graph, "W"))

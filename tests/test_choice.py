@@ -10,6 +10,7 @@ from stablepartners import BudgetError, InputError
 from stablepartners.choice import (
     LinearOrderQuotaCF,
     TableCF,
+    box_dtype,
     check_axiom,
     choice_from_dict,
     is_acceptable,
@@ -110,6 +111,26 @@ def test_batch_matches_scalar_on_random_quota_functions():
         batch = cf.batch_vals(rows)
         for row, got in zip(rows, batch):
             assert tuple(got) == cf.choose_vals(row)
+
+
+def test_batch_prefix_sums_past_int16_match_the_scalar_rule():
+    """Rows whose prefix sums pass 32,767 and quotas above it, on
+    capacities that put the sum of the star at either side of a narrow
+    dtype's limit: the batch equals ``choose_vals`` row by row."""
+    rng = random.Random(32768)
+    wide = [(30000, 30000, 30000), (32767, 32768), (32768, 32768), (40000, 1, 40000)]
+    for caps in wide:
+        rows = [caps, (0,) * len(caps)]
+        rows += [tuple(rng.randint(0, c) for c in caps) for _ in range(100)]
+        arr = np.array(rows, dtype=box_dtype(caps))
+        for quota in (5, 32767, 32768, 40000, 65535, 70000, sum(caps), sum(caps) + 1):
+            order = ["e{}".format(i + 1) for i in range(len(caps))]
+            rng.shuffle(order)
+            cf = quota_cf(caps, quota, order)
+            batch = cf.batch_vals(arr)
+            assert batch.dtype == arr.dtype
+            for row, got in zip(rows, batch.tolist()):
+                assert tuple(got) == cf.choose_vals(row), (caps, quota, row)
 
 
 def test_choosing_twice_changes_nothing():
@@ -386,6 +407,68 @@ def test_gapless_check_matches_its_oracle_on_random_tables():
         verdicts.append(got.holds)
     assert verdicts.count(False) >= 50
     assert verdicts.count(True) >= 50
+
+
+class _FlippedQuotaCF(LinearOrderQuotaCF):
+    """A quota choice with a few selections replaced, in ``_apply`` and in
+    the batch alike: a table over a large box is slow to build."""
+
+    def __init__(self, base, flips):
+        super().__init__(base.vertex, base.space, base.caps, base.quota, base.order)
+        self._flips = flips
+
+    def _apply(self, vals):
+        return self._flips.get(vals) or super()._apply(vals)
+
+    def batch_vals(self, arr):
+        arr = np.asarray(arr)
+        out = super().batch_vals(arr)
+        for z, c in self._flips.items():
+            out[(arr == z).all(axis=1)] = c
+        return out
+
+
+def test_gapless_check_matches_its_oracle_on_a_box_past_uint16():
+    """The 17-edge unit star with quota 2 has 131,072 vectors, so its join
+    codes need more than 16 bits.  It holds; with two menus that reject the
+    added edge itself it fails on a chain through a middle menu that rejects
+    another edge.  Verdict, comparison count and witness equal the oracle's."""
+    hub = star_cf([1] * 17, 2)
+    assert hub.box_size() == 2**17
+
+    def unit(*edges):
+        return tuple(int(i + 1 in edges) for i in range(17))
+
+    flips = {unit(1, 4, 5): unit(4, 5), unit(1, 2, 3): unit(2, 3)}
+    flipped = _FlippedQuotaCF(hub, flips)
+    reports = []
+    for cf in (hub, flipped):
+        got = check_axiom(cf, "GL")
+        want = oracle_check_gl(cf)
+        assert (got.holds, got.pairs_checked, got.witness) == (
+            want.holds,
+            want.pairs_checked,
+            want.witness,
+        )
+        reports.append(got)
+    assert reports[0].holds and reports[0].pairs_checked == 230400
+    report = reports[1]
+    assert not report.holds and report.pairs_checked == 120 * 120
+    w = report.witness
+    assert w["edge"] == "s1" and w["rejected"] == ("s1", "s4", "s1")
+    chain = [w[key].vals for key in ("z1", "z2", "z3")]
+    assert chain == [unit(4, 5), unit(3, 4), unit(2, 3)]
+    assert report.reevaluate(flipped)
+
+
+def test_gapless_comparison_counts_on_the_acceptance_stars():
+    """The budget charges ``m * m`` comparisons per edge whose bumped rows
+    reject two or more edges, whatever dtype holds the join codes."""
+    counts = [
+        check_axiom(star_cf(*star), "GL", budget=10**8).pairs_checked
+        for star in ACCEPTANCE_STARS
+    ]
+    assert counts == [2940300, 61504, 9800, 3136]
 
 
 def test_each_axiom_check_selects_once_over_the_box():

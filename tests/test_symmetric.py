@@ -23,9 +23,11 @@ from stablepartners import (
     solve,
     symmetrize,
 )
-from stablepartners.symmetric import _mirror
+from stablepartners import symmetric
+from stablepartners.symmetric import SymmetricInstance, _mirror
 
 from conftest import (
+    blocks_doc,
     copy_at,
     copy_vertex,
     double_vector,
@@ -296,6 +298,39 @@ def test_balancing_sweep_balances_the_block(b4_double):
     assert out.odd_core == ()
     assert b4_double.reflect_vector(out.vector) == out.vector
     assert [(w, tau) for _, w, tau in out.picks] == [(1, 1)]
+
+
+def test_the_balancing_sweep_mirrors_each_rotation_once(
+    monkeypatch, bipartite_corpus, general_corpus
+):
+    """A solve reflects no more rotations than its sweep finds, on 40
+    general crossed blocks (every step exposes every unpicked block's
+    rotations) and on both corpora."""
+    reflected, found = [], set()
+    reflect, sweep = SymmetricInstance.reflect_rotation, symmetric._sweep
+
+    def counted(si, rot):
+        reflected.append(rot)
+        return reflect(si, rot)
+
+    def recording(inst, pick, *args, **kwargs):
+        def pick_seen(rots, used):
+            found.update(rots)
+            return pick(rots, used)
+
+        return sweep(inst, pick_seen, *args, **kwargs)
+
+    monkeypatch.setattr(SymmetricInstance, "reflect_rotation", counted)
+    monkeypatch.setattr(symmetric, "_sweep", recording)
+    doc = blocks_doc(40)
+    del doc["bipartition"]
+    solve(instance_from_dict(doc))
+    assert len(reflected) == len(found) == 80
+    for inst in bipartite_corpus + general_corpus:
+        reflected.clear()
+        found.clear()
+        solve(inst)
+        assert len(reflected) <= len(found), inst
 
 
 def test_mirror_occurrences_pair_without_fixed_points(b4_double):
