@@ -7,6 +7,7 @@ minimum and the firm-optimal one is the maximum.
 """
 
 import random
+from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
@@ -66,7 +67,7 @@ def is_stable(inst, x):
 
 def _star(inst, vals, v):
     """The raw star tuple of ``v`` in the raw vector ``vals``."""
-    return tuple(vals[p] for p in inst.star_positions[v])
+    return inst.star_get[v](vals)
 
 
 def _bumped(z, j, d=1):
@@ -213,7 +214,7 @@ def deferred_acceptance(inst, side):
     ]
 
     choice = inst.choice
-    positions = inst.star_positions
+    positions, get = inst.star_positions, inst.star_get
     bound = list(inst.caps.vals)
     offer = [0] * len(bound)
     rounds_left = inst.caps.total() + 2
@@ -221,14 +222,14 @@ def deferred_acceptance(inst, side):
     while True:
         offered = set()
         for p in sorted(moved):
-            sel = choice[p].choose_vals(tuple(bound[i] for i in positions[p]))
+            sel = choice[p].choose_vals(get[p](bound))
             for i, s in zip(positions[p], sel):
                 if offer[i] != s:
                     offer[i] = s
                     offered.add(ends[i][1])
         moved = set()
         for r in sorted(offered):
-            kept = choice[r].choose_vals(tuple(offer[i] for i in positions[r]))
+            kept = choice[r].choose_vals(get[r](offer))
             for i, k in zip(positions[r], kept):
                 if k < offer[i]:
                     bound[i] = k
@@ -343,12 +344,12 @@ def _ray_point(inst, base, frame, k=1):
 def _weakly_below(inst, lo, hi, firms):
     """True iff each of ``firms`` weakly prefers its star in ``hi`` to ``lo``.
 
-    ``lo`` and ``hi`` are raw vectors, acceptable at ``firms``.  Where they
-    agree at every firm outside ``firms`` and differ somewhere, this is
+    ``lo`` and ``hi`` are raw vectors.  Where both are acceptable at
+    ``firms``, agree at every firm outside them and differ somewhere, this is
     ``precedes_F(lo, hi)``: an edge on which they differ has a firm end
     whose star differs, and no other firm can object.  The minimal-landing
-    filter compares two landings at their walks' firms, and
-    :func:`_climb` a probe with a sweep's ceiling at the rotation's firms.
+    filter compares two landings at their walks' firms; :func:`_climb`, a
+    probe not yet checked stable with its ceiling at the rotation's firms.
     """
     return all(
         _weakly_prefers(inst.choice[f], _star(inst, hi, f), _star(inst, lo, f))
@@ -356,12 +357,12 @@ def _weakly_below(inst, lo, hi, firms):
     )
 
 
-# What the discovery state keeps of one candidate walk: its
-# :func:`_walk_frame`, the vertices whose stars its screen and exchange
-# check read (the walk's vertices and the ends of its near edges), whether
-# its landing held (None until screened), and whether its aggregate
-# exchange was checked since those stars last moved.
-_Candidate = namedtuple("_Candidate", "frame reads lands exchanged")
+# One candidate walk: its :func:`_walk_frame`, its nodes (``i`` where it
+# gains at position ``i``, ``~i`` where it loses), its firms, the vertices
+# whose stars its screen and exchange check read (the walk's and its near
+# edges' ends), whether its landing held (None until screened), and whether
+# it is in ``found``, its exchange checked, since those stars last moved.
+_Candidate = namedtuple("_Candidate", "frame nodes firms reads lands kept")
 
 
 class _Discovery:
@@ -395,37 +396,40 @@ class _Discovery:
     edges have a gain link, so only the workers on R and the workers
     adjacent to a firm on R recompute theirs.  A cycle stays a cycle until
     one of its links changes, and a new cycle runs through a changed link,
-    so only the changed nodes are followed.  A candidate's screen and
-    aggregate exchange read the stars of its ``reads`` alone, so each is
-    kept while R misses them.  The minimal-landing filter compares the
-    landings of candidates that share a firm again at every refresh; no
-    seeded workload has such a pair.
+    so only the changed nodes are followed and the candidates through them
+    (``by_node``; cycles share no node) dropped.  A candidate's screen and
+    exchange read its ``reads`` alone, so only those ``by_vertex`` lists at
+    R's vertices are screened again.  The minimal-landing verdict
+    (:meth:`_minimal`) reads the candidates sharing a firm, so it is redone
+    only beside one dropped or screened; rotations entering ``found`` alone
+    are checked for disjointness and exchange.
 
     A new state is empty; :meth:`refresh`, which :func:`find_rotations`
     calls for every discovery step, is the one way to recompute.  ``x``
     must be stable; the caller verifies it.
     """
 
-    __slots__ = ("inst", "x", "succ", "walks", "found")
+    __slots__ = ("inst", "x", "succ", "walks", "by_node", "by_vertex", "found")
 
     def __init__(self, inst):
         self.inst = inst
         self.x = None
-        self.succ = {}
-        self.walks = {}
+        self.succ, self.walks, self.by_node, self.by_vertex = {}, {}, {}, {}
         self.found = []
 
     def copy(self):
         """A state that refreshes apart from this one."""
         twin = _Discovery(self.inst)
-        twin.x, twin.succ = self.x, dict(self.succ)
-        # refresh rebinds these two rather than changing them.
-        twin.walks, twin.found = self.walks, self.found
+        # refresh rebinds found and mutates no dict value: shallow copies do.
+        twin.x, twin.found = self.x, self.found
+        twin.succ, twin.walks = self.succ.copy(), self.walks.copy()
+        twin.by_node, twin.by_vertex = self.by_node.copy(), self.by_vertex.copy()
         return twin
 
     def refresh(self, x, vertices):
         """Move to the stable ``x``, which differs only at the stars of ``vertices``."""
-        inst, succ = self.inst, self.succ
+        inst, succ, walks = self.inst, self.succ, self.walks
+        by_node, by_vertex = self.by_node, self.by_vertex
         positions = inst.star_positions
         w_side, f_side = inst.parts
         self.x = x
@@ -449,56 +453,79 @@ class _Discovery:
         for w in (moved | near) & w_side:
             relink([~i for i in positions[w]], self._losses(w))
 
-        # A walk's nodes are its shift's positions, gains at +1 and losses
-        # at -1.
-        walks = {
-            r: c
-            for r, c in self.walks.items()
-            if changed.isdisjoint(i if s > 0 else ~i for i, s in c.frame[0])
-        }
+        # Rebound, not changed: the route steps of a sweep hold the old list.
+        found = list(self.found)
+
+        def drop(rot):
+            del found[bisect_left(found, rot)]
+
+        hit = set()  # the firms of the walks dropped or screened
+        gone = {by_node[n] for n in changed if n in by_node}
+        for rot in gone:
+            c = walks.pop(rot)
+            if c.kept:
+                drop(rot)
+            hit.update(c.firms)
+            for n in c.nodes:
+                del by_node[n]
+            for v in c.reads:
+                by_vertex[v] = tuple(r for r in by_vertex[v] if r != rot)
+        screen = set()
         for steps in _candidate_walks(inst, succ, [n for n in changed if n in succ]):
             rot = Rotation(inst, steps)
             frame = _walk_frame(inst, rot.steps)
+            nodes = tuple(i if s > 0 else ~i for i, s in frame[0])
             reads = set(frame[1]).union(*(inst.edge_ends[e] for e in frame[2]))
-            walks[rot] = _Candidate(frame, tuple(reads), None, False)
-        for rot, c in walks.items():
-            if c.lands is None or not moved.isdisjoint(c.reads):
-                lands = _ray_point(inst, x.vals, c.frame) is not None
-                walks[rot] = c._replace(lands=lands, exchanged=False)
+            on_walk = f_side.intersection(frame[1])
+            walks[rot] = _Candidate(frame, nodes, on_walk, tuple(reads), None, False)
+            by_node.update(dict.fromkeys(nodes, rot))
+            for v in reads:
+                by_vertex[v] = by_vertex.get(v, ()) + (rot,)
+            screen.add(rot)
+        screen.update(*(by_vertex.get(v, ()) for v in moved))
+        for rot in screen:
+            c = walks[rot]
+            if c.kept:
+                drop(rot)
+            lands = _ray_point(inst, x.vals, c.frame) is not None
+            walks[rot] = c._replace(lands=lands, kept=False)
+            hit.update(c.firms)
 
-        reps = sorted(rot for rot, c in walks.items() if c.lands)
-        firms_of = {rot: f_side.intersection(walks[rot].frame[1]) for rot in reps}
-        sharing = {}
-        for rot in reps:
-            for f in firms_of[rot]:
-                sharing.setdefault(f, []).append(rot)
-
-        def below(lo, hi):
-            land = [_shifted(inst, x.vals, walks[r].frame[0]) for r in (lo, hi)]
-            return _weakly_below(inst, *land, sorted(firms_of[lo] | firms_of[hi]))
-
-        found = [
-            rot
-            for rot in reps
-            if not any(
-                below(other, rot)
-                for other in sorted({r for f in firms_of[rot] for r in sharing[f]} - {rot})
-            )
-        ]
-
-        used_edges = set()
-        for rot in found:
-            overlap = used_edges & set(rot.edges)
+        entered = []
+        for f in hit:
+            screen.update(r for r in by_vertex.get(f, ()) if f in walks[r].firms)
+        for rot in sorted(screen):
+            keep = self._minimal(rot)
+            if keep != walks[rot].kept:
+                walks[rot] = walks[rot]._replace(kept=keep)
+                if keep:
+                    insort(found, rot)
+                    entered.append(rot)
+                else:
+                    drop(rot)
+        for rot in entered:
+            # A walk through an edge of rot runs through the edge's other node.
+            pairs = zip(rot.edges, walks[rot].nodes)
+            overlap = [e for e, n in pairs if ~n in by_node and walks[by_node[~n]].kept]
             if overlap:
                 raise VerificationError(
                     "rotations at one vector share edges {}".format(sorted(overlap))
                 )
-            used_edges.update(rot.edges)
-        for rot in found:
-            if not walks[rot].exchanged:
-                _verify_aggregate_exchange(inst, x, rot)
-                walks[rot] = walks[rot]._replace(exchanged=True)
-        self.walks, self.found = walks, found
+            _verify_aggregate_exchange(inst, x, rot)
+        self.found = found
+
+    def _minimal(self, rot):
+        """True iff ``rot`` lands and no landing sharing a firm lies below its own."""
+        inst, walks, mine = self.inst, self.walks, self.walks[rot].firms
+
+        def below(r):
+            if not walks[r].lands:
+                return False
+            lo, hi = (_shifted(inst, self.x.vals, walks[q].frame[0]) for q in (r, rot))
+            return _weakly_below(inst, lo, hi, sorted(mine | walks[r].firms))
+
+        sharing = {r for f in mine for r in self.by_vertex[f] if f in walks[r].firms}
+        return walks[rot].lands and not any(below(r) for r in sorted(sharing - {rot}))
 
     def _gains(self, f):
         """The successor of the gain node of each edge of firm ``f``, or None."""
@@ -671,25 +698,26 @@ def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):
 
     The caller has made :func:`climb`'s checks: ``x`` is verified stable
     and ``limit`` is a non-negative integer or None.  A ``ceiling``, which
-    only :func:`_sweep` passes, is a stable vector at which every firm off
-    the rotation weakly prefers its star to its star in ``x``, as holds
-    all along a sweep from the least stable vector.  Those stars do not
+    only ``poset.closed_from_vector`` passes, is a stable vector at which
+    every firm off the rotation weakly prefers its star to its star in
+    ``x``, as holds at every vector below the ceiling.  Those stars do not
     move along the ray, so each probe is compared with the ceiling at the
-    rotation's firms alone.  With ``screened``, the landing at ``k = 1`` is
-    known to be stable and strictly above ``x`` (as for every rotation
-    :class:`_Discovery` finds), so that probe skips :func:`_shift_holds`;
-    under a ceiling it is still compared with the ceiling at the
-    rotation's firms.
+    rotation's firms alone, and before :func:`_shift_holds`, which a probe
+    past the ceiling then skips.  With ``screened``, the landing at
+    ``k = 1`` is known to be stable and strictly above ``x`` (as for every
+    rotation :class:`_Discovery` finds), so that probe skips it too.
     """
     firms = [f for f in frame[1] if f in inst.parts[1]]
+    shift, touched, near = frame
     base = x.vals
 
     def probe(k):
-        if k == 1 and screened:
-            y = _shifted(inst, base, frame[0])
-        else:
-            y = _ray_point(inst, base, frame, k)
-        if y is None or ceiling is None or _weakly_below(inst, y, ceiling.vals, firms):
+        y = _shifted(inst, base, shift, k)
+        if y is None:
+            return None
+        if ceiling is not None and not _weakly_below(inst, y, ceiling.vals, firms):
+            return None
+        if k == 1 and screened or _shift_holds(inst, base, y, touched, near):
             return y
         return None
 
@@ -756,9 +784,7 @@ def _discovery_at(inst, x):
     return state
 
 
-def _sweep(
-    inst, pick, state, used=None, ceiling=None, half=None, spend=None, saved=None
-):
+def _sweep(inst, pick, state, used=None, half=None, spend=None, saved=None):
     """Climb rotations upward from a stable vector until none is taken.
 
     This is the one loop over rotation discovery (:func:`find_rotations`)
@@ -767,8 +793,8 @@ def _sweep(
     :func:`_discovery_at`) and takes the state over, refreshing it in
     place; a caller that keeps the state passes a copy.  Every later
     vector is a landing checked by :func:`_shift_holds`, so none is
-    checked whole again.  Where the state
-    has rotations, ``pick(rots, used)`` names the ones to try, in order;
+    checked whole again.  It stops where no rotation is taken.  Where the
+    state has rotations, ``pick(rots, used)`` names the ones to try, in order;
     ``used`` counts the applications of each rotation so far (on top of
     the ``used`` given to a sweep that starts higher up), keyed by its
     steps, which is also the ordinal of its next occurrence.  The first
@@ -777,14 +803,6 @@ def _sweep(
     one more probe of the ray.  The climb starts past the probe at
     ``k = 1``, which discovery has screened.  ``spend``, if given, is
     called before every climb.
-
-    With a ``ceiling`` the sweep stops on reaching it.  The start must be
-    weakly below it at every firm, as the least stable vector is below
-    every stable one; each landing is compared with the ceiling at its
-    rotation's firms and no other firm moves, so every vector stays below
-    and :func:`_climb` compares no firm off the rotation.  From a start
-    not below the ceiling the sweep cannot reach it: each landing is
-    strictly above the vector before it, and the firm order is transitive.
 
     A climb along R changes only the stars of R's vertices, so the state
     is refreshed at those alone (see :class:`_Discovery`).  ``saved``, if
@@ -798,7 +816,7 @@ def _sweep(
     used = Counter(used)
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
-    while ceiling is None or state.x != ceiling:
+    while True:
         x, rots = state.x, state.found
         if saved is not None and len(rots) > 1:
             saved[len(steps)] = state.copy()
@@ -806,7 +824,7 @@ def _sweep(
             if spend is not None:
                 spend()
             frame = state.walks[rot].frame
-            tau, y = _climb(inst, x, frame, ceiling, screened=True)
+            tau, y = _climb(inst, x, frame, screened=True)
             if tau:
                 break
         else:

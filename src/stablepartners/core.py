@@ -11,6 +11,7 @@ rotations, the symmetrization machinery) works in terms of these types.
 import json
 import math
 import numbers
+import operator
 
 
 class InputError(ValueError):
@@ -179,6 +180,13 @@ class EdgeVector:
         return EdgeVector(self.space, vals)
 
 
+def _getter(positions):
+    """``star_get[v](vals)``: the entries at ``v``'s positions, as a tuple."""
+    if len(positions) == 1:
+        return lambda vals, p=positions[0]: (vals[p],)
+    return operator.itemgetter(*positions) if positions else lambda vals: ()
+
+
 class Instance:
     """A finite graph with integer capacities and one choice function per vertex.
 
@@ -266,6 +274,7 @@ class Instance:
         self.star_positions = {
             v: tuple(index[e] for e in star) for v, star in self.star_ids.items()
         }
+        self.star_get = {v: _getter(p) for v, p in self.star_positions.items()}
 
     # -- basic queries ----------------------------------------------------
 

@@ -14,8 +14,10 @@ from .core import BudgetError, InputError, InternalError, VerificationError, _is
 from .bipartite import (
     Route,
     RouteStep,
+    _climb,
     _discovery_at,
     _sweep,
+    _walk_frame,
     climb,
     deferred_acceptance,
     find_rotations,
@@ -61,7 +63,7 @@ class RotationOrder:
     everything needed to evaluate and invert closed weight functions.
     """
 
-    __slots__ = ("occurrences", "tau", "less", "bottom", "top", "_at_bottom")
+    __slots__ = ("occurrences", "tau", "less", "bottom", "top", "_stable_at")
 
     def __init__(self, occurrences, tau, less, bottom, top):
         self.occurrences = tuple(sorted(occurrences))
@@ -69,10 +71,8 @@ class RotationOrder:
         self.less = frozenset(less)
         self.bottom = bottom
         self.top = top
-        # For each instance on which ``bottom`` is known to be stable, the
-        # rotation discovery there, which the sweeps of
-        # :func:`closed_from_vector` go on from.
-        self._at_bottom = {}
+        # The instances on which ``bottom`` is known to be stable.
+        self._stable_at = set()
 
     def covers(self):
         """The transitive reduction of the precedence order."""
@@ -147,11 +147,10 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     """
     spend = _climb_budget(budget)
     # The bottom is the verified outcome of the proposal rounds.
-    at_bottom = _discovery_at(inst, deferred_acceptance(inst, "W"))
+    bottom = deferred_acceptance(inst, "W")
     saved = {}
-    steps, top = _sweep(
-        inst, lambda rots, used: rots[:1], at_bottom.copy(), spend=spend, saved=saved
-    )
+    first = _discovery_at(inst, bottom)
+    steps, top = _sweep(inst, lambda rots, _: rots[:1], first, spend=spend, saved=saved)
     if top.x != deferred_acceptance(inst, "F"):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
@@ -160,12 +159,12 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     for i, step in enumerate(steps):
         a = Occurrence(step.rotation, step.ordinal)
         seen = {Occurrence(s.rotation, s.ordinal) for s in steps[:i]}
-        # Where a was the only rotation found, the full sweep's own step is
-        # a's sweep: it stops there, and a climbs its weight.
+        # Where a was the only rotation found, its sweep is the full sweep's
+        # own step; found rotations are distinct, so avoid_a reads two at most.
         if len(step.found) > 1:
 
             def avoid_a(rots, used):
-                return [r for r in rots if (r, used[r.steps]) != a][:1]
+                return [r for r in rots[:2] if (r, used[r.steps]) != a][:1]
 
             used = Counter(s.rotation.steps for s in steps[:i])
             more, end = _sweep(inst, avoid_a, saved.pop(i), used=used, spend=spend)
@@ -186,9 +185,9 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
             _check_weight(tau, a, weight)
         less.update((a, b) for b in tau if b != a and b not in seen)
 
-    order = RotationOrder(tau.keys(), tau, less, at_bottom.x, top.x)
+    order = RotationOrder(tau.keys(), tau, less, bottom, top.x)
     _sanity_check_order(order)
-    order._at_bottom[inst] = at_bottom
+    order._stable_at.add(inst)
     return order
 
 
@@ -256,41 +255,38 @@ def is_closed(order, weights):
 def closed_from_vector(inst, order, x):
     """The closed weight function whose partial route lands on ``x``.
 
-    Sweeps up from the minimum stable vector under the ceiling ``x``: at
-    each vector the first rotation that climbs at all goes as far as it
-    can without passing ``x`` on the firm side.  The weight each
-    occurrence gets on the way is its value.  Every call for one order and
-    instance goes on from the same rotation discovery at the bottom, made
-    once (by :func:`rotation_order` for its own instance).
+    Read off the order with no rotation discovery: in a linear extension
+    of ``order.less`` (by number of predecessors, then key), each
+    occurrence whose predecessors all have their full weight is climbed
+    once from the vector reached so far, up to its ``tau`` and not past
+    ``x`` at the rotation's firms; no other firm moves.  Its weight is the
+    climb's.  The end must be ``x`` and the weights closed.  An order's
+    bottom is checked once per instance.
     """
     report = is_stable(inst, x)
     if not report.stable:
         raise InputError("target vector is not stable: {!r}".format(report))
-    # The sweep trusts its start, and the order may come from elsewhere:
-    # its bottom is checked, and its rotations found, on the first call
-    # for each instance.  A stable bottom that is not below ``x`` cannot
-    # sweep to ``x`` (see ``_sweep``), which the check after it catches.
-    at_bottom = order._at_bottom.get(inst)
-    if at_bottom is None:
+    # The climbs trust their start; a stable bottom that is not below
+    # ``x`` ends elsewhere, which the check after the climbs catches.
+    if inst not in order._stable_at:
         report = is_stable(inst, order.bottom)
         if not report.stable:
             raise VerificationError(
                 "the order's bottom is not stable: {!r}".format(report)
             )
-        at_bottom = order._at_bottom[inst] = _discovery_at(inst, order.bottom)
-    steps, end = _sweep(inst, lambda rots, used: rots, at_bottom.copy(), ceiling=x)
-    if end.x != x:
+        order._stable_at.add(inst)
+    below = {}
+    for a, b in order.less:
+        below.setdefault(b, []).append(a)
+    weights, y = {}, order.bottom
+    for occ in sorted(order.occurrences, key=lambda o: (len(below.get(o, ())), o)):
+        if all(weights.get(a) == order.tau[a] for a in below.get(occ, ())):
+            frame = _walk_frame(inst, occ.rotation.steps)
+            weights[occ], y = _climb(inst, y, frame, ceiling=x, limit=order.tau[occ])
+    if y != x:
         raise VerificationError(
-            "no rotation leads from {!r} toward the target".format(end.x)
+            "no rotation leads from {!r} toward the target".format(y)
         )
-    weights = {}
-    for s in steps:
-        occ = Occurrence(s.rotation, s.ordinal)
-        if occ not in order.tau:
-            raise VerificationError(
-                "climb used an occurrence the order does not know"
-            )
-        weights[occ] = s.weight
     fn = ClosedFunction(order, weights)
     if not is_closed(order, fn):
         raise VerificationError("vector decomposes into a non-closed family")

@@ -161,10 +161,12 @@ def run_qb(si, seed=0):
     # The sweep halved exactly the singular steps; the odd core is those
     # whose half rounded down.
     odd_core = tuple(sorted(s.rotation for s in steps if 2 * s.weight < s.tau))
-    expected = x
+    # Each rotation's edges gain and lose a unit in turn, as in its chi.
+    expected = list(x.vals)
     for rot in odd_core:
-        expected = expected.plus(rot.chi)
-    if si.reflect_vector(x) != expected:
+        for e, sign in zip(rot.edges, (1, -1) * len(rot.edges)):
+            expected[si.graph.space.index[e]] += sign
+    if si.reflect_vector(x).vals != tuple(expected):
         raise VerificationError(
             "balancing sweep failed its reflection identity"
         )

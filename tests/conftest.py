@@ -755,6 +755,22 @@ def ring_doc(n, cap, quota, bipartite=False):
     return quota_doc(ring, {v: quota for v in names}, orders, parts=parts)
 
 
+def union_doc(docs):
+    """The disjoint union of quota documents without a bipartition.
+
+    The ``i``-th document's vertex and edge ids get the prefix ``u{i}.``.
+    """
+    out = {"vertices": [], "edges": [], "choice": {}}
+    for i, doc in enumerate(docs):
+        p = "u{}.".format(i)
+        out["vertices"] += [p + v for v in doc["vertices"]]
+        for e in doc["edges"]:
+            out["edges"].append(dict(e, id=p + e["id"], ends=[p + v for v in e["ends"]]))
+        for v, spec in doc["choice"].items():
+            out["choice"][p + v] = dict(spec, order=[p + e for e in spec["order"]])
+    return out
+
+
 def high_cap_market(rng, lo=50, hi=500):
     """A labeled bipartite market whose rotation rays are long.
 
@@ -1303,6 +1319,32 @@ def oracle_rotation_order(inst):
         and not any(sa in reach[tb] for tb in targets[b] for sa in sources[a])
     }
     return RotationOrder(graph.tau.keys(), graph.tau, less, graph.bottom, graph.top)
+
+
+def oracle_closed_from_vector(inst, order, x):
+    """The weights of ``x``'s closed function, by a sweep from the bottom.
+
+    At each vector from the order's bottom, the rotations found from
+    scratch are tried in key order, and the first whose whole-instance
+    two-pass walk under the ceiling ``x`` rises at all goes as far as it
+    can.  Each occurrence, numbered by the rotation's uses so far, gets
+    that walk's weight.  This is the sweep that reading the closed
+    function off the order's linear extension replaces.
+    """
+    y = order.bottom
+    used = Counter()
+    weights = {}
+    while y != x:
+        for rot in find_rotations(inst, y):
+            weight, landing = oracle_two_pass_walk(inst, y, rot, ceiling=x)
+            if weight:
+                break
+        else:
+            raise AssertionError("the sweep stalls below the target")
+        weights[Occurrence(rot, used[rot.steps])] = weight
+        used[rot.steps] += 1
+        y = landing
+    return {occ: weights.get(occ, 0) for occ in order.occurrences}
 
 
 def oracle_graph_routes(graph, limit=None):

@@ -64,6 +64,15 @@ def test_enumeration_respects_its_budget(b4_scaled):
         enumerate_stable(b4_scaled, budget=10)
 
 
+def test_enumeration_budget_holds_exactly_at_the_box_size(b4_scaled):
+    """A budget of the box size enumerates; one less raises."""
+    n = b4_scaled.box_size()
+    assert n == 256
+    assert enumerate_stable(b4_scaled, budget=n) == enumerate_stable(b4_scaled)
+    with pytest.raises(BudgetError, match="holds 256 vectors, budget is 255"):
+        enumerate_stable(b4_scaled, budget=n - 1)
+
+
 def test_extremes_are_the_known_corners(b4):
     lo, hi = lattice_extremes(b4)
     assert lo == edgevec(b4, {"w1f1": 1, "w2f2": 1})

@@ -496,6 +496,28 @@ def test_pairwise_budget_is_enforced_before_work_starts():
         check_axiom(cf, "sub", budget=10)
 
 
+def test_axiom_budgets_hold_exactly_at_their_boundaries():
+    """Each budget is the largest that lets a check through.
+
+    SUB, MON and CON charge ``k * |box|`` covering pairs before any work,
+    and GL its comparisons as it goes; one less raises, with the figure in
+    the message.  On the acceptance star of three cap-9 edges: 3,000 and
+    9,800.
+    """
+    cf = star_cf(*ACCEPTANCE_STARS[2])
+    work = len(cf.caps) * cf.box_size()
+    assert work == 3000
+    for axiom in ("SUB", "MON", "CON"):
+        assert check_axiom(cf, axiom, budget=work).holds
+        with pytest.raises(BudgetError, match="compares 3000 pairs, budget is 2999"):
+            check_axiom(cf, axiom, budget=work - 1)
+    pairs = check_axiom(cf, "GL", budget=10**8).pairs_checked
+    assert pairs == 9800
+    assert check_axiom(cf, "GL", budget=pairs).holds
+    with pytest.raises(BudgetError, match="passed 9800 comparisons, budget is 9799"):
+        check_axiom(cf, "GL", budget=pairs - 1)
+
+
 def test_gapless_budget_is_enforced():
     cf = quota_cf((3, 3, 3), quota=2)
     with pytest.raises(BudgetError):

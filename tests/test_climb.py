@@ -117,8 +117,8 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     weight.  Then ``climb`` must reach the oracle's landing with and
     without ``verified`` and with limits from 0 to past ``tau``, and
     :func:`_climb` must reach the oracle's landing under each ceiling at
-    which every firm off the rotation weakly prefers its star, as in a
-    sweep; a point inside the ray is always one.  With ``every_k`` each
+    which every firm off the rotation weakly prefers its star, as in
+    :func:`closed_from_vector`; a point inside the ray is always one.  With ``every_k`` each
     local verdict is also compared with the whole-instance check, and
     every ``k = 1..tau`` is tried as a limit, with and without
     ``verified``; long rays pass ``every_k=False`` and try every ``k`` up
@@ -173,8 +173,8 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
 def firms_off_the_walk_rise_to(inst, x, rot, ceiling):
     """True iff every firm off ``rot`` weakly prefers its star in ``ceiling``.
 
-    That is the contract under which a sweep hands :func:`_climb` its
-    ceiling; every point of the ray meets it.
+    That is the contract under which :func:`closed_from_vector` hands
+    :func:`_climb` its ceiling; every point of the ray meets it.
     """
     on_walk = {v for v, _ in rot.steps}
     for f in inst.parts[1] - on_walk:
@@ -347,7 +347,7 @@ def test_table_choice_rays_match_the_unit_step_walk():
     The gated instance, whose maximal weights jump after another rotation,
     and seeded markets whose choices are mostly conditional-order, laminar
     or shrunk tables (:func:`table_market`).  Every stable vector that
-    meets the sweep's contract is a ceiling.
+    meets the ceiling contract of :func:`closed_from_vector` is a ceiling.
     """
     rng = random.Random(9)
     markets = [(gated_instance(), {"w1"})]

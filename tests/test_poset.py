@@ -1,5 +1,6 @@
 """Occurrence order, closed weight functions, and full route families."""
 
+import copy
 import itertools
 import random
 
@@ -36,6 +37,7 @@ from conftest import (
     edgevec,
     high_cap_market,
     latin_doc,
+    oracle_closed_from_vector,
     oracle_family,
     oracle_full_routes,
     oracle_graph_routes,
@@ -43,6 +45,7 @@ from conftest import (
     oracle_rotation_order,
     oracle_stable_set,
     random_bipartite_doc,
+    route_vectors,
     shared_firm_doc,
     table_market,
     twin_doc,
@@ -155,6 +158,68 @@ def test_closed_functions_round_trip_every_stable_vector(
             fn = closed_from_vector(inst, order, x)
             assert is_closed(order, fn)
             assert vector_from_closed(inst, order, fn) == x
+
+
+def test_closed_functions_match_the_sweep_oracle(bipartite_corpus, doubled_artifacts):
+    """Reading a closed function off the order gives the sweep's weights.
+
+    At every route vector (seeds 0 and 1) of the bipartite corpus, of 150
+    seeded table markets, and of the doubles of the general corpus with
+    their orders, :func:`closed_from_vector` must equal the sweep from the
+    bottom with whole-instance walks under the target.
+    """
+    rng = random.Random(29)
+    markets = list(bipartite_corpus) + [table_market(rng)[0] for _ in range(150)]
+    cases = [(inst, rotation_order(inst)) for inst in markets]
+    cases += [(si.graph, order) for _, si, order, _ in doubled_artifacts]
+    checked = 0
+    for inst, order in cases:
+        for x in route_vectors(inst):
+            fn = closed_from_vector(inst, order, x)
+            assert fn.weights == oracle_closed_from_vector(inst, order, x)
+            checked += 1
+    assert checked >= 800
+
+
+def test_closed_functions_climb_each_occurrence_once_without_discovery(
+    monkeypatch, bipartite_corpus
+):
+    """A closed function makes no discovery step and climbs each occurrence once at most.
+
+    Exactly the occurrences whose predecessors all have their full weight
+    in the answer are climbed.  Sweeping up from the bottom under the
+    target made one discovery step per rotation applied, on top of the
+    climbs of the rotations that could not move.
+    """
+    refreshes = _count_discovery_steps(monkeypatch)
+    climbs = [0]
+    climb_ = poset._climb
+
+    def counting(*args, **kwargs):
+        climbs[0] += 1
+        return climb_(*args, **kwargs)
+
+    monkeypatch.setattr(poset, "_climb", counting)
+    markets = bipartite_corpus[:60] + [
+        instance_from_dict(doc) for doc in (blocks_doc(40), latin_doc(8))
+    ]
+    calls = 0
+    for inst in markets:
+        order = rotation_order(inst)
+        vectors = route_vectors(inst)
+        refreshes[0] = 0
+        for x in vectors:
+            climbs[0] = 0
+            weights = closed_from_vector(inst, order, x).weights
+            exposed = [
+                b
+                for b in order.occurrences
+                if all(weights[a] == order.tau[a] for a, c in order.less if c == b)
+            ]
+            assert climbs[0] == len(exposed) <= len(order.occurrences)
+            calls += 1
+        assert refreshes[0] == 0
+    assert calls >= 200
 
 
 def test_scaled_block_weights_sweep_the_whole_interval(b4_scaled):
@@ -462,6 +527,65 @@ def test_order_of_forty_blocks_costs_few_choice_calls(monkeypatch):
     assert calls[0] <= 75_000
 
 
+def bridged_chain_doc(k):
+    """``k`` crossed blocks, each bridged to the next as in :func:`bridged_blocks_doc`.
+
+    A climb of block ``i`` moves the far end of the bridge at block
+    ``i - 1``'s walk, so that block's candidate is screened again.
+    """
+    doc = blocks_doc(k)
+    for i in range(k - 1):
+        e, w, f = "bridge{}".format(i), "b{}w1".format(i), "b{}f1".format(i + 1)
+        doc["edges"].append({"id": e, "ends": [w, f], "cap": 1})
+        doc["choice"][w]["order"].append(e)
+        doc["choice"][f]["order"].append(e)
+    return doc
+
+
+@pytest.mark.parametrize("make", [blocks_doc, bridged_chain_doc])
+def test_a_refresh_after_a_climb_costs_what_the_climb_moved(monkeypatch, make):
+    """Screens and filter verdicts per climb do not grow with the number of blocks.
+
+    A refresh after a climb screens again only the candidates that read a
+    moved star, and recomputes the minimal-landing verdict only for those
+    and the candidates sharing a firm with them.  On ``k`` disjoint blocks
+    that is none at every step, and on a chain of bridged blocks at most
+    the two neighbours; the discovery from scratch at the bottom screens
+    all ``k``.  Counted along seeded full routes at ``k = 40`` and 160.
+    """
+    counts = {"screen": 0, "verdict": 0}
+    for attr, key, owner in (
+        ("_ray_point", "screen", bipartite),
+        ("_minimal", "verdict", bipartite._Discovery),
+    ):
+        func = getattr(owner, attr)
+
+        def counting(*args, _func=func, _key=key, **kwargs):
+            counts[_key] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    refresh = bipartite._Discovery.refresh
+    fresh, per_step = [], []
+
+    def recording(self, x, vertices):
+        before = dict(counts)
+        refresh(self, x, vertices)
+        spent = tuple(counts[key] - before[key] for key in ("screen", "verdict"))
+        (fresh if len(vertices) == len(self.inst.vertices) else per_step).append(spent)
+
+    monkeypatch.setattr(bipartite._Discovery, "refresh", recording)
+    worst = {}
+    for k in (40, 160):
+        fresh.clear()
+        per_step.clear()
+        assert len(build_full_route(instance_from_dict(make(k)), 3)) == k
+        assert fresh == [(k, k)] and len(per_step) == k
+        worst[k] = tuple(map(max, zip(*per_step)))
+        assert sum(map(sum, per_step)) <= 2 * len(per_step)
+    assert worst[40] == worst[160] and max(worst[160]) <= 2
+
+
 def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
     monkeypatch, bipartite_corpus, general_corpus, gated
 ):
@@ -469,12 +593,13 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
 
     After every refresh, the state's rotations are those found from
     scratch at its vector, the same rotations in the same order.  The
-    sweeps are the full and avoidance sweeps of the order, the ceiling
-    sweeps of closed functions, seeded routes, and the balancing sweeps of
-    the doubles with their halved steps, on both corpora, the gated
-    instance, seeded table markets, and two markets where a climb moves a
-    star that a kept candidate reads.  Each order gets a budget of climbs,
-    so a refresh that never lets a sweep stop fails fast.
+    sweeps are the full and avoidance sweeps of the order, seeded routes
+    (seeds 1 to 6, each vector round-tripped through its closed function),
+    and the balancing sweeps of the doubles with their halved steps, on
+    both corpora, the gated instance, seeded table markets, and two
+    markets where a climb moves a star that a kept candidate reads.  Each
+    order gets a budget of climbs, so a refresh that never lets a sweep
+    stop fails fast.
     """
     refresh = bipartite._Discovery.refresh
     checked = {"fresh": 0, "moved": 0}
@@ -504,7 +629,7 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
     markets += [instance_from_dict(make()) for make in (bridged_blocks_doc, shared_firm_doc)]
     for inst in markets:
         order = rotation_order(inst, budget=100)
-        for seed in (1, 2):
+        for seed in range(1, 7):
             for x in build_full_route(inst, seed).vectors():
                 fn = closed_from_vector(inst, order, x)
                 assert vector_from_closed(inst, order, fn) == x
@@ -521,7 +646,7 @@ def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
     """Every vector of a full route maps to its closed function locally.
 
     Each climb under the ceiling compares the ceiling with the rotation's
-    firms at each probe, and with no other firm: the sweep starts at the
+    firms at each probe, and with no other firm: the climbs start at the
     bottom, below every stable vector, and no other firm moves.  There is
     no ``precedes`` call; comparing all firms at a climb's first probe
     made one or more per climb, and comparing the firms off the rotation
@@ -551,20 +676,19 @@ def test_closed_functions_compare_only_the_climbing_firms(monkeypatch):
 
 
 def test_a_sweep_never_moves_the_state_it_starts_from(bipartite_corpus):
-    """Every sweep goes on from a copy of the bottom's discovery state.
+    """Closed functions read the order and move none of it.
 
-    After a route and a closed function at each of its vectors, the state
-    the order keeps is still at the bottom, with the rotations found there
-    from scratch.
+    The order keeps no discovery state.  After a route and a closed
+    function at each of its vectors, every field of the order is what it
+    was, and its bottom is still the least stable vector.
     """
     for inst in bipartite_corpus[:30] + [instance_from_dict(blocks_doc(6))]:
         order = rotation_order(inst)
-        at_bottom = order._at_bottom[inst]
+        fields = {n: copy.copy(getattr(order, n)) for n in poset.RotationOrder.__slots__}
         for x in build_full_route(inst, 1).vectors():
             closed_from_vector(inst, order, x)
-        assert order._at_bottom[inst] is at_bottom
-        assert at_bottom.x == order.bottom
-        assert at_bottom.found == find_rotations(inst, order.bottom)
+        assert {n: getattr(order, n) for n in fields} == fields
+        assert order.bottom == deferred_acceptance(inst, "W")
 
 
 def test_a_sweep_takes_over_the_state_it_is_given(
@@ -613,9 +737,9 @@ def test_a_hand_built_order_whose_bottom_is_not_below_the_target_raises():
     """A stable bottom that is not below the target cannot sweep to it.
 
     Of two disjoint blocks, the bottom has the first block's rotation
-    applied and the target the second's.  The sweep climbs the second
-    block without passing the target at its firms, lands above the
-    target, and stops there.
+    applied and the target the second's.  The first block cannot climb
+    further, and the second climbs without passing the target at its
+    firms, so the climbs end above the target.
     """
     inst = instance_from_dict(blocks_doc(2))
     order = rotation_order(inst)

@@ -29,6 +29,7 @@ from stablepartners import (
     rotation_order,
     serialize_instance,
     solve,
+    symmetrize,
     vector_from_closed,
     verify_half_partnership,
 )
@@ -358,6 +359,42 @@ def test_a_verified_empty_cycle_family_is_a_stable_vector(certified_pool, data):
     x = EdgeVector(inst.space, vals)
     if verify_half_partnership(inst, HalfPartnership(x, ())).ok:
         assert is_stable(inst, x).stable
+
+
+@pytest.fixture(scope="module")
+def star_pool(bipartite_corpus, general_corpus):
+    """Both corpora and their doubles."""
+    pool = list(bipartite_corpus) + list(general_corpus)
+    return pool + [symmetrize(inst).graph for inst in pool]
+
+
+def _stars_by_position(inst, vals):
+    return {v: tuple(vals[p] for p in inst.star_positions[v]) for v in inst.vertices}
+
+
+def test_every_star_getter_reads_its_own_positions(star_pool):
+    """At every vertex of the pool, degrees 0 and 1 among them."""
+    degrees = set()
+    for inst in star_pool:
+        vals = tuple(range(len(inst.space)))
+        got = {v: inst.star_get[v](vals) for v in inst.vertices}
+        assert got == _stars_by_position(inst, vals)
+        degrees.update(map(len, got.values()))
+    assert {0, 1, 2} <= degrees
+
+
+@PROPERTY
+@given(data=st.data())
+def test_star_getters_read_tuples_off_any_raw_vector(star_pool, data):
+    """A list or a tuple of any integers, read at every vertex."""
+    inst = data.draw(st.sampled_from(star_pool))
+    n = len(inst.space)
+    vals = data.draw(st.lists(st.integers(-3, 9), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        vals = tuple(vals)
+    got = {v: inst.star_get[v](vals) for v in inst.vertices}
+    assert got == _stars_by_position(inst, vals)
+    assert all(type(z) is tuple for z in got.values())
 
 
 def _rare(draw):
