@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
 from .core import _ClosedWalk, _is_int
-from .choice import _weakly_prefers
+from .choice import _bumped, _weakly_prefers
 
 
 class StabilityReport:
@@ -52,9 +52,7 @@ def is_stable(inst, x):
         raise InputError("vector is outside the capacity box")
     vals = x.vals
     star = {v: _star(inst, vals, v) for v in inst.vertices}
-    unacceptable = tuple(
-        v for v in inst.vertices if inst.choice[v].choose_vals(star[v]) != star[v]
-    )
+    unacceptable = tuple(v for v in inst.vertices if not inst.choice[v].accepts(star[v]))
     bad = set(unacceptable)
     blocking = tuple(
         e
@@ -70,20 +68,6 @@ def _star(inst, vals, v):
     return inst.star_get[v](vals)
 
 
-def _bumped(z, j, d=1):
-    """The raw star ``z`` with ``d`` more units at position ``j``."""
-    return z[:j] + (z[j] + d,) + z[j + 1 :]
-
-
-def _wants(inst, v, z, e):
-    """True iff ``v``, holding the acceptable star ``z``, takes one more ``e``.
-
-    The caller has checked that ``e`` has room below its capacity.
-    """
-    j = inst.star_space[v].index[e]
-    return inst.choice[v].choose_vals(_bumped(z, j))[j] > z[j]
-
-
 def _blocks(inst, vals, star, e):
     """True iff both ends of ``e`` would take one more unit of it.
 
@@ -93,7 +77,8 @@ def _blocks(inst, vals, star, e):
     if vals[i] >= inst.caps.vals[i]:
         return False
     u, v = inst.edge_ends[e]
-    return _wants(inst, u, star[u], e) and _wants(inst, v, star[v], e)
+    ju, jv = inst.star_space[u].index[e], inst.star_space[v].index[e]
+    return inst.choice[u].wants(star[u], ju) and inst.choice[v].wants(star[v], jv)
 
 
 def _walk_frame(inst, steps):
@@ -135,7 +120,7 @@ def _shift_holds(inst, x_vals, y_vals, touched, near):
     star = {}
     for v in touched:
         z = _star(inst, y_vals, v)
-        if choice[v].choose_vals(z) != z:
+        if not choice[v].accepts(z):
             return False
         star[v] = z
     for e in near:
@@ -534,19 +519,8 @@ class _Discovery:
         caps = inst.caps.vals
         z = _star(inst, self.x.vals, f)
         cf = inst.choice[f]
-        out = []
-        for j, i in enumerate(pos):
-            out.append(None)
-            if z[j] >= caps[i]:
-                continue
-            menu = _bumped(z, j)
-            kept = cf.choose_vals(menu)
-            if kept[j] <= z[j]:
-                continue
-            dropped = [k for k, (m, c) in enumerate(zip(menu, kept)) if m != c]
-            if len(dropped) == 1 and dropped[0] != j and menu[dropped[0]] == kept[dropped[0]] + 1:
-                out[j] = ~pos[dropped[0]]
-        return out
+        bumped = [cf.bumps(z, j) if z[j] < caps[i] else None for j, i in enumerate(pos)]
+        return [None if k is None else ~pos[k] for k in bumped]
 
     def _losses(self, w):
         """The successor of the loss node of each edge of worker ``w``, or None."""
@@ -556,25 +530,14 @@ class _Discovery:
         succ = self.succ
         z = _star(inst, self.x.vals, w)
         cw = inst.choice[w]
-        wanted = [
-            j
-            for j, i in enumerate(pos)
-            if i in succ and z[j] < caps[i] and cw.choose_vals(_bumped(z, j)) == z
-        ]
-        out = []
-        for i in range(len(pos)):
-            others = [j for j in wanted if j != i]
-            nxt = None
-            if z[i] and others:
-                base = _bumped(z, i, -1)
-                menu = list(base)
-                for j in others:
-                    menu[j] += 1
-                kept = cw.choose_vals(tuple(menu))
-                gained = [j for j in others if kept[j] > base[j]]
-                if len(gained) == 1:
-                    nxt = pos[gained[0]]
-            out.append(nxt)
+        room = [j for j, i in enumerate(pos) if i in succ and z[j] < caps[i]]
+        wanted = [j for j in room if cw.refuses(z, j)]
+        out = [None] * len(pos)
+        held = [i for i, v in enumerate(z) if v] if wanted else []
+        for i in held:
+            others = [j for j in wanted if j != i] if i in wanted else wanted
+            j = cw.gains(_bumped(z, i, -1), others) if others else None
+            out[i] = None if j is None else pos[j]
         return out
 
 

@@ -48,14 +48,20 @@ def box_array(caps):
     return np.ascontiguousarray(grid.reshape(len(caps), n).T)
 
 
-class ChoiceFunction:
-    """Base class: a memoized map from box vectors to selected subvectors.
+def _bumped(z, j, d=1):
+    """The raw star ``z`` with ``d`` more units at position ``j``."""
+    return z[:j] + (z[j] + d,) + z[j + 1 :]
 
-    Subclasses implement ``_apply(vals) -> tuple``.  Results are cached per
-    distinct input and checked to satisfy ``0 <= C(z) <= z`` once on first
-    computation.  ``_apply`` and ``batch_vals`` read positions of the star,
-    never edge ids; that is what lets :meth:`on_star` run one function, and
-    one memo, on stars with other edge ids.
+
+class ChoiceFunction:
+    """Base class: a map from box vectors to selected subvectors.
+
+    Subclasses implement ``_apply(vals) -> tuple``.  Here results are
+    memoized per distinct input and checked to satisfy ``0 <= C(z) <= z``
+    once on first computation, and the one-edge questions (:meth:`accepts`
+    to :meth:`gains`) are answered through them.  ``_apply`` and
+    ``batch_vals`` read positions of the star, never edge ids; that is what
+    lets :meth:`on_star` run one function on stars with other edge ids.
     """
 
     kind = "abstract"
@@ -71,7 +77,8 @@ class ChoiceFunction:
             raise InputError("capacity list does not match the star")
         if any(c < 0 for c in self.caps):
             raise InputError("capacities must be nonnegative")
-        self._memo = {}
+        if type(self).choose_vals is ChoiceFunction.choose_vals:  # it memoizes
+            self._memo = {}
 
     def box_size(self):
         return math.prod(c + 1 for c in self.caps)
@@ -80,7 +87,7 @@ class ChoiceFunction:
         return all(0 <= v <= c for v, c in zip(vals, self.caps))
 
     def choose_vals(self, vals):
-        """Selection on a raw value tuple.  Trusted input, memoized."""
+        """Selection on a raw value tuple.  Trusted input, memoized here."""
         out = self._memo.get(vals)
         if out is None:
             out = tuple(self._apply(vals))
@@ -94,6 +101,39 @@ class ChoiceFunction:
                 )
             self._memo[vals] = out
         return out
+
+    def accepts(self, z):
+        """True iff the vertex keeps the raw star ``z`` whole."""
+        return self.choose_vals(z) == z
+
+    def wants(self, z, j):
+        """At the acceptable ``z``, with room at ``j``: it takes one more ``j``."""
+        return self.choose_vals(_bumped(z, j))[j] > z[j]
+
+    def refuses(self, z, j):
+        """At the acceptable ``z``, with room at ``j``: it keeps ``z`` as it is."""
+        return self.choose_vals(_bumped(z, j)) == z
+
+    def bumps(self, z, j):
+        """At the acceptable ``z``, with room at ``j``: the one other position
+        that gives up one unit for it, or None."""
+        menu = _bumped(z, j)
+        drop = [m - c for m, c in zip(menu, self.choose_vals(menu))]
+        k = drop.index(1) if sum(drop) == 1 else j
+        return None if k == j else k
+
+    def gains(self, base, candidates):
+        """The one candidate kept when ``base`` is offered a unit of each, or None.
+
+        ``base`` is an acceptable star ``z`` less a unit at ``i``; the
+        candidates are other positions with room that ``z`` refuses.
+        """
+        menu = list(base)
+        for j in candidates:
+            menu[j] += 1
+        kept = self.choose_vals(tuple(menu))
+        gained = [j for j in candidates if kept[j] > base[j]]
+        return gained[0] if len(gained) == 1 else None
 
     def choose(self, z):
         """Selection on an :class:`EdgeVector` over this star."""
@@ -114,7 +154,7 @@ class ChoiceFunction:
     def on_star(self, vertex, space):
         """This function at ``vertex`` on ``space``, a star of the same size.
 
-        A shallow copy: it shares the memo and all positional state.
+        A shallow copy: it shares the memo, if any, and all positional state.
         """
         if len(space) != len(self.space):
             raise InputError("star of {!r} has the wrong size".format(vertex))
@@ -137,7 +177,10 @@ class LinearOrderQuotaCF(ChoiceFunction):
     If the menu fits within the quota it is taken whole.  Otherwise units
     are taken greedily in preference order; the first edge that would
     overflow receives the remaining headroom and everything after it is
-    rejected.
+    rejected.  The pass cannot leave its menu: it runs unchecked, keeps
+    no memo and answers the one-edge questions from the star's sum and
+    worst-ranked held edge.  A subclass with its own ``_apply`` answers
+    through it, as the base class does.
     """
 
     kind = "linear_order_quota"
@@ -155,6 +198,13 @@ class LinearOrderQuotaCF(ChoiceFunction):
                 "order at {!r} must list the star exactly once".format(vertex)
             )
         self._perm = tuple(space.index[e] for e in order)
+        self._rank = tuple(sorted(range(len(order)), key=self._perm.__getitem__))
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_apply" in vars(cls):
+            for name in ("choose_vals", "accepts", "wants", "refuses", "bumps", "gains"):
+                setattr(cls, name, vars(cls).get(name, getattr(ChoiceFunction, name)))
 
     @property
     def order(self):
@@ -174,7 +224,34 @@ class LinearOrderQuotaCF(ChoiceFunction):
             else:
                 out[pos] = self.quota - run
                 break
-        return out
+        return tuple(out)
+
+    choose_vals = _apply
+
+    def accepts(self, z):
+        return sum(z) <= self.quota
+
+    def wants(self, z, j):
+        return sum(z) < self.quota or self._held_after(z, j) is not None
+
+    def refuses(self, z, j):
+        return sum(z) >= self.quota and self._held_after(z, j) is None
+
+    def bumps(self, z, j):
+        return None if sum(z) < self.quota else self._held_after(z, j)
+
+    def gains(self, base, candidates):
+        # A star that refuses holds its quota, none of it ranked after a
+        # refused position: the unit ``base`` frees goes to the best one.
+        return min(candidates, key=self._rank.__getitem__, default=None)
+
+    def _held_after(self, z, j):
+        """The worst-ranked position holding a unit of ``z``, if it ranks after ``j``."""
+        for p in reversed(self._perm):
+            if p == j:
+                return None
+            if z[p]:
+                return p
 
     def batch_vals(self, arr):
         arr = np.asarray(arr)

@@ -10,7 +10,8 @@ assignments that are closed for that order.
 
 from collections import Counter, namedtuple
 
-from .core import BudgetError, InputError, InternalError, VerificationError, _is_int
+from .core import BudgetError, EdgeVector, InputError, InternalError, VerificationError
+from .core import _is_int
 from .bipartite import (
     Route,
     RouteStep,
@@ -302,11 +303,13 @@ def vector_from_closed(inst, order, weights):
         weights = ClosedFunction(order, weights)
     if not is_closed(order, weights):
         raise InputError("weight function is not closed for this order")
-    total = order.bottom
+    vals = list(order.bottom.vals)
     for occ in order.occurrences:
         w = weights.weights.get(occ, 0)
-        if w:
-            total = total.plus(occ.rotation.chi.scaled(w))
+        # The rotation's edges gain and lose ``w`` units in turn, as in its chi.
+        for i, e in enumerate(occ.rotation.edges):
+            vals[inst.space.index[e]] += -w if i % 2 else w
+    total = EdgeVector._trusted(inst.space, tuple(vals))
     if not inst.in_box(total) or not is_stable(inst, total).stable:
         raise VerificationError("closed weights do not assemble a stable vector")
     return total

@@ -10,7 +10,8 @@ doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
 from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
-from .bipartite import _bumped, _star
+from .bipartite import _star
+from .choice import _bumped
 from .symmetric import is_singular, run_qb, symmetrize
 
 

@@ -75,7 +75,7 @@ def symmetrize(inst):
         caps[e0] = caps[e1] = cap
 
     # Each copy lists its star in the base star's order, so it runs the
-    # base choice function, memo included, with no translation.  The copy
+    # base choice function, any memo included, with no translation.  The copy
     # ``v^i`` holds ``e^i`` where ``v`` is ``e``'s first end, else ``e^(1-i)``.
     choice = {}
     for v in inst.vertices:

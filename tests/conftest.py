@@ -39,7 +39,13 @@ from stablepartners import (
     symmetrize,
 )
 from stablepartners.bipartite import _star
-from stablepartners.choice import AxiomReport, LinearOrderQuotaCF, TableCF, box_array
+from stablepartners.choice import (
+    AxiomReport,
+    ChoiceFunction,
+    LinearOrderQuotaCF,
+    TableCF,
+    box_array,
+)
 from stablepartners.core import EdgeSpace
 from stablepartners.solver import VerificationReport, _moved
 
@@ -687,6 +693,29 @@ class EdgeLimitQuotaCF(LinearOrderQuotaCF):
         return super().batch_vals(np.minimum(arr, self.limits).astype(arr.dtype))
 
 
+QUESTIONS = ("accepts", "wants", "refuses", "bumps", "gains")
+
+
+def count_choices(monkeypatch):
+    """Count the selections asked for: ``choose_vals`` calls and questions.
+
+    The base class answers each one-edge question with one ``choose_vals``
+    call; :class:`LinearOrderQuotaCF` answers it without one, so its
+    questions are counted themselves and the count does not depend on how
+    they are answered.  Returns the one-element list the count goes into.
+    """
+    calls = [0]
+    wrapped = [(ChoiceFunction, "choose_vals"), (LinearOrderQuotaCF, "choose_vals")]
+    for cls, name in wrapped + [(LinearOrderQuotaCF, q) for q in QUESTIONS]:
+
+        def counting(self, *args, _method=vars(cls)[name]):
+            calls[0] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 def with_edge_limits(rng, inst, vertices):
     """``inst`` with each of ``vertices``, on a coin flip, limited per edge.
 
@@ -741,6 +770,23 @@ def latin_doc(n):
     for j, f in enumerate(fs):
         orders[f] = [ws[(j + 1 + d) % n] + f for d in range(n)]
     return quota_doc(edges, dict.fromkeys(ws + fs, 1), orders, parts=(ws, fs))
+
+
+def complete_doc(n):
+    """Stable roommates on the complete graph ``K_n``: every cap and quota 1.
+
+    Each vertex ranks its star in an order shuffled by ``random.Random(n)``.
+    """
+    rng = random.Random(n)
+    vs = ["v{}".format(i) for i in range(n)]
+    edges = [(u + w, u, w, 1) for i, u in enumerate(vs) for w in vs[i + 1 :]]
+    orders = {v: [] for v in vs}
+    for e, u, w, _ in edges:
+        orders[u].append(e)
+        orders[w].append(e)
+    for v in vs:
+        rng.shuffle(orders[v])
+    return quota_doc(edges, dict.fromkeys(vs, 1), orders)
 
 
 def ring_doc(n, cap, quota, bipartite=False):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from stablepartners import (
-    ChoiceFunction,
     check_axiom,
     InputError,
     Rotation,
@@ -35,6 +34,7 @@ from conftest import (
     _simple_cycles,
     blocks_doc,
     bridged_blocks_doc,
+    count_choices,
     edgevec,
     high_cap_market,
     immediate_successors,
@@ -463,14 +463,7 @@ def test_worklist_proposals_match_the_round_robin_loop(
         for side in ("W", "F"):
             assert deferred_acceptance(inst, side) == oracle_deferred_acceptance(inst, side)
 
-    calls = [0]
-    choose_vals = ChoiceFunction.choose_vals
-
-    def counting(self, vals):
-        calls[0] += 1
-        return choose_vals(self, vals)
-
-    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    calls = count_choices(monkeypatch)
     for _ in range(3):
         double = symmetrize(instance_from_dict(sparse_graph_doc(rng))).graph
         for side in ("W", "F"):
@@ -529,14 +522,7 @@ def test_latin_discovery_costs_few_choice_calls(monkeypatch):
     screened, and 150,048 calls are down to 101,440 (48,608 of them were
     those probes).
     """
-    calls = [0]
-    choose_vals = ChoiceFunction.choose_vals
-
-    def counting(self, vals):
-        calls[0] += 1
-        return choose_vals(self, vals)
-
-    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    calls = count_choices(monkeypatch)
     square = instance_from_dict(latin_doc(8))
     lo = deferred_acceptance(square, "W")
     calls[0] = 0

@@ -5,11 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stablepartners import BudgetError, InputError
+from stablepartners import BudgetError, InputError, InternalError, symmetrize
 from stablepartners.choice import (
+    ChoiceFunction,
     LinearOrderQuotaCF,
     TableCF,
+    _bumped,
     box_dtype,
     check_axiom,
     choice_from_dict,
@@ -20,6 +24,7 @@ from stablepartners.core import EdgeSpace, EdgeVector
 
 from conftest import (
     ACCEPTANCE_STARS,
+    EdgeLimitQuotaCF,
     gated_instance,
     gl_violating_table,
     mon_violating_table,
@@ -185,14 +190,18 @@ def test_table_rejects_duplicate_rows():
 
 
 def test_a_function_on_another_star_shares_its_memo_and_names_its_edges():
+    """A quota choice keeps no memo; a table's copy shares the table's."""
     base = quota_cf((2, 1), quota=2, order=["e2", "e1"])
     twin = base.on_star("v'", EdgeSpace(("a", "b")))
-    assert (twin.vertex, twin.caps, twin._memo) == ("v'", base.caps, base._memo)
+    assert (twin.vertex, twin.caps) == ("v'", base.caps)
+    assert not hasattr(twin, "_memo") and not hasattr(base, "_memo")
     for vals in full_box(base):
         assert twin.choose_vals(vals) == base.choose_vals(vals)
     assert twin.to_dict() == {"type": base.kind, "quota": 2, "order": ["b", "a"]}
     assert base.to_dict()["order"] == ["e2", "e1"]
-    twin = sub_violating_table().on_star("u", EdgeSpace(("x", "y")))
+    table = sub_violating_table()
+    twin = table.on_star("u", EdgeSpace(("x", "y")))
+    assert twin._memo is table._memo
     assert twin.choose(EdgeVector(twin.space, (1, 1))).to_mapping() == {"x": 1, "y": 0}
     assert [set(row["z"]) for row in twin.to_dict()["entries"]] == [{"x", "y"}] * 4
     with pytest.raises(InputError):
@@ -528,3 +537,122 @@ def test_unknown_axiom_is_rejected():
     cf = quota_cf((1,), quota=1)
     with pytest.raises(InputError):
         check_axiom(cf, "zzz")
+
+
+# -- one-edge questions -------------------------------------------------------
+
+
+def question_cases(cf):
+    """Every one-edge question the solvers may ask ``cf``, with its arguments.
+
+    ``accepts`` at every star of the box; ``wants``, ``refuses`` and
+    ``bumps`` at every acceptable star and position with room; ``gains``
+    at every acceptable star less one held unit, on every set of other
+    positions with room that the star refuses.  Acceptance and refusal
+    are read off ``choose_vals``.
+    """
+    for z in full_box(cf):
+        yield "accepts", (z,)
+        if cf.choose_vals(z) != z:
+            continue
+        room = [j for j, c in enumerate(cf.caps) if z[j] < c]
+        for j in room:
+            for question in ("wants", "refuses", "bumps"):
+                yield question, (z, j)
+        refused = [j for j in room if cf.choose_vals(_bumped(z, j)) == z]
+        for i in (i for i, held in enumerate(z) if held):
+            others = [j for j in refused if j != i]
+            for r in range(len(others) + 1):
+                for candidates in itertools.combinations(others, r):
+                    yield "gains", (_bumped(z, i, -1), list(candidates))
+
+
+def assert_base_answers(cf):
+    """Each question's answer is the base class's, through ``choose_vals``,
+    which selects as the function's own ``_apply``."""
+    for z in full_box(cf):
+        assert cf.choose_vals(z) == tuple(cf._apply(z)), z
+    for question, args in question_cases(cf):
+        got = getattr(cf, question)(*args)
+        assert got == getattr(ChoiceFunction, question)(cf, *args), (question, args)
+
+
+@st.composite
+def question_functions(draw):
+    """A quota choice, or a quota subclass or table with its own selection.
+
+    Random order, caps 0-3, quota 0 up to the cap sum.  The subclasses
+    limit each edge (:class:`EdgeLimitQuotaCF`) or replace a few
+    selections by subvectors of their menus (:class:`_FlippedQuotaCF`);
+    the table holds the quota choice's rows with the same replacements.
+    """
+    caps = draw(st.lists(st.integers(0, 3), max_size=4))
+    space = EdgeSpace(["e{}".format(i + 1) for i in range(len(caps))])
+    order = draw(st.permutations(space.ids))
+    cf = LinearOrderQuotaCF("v", space, caps, draw(st.integers(0, sum(caps))), order)
+    kind = draw(st.sampled_from(["quota", "edge_limit", "flipped", "table"]))
+    if kind == "edge_limit":
+        limits = [draw(st.integers(0, c)) for c in caps]
+        return EdgeLimitQuotaCF("v", space, caps, cf.quota, order, limits)
+    flips = {}
+    for z in draw(st.lists(st.sampled_from(list(full_box(cf))), max_size=3)):
+        flips[z] = draw(st.tuples(*(st.integers(0, v) for v in z)))
+    if kind == "flipped":
+        return _FlippedQuotaCF(cf, flips)
+    if kind == "table":
+        rows = [(z, flips.get(z, cf.choose_vals(z))) for z in full_box(cf)]
+        return TableCF("v", space, caps, rows)
+    return cf
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(question_functions())
+@example(quota_cf((), quota=0))
+@example(quota_cf((2,), quota=1))
+@example(quota_cf((3, 1, 2), quota=3, order=("e3", "e1", "e2")))
+def test_questions_answer_as_the_base_class_does(cf):
+    """Quota choices read their answers off the star; the others run
+    their own ``_apply``.  Degrees 0 and 1 are among the examples."""
+    assert_base_answers(cf)
+
+
+def test_copies_in_a_double_answer_as_the_base_class_does(triangle, b4):
+    """The double's copies of quota choices and of ``gated_instance``'s table."""
+    kinds = set()
+    for inst in (triangle, b4, gated_instance()):
+        for cf in symmetrize(inst).graph.choice.values():
+            assert_base_answers(cf)
+            kinds.add(type(cf))
+    assert kinds == {LinearOrderQuotaCF, TableCF}
+
+
+def test_quota_subclasses_with_their_own_apply_answer_through_it():
+    """The greedy summaries would answer wrongly for a subclass's selection.
+
+    Limited to one unit of ``e1``, the star ``(1, 0)`` takes no more
+    ``e1``, though it is under its quota of 2.  The subclass keeps a memo.
+    """
+    space = EdgeSpace(("e1", "e2"))
+    cf = EdgeLimitQuotaCF("v", space, (2, 2), 2, ("e1", "e2"), (1, 2))
+    assert LinearOrderQuotaCF.wants(cf, (1, 0), 0)
+    assert not cf.wants((1, 0), 0) and cf.refuses((1, 0), 0)
+    assert cf.choose_vals((2, 0)) == (1, 0) and cf._memo == {(2, 0): (1, 0)}
+    for name in ("choose_vals", "accepts", "wants", "refuses", "bumps", "gains"):
+        assert getattr(type(cf), name) is getattr(ChoiceFunction, name)
+        assert getattr(_FlippedQuotaCF, name) is getattr(ChoiceFunction, name)
+
+
+class _OffMenuCF(ChoiceFunction):
+    """Selects one unit more than offered at the first edge."""
+
+    def _apply(self, vals):
+        return (vals[0] + 1,) + vals[1:]
+
+
+def test_a_choice_that_leaves_its_menu_raises():
+    cf = _OffMenuCF("v", EdgeSpace(("a", "b")), (1, 1))
+    with pytest.raises(InternalError, match=r"choice at 'v' left the menu: C\(0, 1\)"):
+        cf.choose_vals((0, 1))
+    with pytest.raises(InternalError, match="left the menu"):
+        cf.wants((0, 0), 1)
+    assert cf._memo == {}

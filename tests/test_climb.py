@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from stablepartners import (
-    ChoiceFunction,
     EdgeSpace,
     EdgeVector,
     InputError,
@@ -45,6 +44,7 @@ from stablepartners.bipartite import (
 from conftest import (
     EdgeLimitQuotaCF,
     b4_doc,
+    count_choices,
     gated_instance,
     high_cap_market,
     oracle_candidate_walks,
@@ -439,14 +439,7 @@ def test_high_capacities_cost_few_choice_calls(monkeypatch):
     """
     block = instance_from_dict(b4_doc(cap=10**4))
     ring = instance_from_dict(ring_doc(5, 10**6 + 1, 10**6 + 1))
-    calls = [0]
-    choose_vals = ChoiceFunction.choose_vals
-
-    def counting(self, vals):
-        calls[0] += 1
-        return choose_vals(self, vals)
-
-    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    calls = count_choices(monkeypatch)
     route = build_full_route(block)
     assert [step.weight for step in route.steps] == [10**4]
     assert calls[0] <= 1_000

@@ -8,7 +8,6 @@ import pytest
 
 from stablepartners import (
     BudgetError,
-    ChoiceFunction,
     ClosedFunction,
     InputError,
     Occurrence,
@@ -34,6 +33,7 @@ from stablepartners import bipartite, poset
 from conftest import (
     blocks_doc,
     bridged_blocks_doc,
+    count_choices,
     edgevec,
     high_cap_market,
     latin_doc,
@@ -514,14 +514,7 @@ def test_order_of_forty_blocks_costs_few_choice_calls(monkeypatch):
     screened every candidate again, the order on 40 disjoint blocks made
     248,738 choice calls.
     """
-    calls = [0]
-    choose_vals = ChoiceFunction.choose_vals
-
-    def counting(self, vals):
-        calls[0] += 1
-        return choose_vals(self, vals)
-
-    monkeypatch.setattr(ChoiceFunction, "choose_vals", counting)
+    calls = count_choices(monkeypatch)
     order = rotation_order(instance_from_dict(blocks_doc(40)))
     assert len(order.occurrences) == 40 and not order.less
     assert calls[0] <= 75_000

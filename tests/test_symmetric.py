@@ -24,6 +24,7 @@ from stablepartners import (
     symmetrize,
 )
 from stablepartners import symmetric
+from stablepartners.choice import TableCF
 from stablepartners.symmetric import SymmetricInstance, _mirror
 
 from conftest import (
@@ -74,8 +75,12 @@ def test_double_has_two_copies_of_everything(tri_double):
 
 
 def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
-    """Both copies of ``v`` are ``C_v`` itself, on a star in ``v``'s order."""
-    for inst in [triangle, b4] + list(general_corpus):
+    """Both copies of ``v`` are ``C_v`` itself, on a star in ``v``'s order.
+
+    A table's copies share its memo; quota choices keep none.
+    """
+    tables = 0
+    for inst in [triangle, b4, gated_instance()] + list(general_corpus):
         si = symmetrize(inst)
         base_edge = oracle_mirror_maps(si).base_edge
         for v in inst.vertices:
@@ -84,9 +89,14 @@ def test_copies_run_the_base_choice_on_its_memo(triangle, b4, general_corpus):
                 copy = copy_vertex(v, i)
                 cf = si.graph.choice[copy]
                 assert type(cf) is type(base)
-                assert cf._memo is base._memo
+                if isinstance(base, TableCF):
+                    assert cf._memo is base._memo
+                    tables += 1
+                else:
+                    assert not hasattr(cf, "_memo")
                 star = tuple(base_edge[e] for e in si.graph.star_ids[copy])
                 assert star == inst.star_ids[v]
+    assert tables == 2
 
 
 def test_a_parsed_double_chooses_as_the_double(triangle):
