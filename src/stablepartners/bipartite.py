@@ -55,9 +55,9 @@ def is_stable(inst, x):
     unacceptable = tuple(v for v in inst.vertices if not inst.choice[v].accepts(star[v]))
     bad = set(unacceptable)
     blocking = tuple(
-        e
-        for e in inst.space.ids
-        if not bad.intersection(inst.edge_ends[e]) and _blocks(inst, vals, star, e)
+        inst.space.ids[p]
+        for p, (u, _, v, _) in enumerate(inst.edge_slots)
+        if u not in bad and v not in bad and _blocks(inst, vals, star, p)
     )
     stable = not unacceptable and not blocking
     return StabilityReport(stable, blocking, unacceptable)
@@ -68,16 +68,14 @@ def _star(inst, vals, v):
     return inst.star_get[v](vals)
 
 
-def _blocks(inst, vals, star, e):
-    """True iff both ends of ``e`` would take one more unit of it.
+def _blocks(inst, vals, star, p):
+    """True iff both ends of the edge at position ``p`` would take one more unit.
 
-    ``star`` maps each end of ``e`` to its (acceptable) star in ``vals``.
+    ``star`` maps each end of the edge to its (acceptable) star in ``vals``.
     """
-    i = inst.space.index[e]
-    if vals[i] >= inst.caps.vals[i]:
+    if vals[p] >= inst.caps.vals[p]:
         return False
-    u, v = inst.edge_ends[e]
-    ju, jv = inst.star_space[u].index[e], inst.star_space[v].index[e]
+    u, ju, v, jv = inst.edge_slots[p]
     return inst.choice[u].wants(star[u], ju) and inst.choice[v].wants(star[v], jv)
 
 
@@ -86,12 +84,13 @@ def _walk_frame(inst, steps):
 
     Returns the shift as ``(position, sign)`` pairs (edges at even steps
     gain a unit, edges at odd steps lose one), the walk's vertices, and the
-    edges incident to them, both sorted so that checks run in a fixed order.
+    positions of the edges incident to them, both sorted so that checks run
+    in a fixed order (positions sort as the ids do).
     """
     index = inst.space.index
     shift = tuple((index[e], 1 - 2 * (i % 2)) for i, (_, e) in enumerate(steps))
     touched = tuple(sorted({v for v, _ in steps}))
-    near = tuple(sorted({e for v in touched for e in inst.star_ids[v]}))
+    near = tuple(sorted({p for v in touched for p in inst.star_positions[v]}))
     return shift, touched, near
 
 
@@ -111,9 +110,10 @@ def _shift_holds(inst, x_vals, y_vals, touched, near):
 
     ``x_vals`` must be verified stable and ``y_vals`` in the box, differing
     from it only on edges whose ends all lie in ``touched``; ``near`` holds
-    the edges incident to ``touched``.  Stars outside ``touched`` are the
-    same in both vectors, so they stay acceptable, edges away from
-    ``touched`` stay unblocked and firms away from it see no change.
+    the positions of the edges incident to ``touched``.  Stars outside
+    ``touched`` are the same in both vectors, so they stay acceptable,
+    edges away from ``touched`` stay unblocked and firms away from it see
+    no change.
     Returns at the first failure.
     """
     choice = inst.choice
@@ -123,11 +123,11 @@ def _shift_holds(inst, x_vals, y_vals, touched, near):
         if not choice[v].accepts(z):
             return False
         star[v] = z
-    for e in near:
-        for v in inst.edge_ends[e]:
+    for p in near:
+        for v in inst.edge_slots[p][::2]:
             if v not in star:
                 star[v] = _star(inst, y_vals, v)
-        if _blocks(inst, y_vals, star, e):
+        if _blocks(inst, y_vals, star, p):
             return False
     firms = inst.parts[1]
     for f in touched:
@@ -460,7 +460,7 @@ class _Discovery:
             rot = Rotation(inst, steps)
             frame = _walk_frame(inst, rot.steps)
             nodes = tuple(i if s > 0 else ~i for i, s in frame[0])
-            reads = set(frame[1]).union(*(inst.edge_ends[e] for e in frame[2]))
+            reads = set(frame[1]).union(*(inst.edge_slots[p][::2] for p in frame[2]))
             on_walk = f_side.intersection(frame[1])
             walks[rot] = _Candidate(frame, nodes, on_walk, tuple(reads), None, False)
             by_node.update(dict.fromkeys(nodes, rot))

@@ -4,6 +4,7 @@ These certify the constructive machinery at small scale.  The stable set
 is built as a pruned product of the capacity box, never listed whole.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,9 +39,10 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
     due = [([], []) for _ in caps]
     for v, col in last.items():
         due[col][0].append(v)
-    for pos, (u, w) in enumerate(map(inst.ends, inst.space.ids)):
-        test = (u, positions[u].index(pos), w, positions[w].index(pos))
-        due[max(last[u], last[w])][1].append(test)
+    for test in inst.edge_slots:
+        due[max(last[test[0]], last[test[2]])][1].append(test)
+    # One table per function object: a double's two copies share theirs.
+    star_table = functools.cache(_star_table)
     stars = {}
     rows = np.zeros((1, 0), dtype=box_dtype(caps))
     for col, cap in enumerate(caps):
@@ -49,7 +51,7 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
         grown[:, :, col] = np.arange(cap + 1)
         rows = grown.reshape(-1, col + 1)
         vertices, edges = due[col]
-        stars.update((v, _star_table(inst.choice[v])) for v in vertices)
+        stars.update((v, star_table(inst.choice[v])) for v in vertices)
         ends = {*vertices, *(x for test in edges for x in test[::2])}
         codes = {v: rows[:, positions[v]] @ stars[v][2] for v in ends}
         keep = np.ones(len(rows), dtype=bool)

@@ -59,9 +59,10 @@ class ChoiceFunction:
     Subclasses implement ``_apply(vals) -> tuple``.  Here results are
     memoized per distinct input and checked to satisfy ``0 <= C(z) <= z``
     once on first computation, and the one-edge questions (:meth:`accepts`
-    to :meth:`gains`) are answered through them.  ``_apply`` and
-    ``batch_vals`` read positions of the star, never edge ids; that is what
-    lets :meth:`on_star` run one function on stars with other edge ids.
+    to :meth:`gains`) are answered through them.  ``_apply``,
+    ``batch_vals`` and the questions read positions of the star, never edge
+    ids, so one function serves any star of its size: both copies of a
+    vertex in a bipartite double run the vertex's own function object.
     """
 
     kind = "abstract"
@@ -151,23 +152,12 @@ class ChoiceFunction:
             out[i] = self.choose_vals(tuple(row))
         return out
 
-    def on_star(self, vertex, space):
-        """This function at ``vertex`` on ``space``, a star of the same size.
-
-        A shallow copy: it shares the memo, if any, and all positional state.
-        """
-        if len(space) != len(self.space):
-            raise InputError("star of {!r} has the wrong size".format(vertex))
-        twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        twin.vertex = vertex
-        twin.space = space
-        return twin
-
     def _apply(self, vals):
         raise NotImplementedError
 
-    def to_dict(self):
+    def to_dict(self, ids=None):
+        """The document form, naming the star's edges by ``ids``, by default
+        the ids of its space."""
         raise NotImplementedError
 
 
@@ -273,11 +263,12 @@ class LinearOrderQuotaCF(ChoiceFunction):
         res[:, perm] = out
         return res
 
-    def to_dict(self):
+    def to_dict(self, ids=None):
+        ids = self.space.ids if ids is None else ids
         return {
             "type": self.kind,
             "quota": self.quota,
-            "order": list(self.order),
+            "order": [ids[p] for p in self._perm],
         }
 
 
@@ -317,8 +308,8 @@ class TableCF(ChoiceFunction):
     def _apply(self, vals):
         return self._table[vals]
 
-    def to_dict(self):
-        ids = self.space.ids
+    def to_dict(self, ids=None):
+        ids = self.space.ids if ids is None else ids
         entries = [
             {
                 "z": {e: v for e, v in zip(ids, z)},

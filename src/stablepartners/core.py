@@ -199,15 +199,24 @@ class Instance:
     caps : mapping id -> int
         Nonnegative capacity per edge.
     choice : mapping vertex -> ChoiceFunction
-        One choice function per vertex, acting on that vertex's star.  A
-        star lists its edges in the order of its choice function's space.
+        One choice function per vertex, acting on that vertex's star by
+        position.
     parts : optional pair (W, F)
         A bipartition of the vertices.  When present, every edge must join
         the two sides, and two-sided machinery (proposal rounds, rotations)
         becomes available.
+    stars : optional mapping vertex -> sequence of edge ids
+        The order of each star.  By default a star lists its edges in the
+        order of its choice function's space; a bipartite double passes
+        its copies' stars here, so that each copy runs the base function.
+
+    Each star is kept by edge id (``star_ids``), by position in ``space``
+    (``star_positions``) and as a getter of its raw tuple (``star_get``);
+    ``edge_slots[p]`` holds the ends of the edge at position ``p``, each
+    followed by the edge's slot in that end's star.
     """
 
-    def __init__(self, vertices, edges, caps, choice, parts=None):
+    def __init__(self, vertices, edges, caps, choice, parts=None, stars=None):
         self.vertices = tuple(sorted(vertices))
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("vertex ids must be distinct")
@@ -240,7 +249,8 @@ class Instance:
                 raise InputError("capacity of edge {!r} must be an integer".format(e))
             if c < 0:
                 raise InputError("edge {!r} has negative capacity".format(e))
-        self.caps = EdgeVector._trusted(self.space, tuple(int(caps[e]) for e in ids))
+        cap_of = caps.__getitem__
+        self.caps = EdgeVector._trusted(self.space, tuple(map(int, map(cap_of, ids))))
 
         if parts is not None:
             w, f = parts
@@ -258,22 +268,31 @@ class Instance:
 
         if set(choice) != vset:
             raise InputError("choice functions must cover exactly the vertex set")
+        if stars is None:
+            stars = {v: cf.space.ids for v, cf in choice.items()}
+        elif set(stars) != vset:
+            raise InputError("stars must cover exactly the vertex set")
+        pos_of = self.space.index.__getitem__
+        firsts = [u for u, _ in ends.values()]
+        first_slot, second_slot = [0] * len(ids), [0] * len(ids)
+        self.star_ids, self.star_positions = {}, {}
         for v, cf in choice.items():
-            if set(cf.space.ids) != incident[v]:
+            star = tuple(stars[v])
+            if len(star) != len(incident[v]) or set(star) != incident[v]:
                 raise InputError(
                     "choice function at {!r} does not act on its star".format(v)
                 )
-            if tuple(cf.caps) != tuple(caps[e] for e in cf.space.ids):
+            if tuple(cf.caps) != tuple(map(cap_of, star)):
                 raise InputError(
                     "choice function at {!r} disagrees with edge capacities".format(v)
                 )
+            positions = tuple(map(pos_of, star))
+            for s, p in enumerate(positions):
+                (first_slot if firsts[p] == v else second_slot)[p] = s
+            self.star_ids[v], self.star_positions[v] = star, positions
         self.choice = dict(choice)
-        self.star_space = {v: choice[v].space for v in self.vertices}
-        self.star_ids = {v: space.ids for v, space in self.star_space.items()}
-        index = self.space.index
-        self.star_positions = {
-            v: tuple(index[e] for e in star) for v, star in self.star_ids.items()
-        }
+        seconds = (w for _, w in ends.values())
+        self.edge_slots = tuple(zip(firsts, first_slot, seconds, second_slot))
         self.star_get = {v: _getter(p) for v, p in self.star_positions.items()}
 
     # -- basic queries ----------------------------------------------------
@@ -479,7 +498,7 @@ def instance_to_dict(inst):
             {"id": e, "ends": list(inst.ends(e)), "cap": inst.caps[e]}
             for e in inst.space.ids
         ],
-        "choice": {v: inst.choice[v].to_dict() for v in inst.vertices},
+        "choice": {v: inst.choice[v].to_dict(inst.star_ids[v]) for v in inst.vertices},
     }
     if inst.parts is not None:
         w, f = inst.parts

@@ -107,7 +107,13 @@ def verify_half_partnership(inst, hp):
         seen.update(cyc.edges)
 
     # Stars are raw tuples in star order; a visit of a cycle to v is the
-    # star positions of its (entering, leaving) edges there.
+    # star slots of its (entering, leaving) edges there.
+    index, slots = inst.space.index, inst.edge_slots
+
+    def slot(e, v):
+        u, su, _, sw = slots[index[e]]
+        return su if v == u else sw
+
     star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
     star_out = {v: list(z) for v, z in star_in.items()}
     visits = {v: [] for v in inst.vertices}
@@ -116,9 +122,8 @@ def verify_half_partnership(inst, hp):
     for cyc in hp.cycles:
         per_vertex = {}
         for j, (v, e_out) in enumerate(cyc.steps):
-            index = inst.star_space[v].index
             e_in = cyc.steps[j - 1][1]
-            per_vertex.setdefault(v, []).append((index[e_in], index[e_out]))
+            per_vertex.setdefault(v, []).append((slot(e_in, v), slot(e_out, v)))
         for v, pairs in per_vertex.items():
             for i, o in pairs:
                 star_in[v][i] += 1
@@ -130,15 +135,28 @@ def verify_half_partnership(inst, hp):
     star_out = {v: tuple(z) for v, z in star_out.items()}
     violations = []
 
-    def attempt(v, menu, raised):
-        cf = inst.choice[v]
-        if raised and any(menu[j] > cf.caps[j] for j in raised):
-            return None
-        return cf.choose_vals(menu)
+    def fits(v, menu, raised):
+        caps = inst.choice[v].caps
+        return not any(menu[j] > caps[j] for j in raised)
 
+    def attempt(v, menu, raised):
+        return inst.choice[v].choose_vals(menu) if fits(v, menu, raised) else None
+
+    def menu_refuses(v, raised):
+        return lambda menu, j: attempt(v, _bumped(menu, j), raised) == menu
+
+    # C3 asks each end whether it keeps its adjusted star when offered one
+    # more unit: a one-edge question where that star passed C1, its menu
+    # everywhere else.
+    asks = {"in": {}, "out": {}}
     for v in inst.vertices:
+        cf = inst.choice[v]
         for part, stars, raised in (("in", star_in, enters), ("out", star_out, leaves)):
-            if attempt(v, stars[v], raised.get(v, ())) != stars[v]:
+            raised = raised.get(v, ())
+            if fits(v, stars[v], raised) and cf.accepts(stars[v]):
+                asks[part][v] = cf.refuses
+            else:
+                asks[part][v] = menu_refuses(v, raised)
                 violations.append({"condition": "C1", "vertex": v, "part": part})
         out_v = star_out[v]
         for cyc, pairs in visits[v]:
@@ -167,21 +185,18 @@ def verify_half_partnership(inst, hp):
                     )
 
     caps = inst.caps.vals
-    for p, e in enumerate(inst.space.ids):
-        if hp.x.vals[p] >= caps[p]:
+    for e, x, cap, (u, su, w, sw) in zip(inst.space.ids, hp.x.vals, caps, slots):
+        if x >= cap:
             continue
-        u, w = inst.ends(e)
-        for taker, keeper in ((u, w), (w, u)):
+        for taker, t, keeper, k in ((u, su, w, sw), (w, sw, u, su)):
             menu_t, menu_k = star_in[taker], star_out[keeper]
-            t = inst.star_space[taker].index[e]
-            k = inst.star_space[keeper].index[e]
             if menu_t[t] != menu_k[k]:
                 raise InternalError("cycle bookkeeping split edge {!r}".format(e))
-            if menu_t[t] >= caps[p]:
+            if menu_t[t] >= cap:
                 continue
-            if attempt(taker, _bumped(menu_t, t), enters.get(taker, ())) == menu_t:
+            if asks["in"][taker](menu_t, t):
                 continue  # the taker does not want the unit
-            if attempt(keeper, _bumped(menu_k, k), leaves.get(keeper, ())) != menu_k:
+            if not asks["out"][keeper](menu_k, k):
                 violations.append(
                     {"condition": "C3", "edge": e, "ends": [taker, keeper]}
                 )

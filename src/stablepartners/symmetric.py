@@ -11,7 +11,7 @@ the doubles of plain vectors, which is what makes the doubling useful.
 import functools
 import random
 
-from .core import EdgeSpace, EdgeVector, InputError, Instance, VerificationError
+from .core import EdgeVector, InputError, Instance, VerificationError
 from .bipartite import Rotation, _discovery_at, _sweep, deferred_acceptance
 
 
@@ -61,34 +61,36 @@ def symmetrize(inst):
     """The bipartite double of ``inst``; both copies of ``v`` choose by ``C_v``.
 
     The copy ``e^0`` of an edge with ends ``a < b`` joins ``a^0`` to
-    ``b^1``, and ``e^1`` joins ``b^0`` to ``a^1``.
+    ``b^1``, and ``e^1`` joins ``b^0`` to ``a^1``.  Each copy lists its
+    star in the base star's order, so both run the base choice function
+    object itself, any memo included, with no translation.
     """
-    vcopies = {v: ("{}^0".format(v), "{}^1".format(v)) for v in inst.vertices}
-    ecopies = {e: ("{}^0".format(e), "{}^1".format(e)) for e in inst.space.ids}
+    vcopies = {v: (f"{v}^0", f"{v}^1") for v in inst.vertices}
+    ecopies = [(f"{e}^0", f"{e}^1") for e in inst.space.ids]
     edges = {}
     caps = {}
-    for e, cap in zip(inst.space.ids, inst.caps.vals):
-        a, b = inst.ends(e)
-        e0, e1 = ecopies[e]
+    ends = inst.edge_ends.values()
+    for (e0, e1), (a, b), cap in zip(ecopies, ends, inst.caps.vals):
         edges[e0] = (vcopies[a][0], vcopies[b][1])
         edges[e1] = (vcopies[b][0], vcopies[a][1])
         caps[e0] = caps[e1] = cap
 
-    # Each copy lists its star in the base star's order, so it runs the
-    # base choice function, any memo included, with no translation.  The copy
-    # ``v^i`` holds ``e^i`` where ``v`` is ``e``'s first end, else ``e^(1-i)``.
-    choice = {}
+    # The copy ``v^i`` holds ``e^i`` where ``v`` is ``e``'s first end, else
+    # ``e^(1-i)``; the base's slot table says which end ``v`` is.
+    choice, stars = {}, {}
     for v in inst.vertices:
-        for i, copy in enumerate(vcopies[v]):
-            star = EdgeSpace(
-                ecopies[e][i ^ (inst.edge_ends[e][0] != v)] for e in inst.star_ids[v]
-            )
-            choice[copy] = inst.choice[v].on_star(copy, star)
+        pairs = [
+            ecopies[p] if inst.edge_slots[p][0] == v else ecopies[p][::-1]
+            for p in inst.star_positions[v]
+        ]
+        v0, v1 = vcopies[v]
+        choice[v0] = choice[v1] = inst.choice[v]
+        stars[v0], stars[v1] = zip(*pairs) if pairs else ((), ())
 
     parts = tuple([vcopies[v][i] for v in inst.vertices] for i in (0, 1))
-    graph = Instance(parts[0] + parts[1], edges, caps, choice, parts)
+    graph = Instance(parts[0] + parts[1], edges, caps, choice, parts, stars)
     index = graph.space.index
-    copy_positions = tuple((index[e0], index[e1]) for e0, e1 in ecopies.values())
+    copy_positions = tuple((index[e0], index[e1]) for e0, e1 in ecopies)
     return SymmetricInstance(inst, graph, copy_positions)
 
 

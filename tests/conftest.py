@@ -696,17 +696,20 @@ class EdgeLimitQuotaCF(LinearOrderQuotaCF):
 QUESTIONS = ("accepts", "wants", "refuses", "bumps", "gains")
 
 
-def count_choices(monkeypatch):
+def count_choices(monkeypatch, names=("choose_vals",) + QUESTIONS):
     """Count the selections asked for: ``choose_vals`` calls and questions.
 
     The base class answers each one-edge question with one ``choose_vals``
     call; :class:`LinearOrderQuotaCF` answers it without one, so its
     questions are counted themselves and the count does not depend on how
-    they are answered.  Returns the one-element list the count goes into.
+    they are answered.  ``names=("choose_vals",)`` counts the selections
+    alone.  Returns the one-element list the count goes into.
     """
     calls = [0]
     wrapped = [(ChoiceFunction, "choose_vals"), (LinearOrderQuotaCF, "choose_vals")]
     for cls, name in wrapped + [(LinearOrderQuotaCF, q) for q in QUESTIONS]:
+        if name not in names:
+            continue
 
         def counting(self, *args, _method=vars(cls)[name]):
             calls[0] += 1
@@ -1750,7 +1753,7 @@ def oracle_verify_half_partnership(inst, hp):
     for cyc in hp.cycles:
         per_vertex = {}
         for j, (v, e_out) in enumerate(cyc.steps):
-            index = inst.star_space[v].index
+            index = {e: i for i, e in enumerate(inst.star_ids[v])}
             e_in = cyc.steps[j - 1][1]
             per_vertex.setdefault(v, []).append((index[e_in], index[e_out]))
         for v, pairs in per_vertex.items():
@@ -1802,8 +1805,8 @@ def oracle_verify_half_partnership(inst, hp):
         u, w = inst.ends(e)
         for taker, keeper in ((u, w), (w, u)):
             menu_t, menu_k = star_in[taker], star_out[keeper]
-            t = inst.star_space[taker].index[e]
-            k = inst.star_space[keeper].index[e]
+            t = inst.star_ids[taker].index(e)
+            k = inst.star_ids[keeper].index(e)
             if menu_t[t] != menu_k[k]:
                 raise InternalError("cycle bookkeeping split edge {!r}".format(e))
             if menu_t[t] >= caps[p]:

@@ -11,6 +11,7 @@ from stablepartners import (
     enumerate_stable,
     instance_from_dict,
     lattice_extremes,
+    symmetrize,
 )
 from stablepartners.choice import box_array, check_axiom
 
@@ -57,6 +58,28 @@ def test_enumeration_never_lists_more_than_a_star_box(monkeypatch):
     assert len(stable) == 3
     lo, hi = lattice_extremes(inst, stable)
     assert (lo, hi) == (deferred_acceptance(inst, "W"), deferred_acceptance(inst, "F"))
+
+
+def test_a_double_tables_each_choice_function_once(monkeypatch, general_corpus):
+    """Both copies of a vertex run one function, so they share one star
+    table: a double builds as many as its base, with the same answer."""
+    built = []
+
+    def counted(cf):
+        built.append(cf)
+        return star_table(cf)
+
+    star_table = brute._star_table
+    monkeypatch.setattr(brute, "_star_table", counted)
+    doubles = [(inst, symmetrize(inst).graph) for inst in general_corpus]
+    doubles = [(inst, g) for inst, g in doubles if g.box_size() <= 10**4]
+    assert len(doubles) >= 20
+    for inst, g in doubles:
+        built.clear()
+        stable = enumerate_stable(g)
+        functions = [inst.choice[v] for v in inst.vertices if inst.star_ids[v]]
+        assert sorted(map(id, built)) == sorted(map(id, functions))
+        assert stable == oracle_enumerate_stable(g)
 
 
 def test_enumeration_respects_its_budget(b4_scaled):

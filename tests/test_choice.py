@@ -190,22 +190,23 @@ def test_table_rejects_duplicate_rows():
 
 
 def test_a_function_on_another_star_shares_its_memo_and_names_its_edges():
-    """A quota choice keeps no memo; a table's copy shares the table's."""
+    """One function serves every star of its size, and ``to_dict(ids)``
+    names that star's edges.  A quota choice keeps no memo; a table keeps
+    one for all the stars it serves.
+    """
     base = quota_cf((2, 1), quota=2, order=["e2", "e1"])
-    twin = base.on_star("v'", EdgeSpace(("a", "b")))
-    assert (twin.vertex, twin.caps) == ("v'", base.caps)
-    assert not hasattr(twin, "_memo") and not hasattr(base, "_memo")
-    for vals in full_box(base):
-        assert twin.choose_vals(vals) == base.choose_vals(vals)
-    assert twin.to_dict() == {"type": base.kind, "quota": 2, "order": ["b", "a"]}
+    assert not hasattr(base, "_memo")
+    on_ab = {"type": base.kind, "quota": 2, "order": ["b", "a"]}
+    assert base.to_dict(("a", "b")) == on_ab
     assert base.to_dict()["order"] == ["e2", "e1"]
     table = sub_violating_table()
-    twin = table.on_star("u", EdgeSpace(("x", "y")))
-    assert twin._memo is table._memo
-    assert twin.choose(EdgeVector(twin.space, (1, 1))).to_mapping() == {"x": 1, "y": 0}
-    assert [set(row["z"]) for row in twin.to_dict()["entries"]] == [{"x", "y"}] * 4
-    with pytest.raises(InputError):
-        base.on_star("v'", EdgeSpace(("a",)))
+    doc = table.to_dict(("x", "y"))
+    assert [set(row["z"]) for row in doc["entries"]] == [{"x", "y"}] * 4
+    assert {"z": {"x": 1, "y": 1}, "c": {"x": 1, "y": 0}} in doc["entries"]
+    named = choice_from_dict("u", EdgeSpace(("x", "y")), table.caps, doc)
+    for vals in full_box(table):
+        assert named.choose_vals(vals) == table.choose_vals(vals)
+    assert table.to_dict()["entries"][0]["z"].keys() == set(table.space.ids)
 
 
 def test_choice_from_dict_builds_both_kinds():

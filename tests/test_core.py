@@ -250,7 +250,7 @@ def test_instance_rejects_choice_function_cap_mismatch():
         orders={"a": ["ab"], "b": ["ab"]},
     )
     inst = instance_from_dict(doc)
-    wrong = LinearOrderQuotaCF("a", inst.star_space["a"], (5,), 1, ["ab"])
+    wrong = LinearOrderQuotaCF("a", inst.choice["a"].space, (5,), 1, ["ab"])
     with pytest.raises(InputError):
         Instance(
             inst.vertices,
@@ -286,6 +286,41 @@ def test_a_star_takes_its_order_from_its_choice_function(cycle3, triangle):
         for wrong in (ids[1:], ids + (stranger,)):
             with pytest.raises(InputError):
                 _with_star(inst, v, wrong)
+
+
+def test_stars_given_apart_from_the_choice_functions_are_checked(cycle3, triangle):
+    """``stars=`` orders each star, and the function runs on it by position.
+
+    A star that misses, repeats or adds an edge raises as a function on the
+    wrong star does, and so does one whose capacities the function does not
+    have; stars that miss a vertex raise too.
+    """
+    for inst, v in ((cycle3, "f1"), (triangle, "b")):
+        ids = inst.star_ids[v][::-1]
+        caps = inst.caps.to_mapping()
+        stars = dict(inst.star_ids, **{v: ids})
+        args = (inst.vertices, inst.edge_ends, caps, inst.choice, inst.parts)
+        flipped = Instance(*args, stars)
+        assert flipped.star_ids == stars and flipped.choice[v] is inst.choice[v]
+        for p, (u, su, w, sw) in enumerate(flipped.edge_slots):
+            e = inst.space.ids[p]
+            assert (u, w) == inst.edge_ends[e]
+            assert (flipped.star_ids[u][su], flipped.star_ids[w][sw]) == (e, e)
+        stranger = next(e for e in inst.space.ids if e not in ids)
+        for wrong in (ids[1:], ids[:1] * len(ids), ids + ids[:1], ids + (stranger,)):
+            with pytest.raises(InputError, match="does not act on its star"):
+                Instance(*args, dict(stars, **{v: wrong}))
+        with pytest.raises(InputError, match="stars must cover exactly the vertex set"):
+            Instance(*args, {u: star for u, star in stars.items() if u != v})
+    doc = quota_doc(
+        edges=[("ab", "a", "b", 2), ("bc", "b", "c", 1)],
+        quotas={"a": 1, "b": 1, "c": 1},
+        orders={"a": ["ab"], "b": ["ab", "bc"], "c": ["bc"]},
+    )
+    inst = instance_from_dict(doc)
+    args = (inst.vertices, inst.edge_ends, inst.caps.to_mapping(), inst.choice)
+    with pytest.raises(InputError, match="disagrees with edge capacities"):
+        Instance(*args, stars=dict(inst.star_ids, b=("bc", "ab")))
 
 
 PUBLIC_NAMES = [

@@ -36,6 +36,7 @@ from stablepartners import (
 from stablepartners.core import EdgeSpace
 
 from conftest import (
+    EdgeLimitQuotaCF,
     b4_doc,
     bad_table_doc,
     con_violating_table,
@@ -54,6 +55,7 @@ from conftest import (
     table_market,
     triangle_doc,
     wide_cap_doc,
+    with_edge_limits,
 )
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -395,6 +397,59 @@ def test_star_getters_read_tuples_off_any_raw_vector(star_pool, data):
     got = {v: inst.star_get[v](vals) for v in inst.vertices}
     assert got == _stars_by_position(inst, vals)
     assert all(type(z) is tuple for z in got.values())
+
+
+@pytest.fixture(scope="module")
+def slot_pool(bipartite_corpus, general_corpus):
+    """Three groups: both corpora, the same with per-edge limits, and thirty
+    table markets."""
+    rng = random.Random(36)
+    pool = list(bipartite_corpus) + list(general_corpus)
+    limited = [with_edge_limits(rng, inst, inst.vertices) for inst in pool]
+    return pool, limited, [table_market(rng)[0] for _ in range(30)]
+
+
+def _slots_by_name(inst):
+    """``edge_slots`` as the name lookup reads it."""
+    ids = inst.star_ids
+    return tuple(
+        (u, ids[u].index(e), w, ids[w].index(e))
+        for e, (u, w) in zip(inst.space.ids, map(inst.ends, inst.space.ids))
+    )
+
+
+def test_every_slot_reads_as_its_name(slot_pool):
+    """At both ends of every edge of the pool and of every double."""
+    for inst in itertools.chain(*slot_pool):
+        for g in (inst, symmetrize(inst).graph):
+            assert g.edge_slots == _slots_by_name(g)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_serialized_double_reparses_with_its_stars(slot_pool, data):
+    """The same ``star_ids``, documents and choices on every box vector.
+
+    The slot tables of the drawn instance, its double and the re-parsed
+    double read as the names do.  A per-edge limit has no document form,
+    so an edge-limited double checks its slots alone.  The corpora's ids
+    sort the same with and without the copy suffixes; ids such as ``e1``
+    and ``e10`` do not, and a re-parsed double lists those stars sorted.
+    """
+    inst = data.draw(st.sampled_from(data.draw(st.sampled_from(slot_pool))))
+    double = symmetrize(inst).graph
+    for g in (inst, double):
+        assert g.edge_slots == _slots_by_name(g)
+    if any(isinstance(cf, EdgeLimitQuotaCF) for cf in inst.choice.values()):
+        return
+    again = parse_instance(serialize_instance(double))
+    assert again.star_ids == double.star_ids
+    assert again.edge_slots == double.edge_slots
+    for v in double.vertices:
+        cf, parsed = double.choice[v], again.choice[v]
+        assert parsed.to_dict() == cf.to_dict(double.star_ids[v])
+        for vals in itertools.product(*(range(c + 1) for c in cf.caps)):
+            assert parsed.choose_vals(vals) == cf.choose_vals(vals)
 
 
 def _rare(draw):

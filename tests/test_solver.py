@@ -1,11 +1,14 @@
 """Odd cycles, half-partnerships, verification, and the end-to-end solver."""
 
+import random
+
 import pytest
 
 from stablepartners import (
     EdgeVector,
     HalfPartnership,
     InputError,
+    LinearOrderQuotaCF,
     OddCycle,
     Rotation,
     enumerate_stable,
@@ -21,13 +24,16 @@ from stablepartners import (
 )
 
 from conftest import (
+    count_choices,
     cycle_rotation,
     cycle_vertices,
     edgevec,
     oracle_project_cycle,
     oracle_verify_half_partnership,
+    quota_doc,
     reversed_steps,
     ring_doc,
+    sparse_graph_doc,
     triangle_doc,
     undirected_key,
 )
@@ -242,6 +248,80 @@ def test_verifier_tests_the_box_at_a_raised_position():
     report = verify_half_partnership(roomy, hp)
     assert {"condition": "C1", "vertex": "c", "part": "in"} in report.violations
     want = oracle_verify_half_partnership(roomy, hp)
+    assert (report.ok, report.violations) == (want.ok, want.violations)
+
+
+def test_the_verifier_asks_questions_where_c1_holds(monkeypatch):
+    """A clean solution is verified with no menu at all; at a vertex that
+    fails C1, C3 takes the menu path, and the report is the oracle's.
+    """
+    inst = instance_from_dict(sparse_graph_doc(random.Random(1), 160, 470))
+    hp = solve(inst).hp
+    assert not hp.cycles
+    calls = count_choices(monkeypatch, ("choose_vals",))
+    assert verify_half_partnership(inst, hp).ok
+    assert calls[0] == 0
+
+    # One more unit of an edge with room, full at one end v and not at the
+    # other: v alone fails C1.
+    def room(v):
+        return inst.choice[v].quota - sum(inst.star_get[v](hp.x.vals))
+
+    v, p = next(
+        (u, p)
+        for p, (u, _, w, _) in enumerate(inst.edge_slots)
+        if hp.x.vals[p] < inst.caps.vals[p] and room(u) == 0 and room(w) > 0
+    )
+    tampered = HalfPartnership(hp.x.add_unit(inst.space.ids[p]), [])
+    asked = []
+
+    def choose_vals(cf, z, _apply=LinearOrderQuotaCF._apply):
+        asked.append(cf.vertex)
+        return _apply(cf, z)
+
+    monkeypatch.setattr(LinearOrderQuotaCF, "choose_vals", choose_vals)
+    report = verify_half_partnership(inst, tampered)
+    c1 = [r for r in report.violations if r["condition"] == "C1"]
+    assert c1 == [
+        {"condition": "C1", "vertex": v, "part": "in"},
+        {"condition": "C1", "vertex": v, "part": "out"},
+    ]
+    assert asked and set(asked) == {v}
+    want = oracle_verify_half_partnership(inst, tampered)
+    assert (report.ok, report.violations) == (want.ok, want.violations)
+
+
+def test_c3_runs_the_menu_at_an_end_whose_out_star_alone_fails_c1():
+    """x at cap on the cycle's edge out of c puts c's ``out`` star over
+    capacity while its ``in`` star passes C1.  The unit d offers on cd is
+    then probed on c's ``out`` star through the menu, which leaves the
+    box: the edge is flagged, as the whole-menu oracle flags it.  Asking
+    c's question on that star would answer that c keeps it.
+    """
+    doc = quota_doc(
+        edges=[
+            ("ab", "a", "b", 1),
+            ("bc", "b", "c", 1),
+            ("ca", "c", "a", 1),
+            ("cd", "c", "d", 1),
+        ],
+        quotas={"a": 2, "b": 2, "c": 2, "d": 1},
+        orders={
+            "a": ["ab", "ca"],
+            "b": ["bc", "ab"],
+            "c": ["ca", "bc", "cd"],
+            "d": ["cd"],
+        },
+    )
+    inst = instance_from_dict(doc)
+    cycle = OddCycle(inst, [("a", "ca"), ("c", "bc"), ("b", "ab")])
+    hp = HalfPartnership(edgevec(inst, {"bc": 1}), [cycle])
+    report = verify_half_partnership(inst, hp)
+    c1 = [r for r in report.violations if r["condition"] == "C1"]
+    assert {"condition": "C1", "vertex": "c", "part": "out"} in c1
+    assert {"condition": "C1", "vertex": "c", "part": "in"} not in c1
+    assert {"condition": "C3", "edge": "cd", "ends": ["d", "c"]} in report.violations
+    want = oracle_verify_half_partnership(inst, hp)
     assert (report.ok, report.violations) == (want.ok, want.violations)
 
 
