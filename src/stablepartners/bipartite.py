@@ -227,7 +227,7 @@ def deferred_acceptance(inst, side):
                 "proposal rounds did not converge; choice axioms are suspect"
             )
 
-    x = EdgeVector(inst.space, offer)
+    x = EdgeVector._trusted(inst.space, tuple(offer))
     report = is_stable(inst, x)
     if not report.stable:
         raise VerificationError(

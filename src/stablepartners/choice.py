@@ -29,6 +29,7 @@ from .core import (
 )
 
 DEFAULT_AXIOM_BUDGET = 10**6
+_GL_BLOCK = 2**16  # entries per block of a GL join table
 
 
 def box_dtype(caps):
@@ -453,9 +454,9 @@ def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
 
     ``axiom`` is one of SUB, MON, CON, GL (case-insensitive).  The budget
     counts the covering pairs a SUB, MON or CON check compares, one per
-    box vector and coordinate, and the preference comparisons of GL;
-    exceeding it raises :class:`BudgetError` rather than returning a
-    partial verdict.
+    box vector and coordinate, and the preference comparisons GL reads,
+    which its tables never outnumber; exceeding it raises
+    :class:`BudgetError` rather than returning a partial verdict.
     """
     axiom = str(axiom).upper()
     if axiom in ("SUB", "MON", "CON"):
@@ -468,14 +469,14 @@ def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
 def _violations(axiom, cz, sz, below, c_below, s_below):
     """Where pairs ``below <= z`` violate ``axiom``, given ``C(z)`` and its size.
 
-    Each argument is one row (a scalar for sizes) or an array of them; they
-    broadcast against each other over the leading axes.
+    Each argument has one row per coordinate (one for sizes) on its leading
+    axis; they broadcast against each other over the trailing axes.
     """
     if axiom == "SUB":
-        return (np.minimum(cz, below) > c_below).any(axis=-1)
+        return (np.minimum(cz, below) > c_below).any(axis=0)
     if axiom == "MON":
-        return s_below > sz
-    return (below >= cz).all(axis=-1) & (c_below != cz).any(axis=-1)
+        return (s_below > sz)[0]
+    return (below >= cz).all(axis=0) & (c_below != cz).any(axis=0)
 
 
 def _check_pairwise(cf, axiom, budget):
@@ -503,29 +504,69 @@ def _check_pairwise(cf, axiom, budget):
         raise BudgetError("axiom check compares {} pairs, budget is {}".format(work, budget))
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
-    sizes = chosen.sum(axis=1, dtype=np.int64)
+    sizes = chosen.sum(axis=1, keepdims=True, dtype=np.int64)
     shape = tuple(c + 1 for c in cf.caps)
-    grids = [g.reshape(shape + g.shape[1:]) for g in (box, chosen, sizes)]
+    grids = [g.T.reshape((-1,) + shape) for g in (box, chosen, sizes)]
     bad = np.zeros(shape, dtype=bool)
     for axis in range(len(shape)):
         # The pairs (y, y - e_axis) as two shifted views of each grid.
         hi = (slice(None),) * axis + (slice(1, None),)
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        ups = [g[hi] for g in grids[1:]]
+        lo = (slice(None),) * (axis + 1) + (slice(None, -1),)
+        ups = [g[(slice(None),) + hi] for g in grids[1:]]
         bad[hi] |= _violations(axiom, *ups, *[g[lo] for g in grids])
     hits = np.flatnonzero(bad)
     if len(hits) == 0:
         pairs = math.prod((c + 1) * (c + 2) // 2 for c in cf.caps)
         return AxiomReport(axiom, True, None, pairs)
     i = hits[0]
-    below = tuple(slice(0, zj + 1) for zj in box[i].tolist())
-    sub = [g[below] for g in grids]
-    sub_bad = _violations(axiom, chosen[i], sizes[i], *sub)
+    below = (slice(None),) + tuple(slice(0, zj + 1) for zj in box[i].tolist())
+    cz = chosen[i].reshape((-1,) + (1,) * len(shape))
+    sub_bad = _violations(axiom, cz, sizes[i], *[g[below] for g in grids])
     first = np.unravel_index(np.flatnonzero(sub_bad)[0], sub_bad.shape)
     j = np.ravel_multi_index(first, shape)
     checked = int((box[: i + 1].astype(np.int64) + 1).prod(axis=1).sum())
     witness = {"z": EdgeVector(cf.space, box[i]), "zp": EdgeVector(cf.space, box[j])}
     return AxiomReport(axiom, False, witness, checked)
+
+
+def _gl_plan(cf, budget):
+    """Each edge's rows for GL, in batches of consecutive edges.
+
+    Edge ``a`` compares the ``m`` acceptable rows with room at ``a`` whose
+    bump rejects one unit, from two or more edges, for ``m * m`` of the
+    charge in edge order, up to the edge past ``budget``.  A batch lists
+    its edges as ``(id, row codes, bumped positions, charge so far)``.
+    """
+    box = box_array(cf.caps)
+    chosen = cf.batch_vals(box)
+    weights = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
+    radix = np.array(weights, dtype=np.int64)
+    chosen_code = (chosen.astype(np.int64) @ radix).astype(np.min_scalar_type(len(box) - 1))
+    acceptable = np.flatnonzero(chosen_code == np.arange(len(box)))
+    batches, charged, base = [], 0, 0
+    seen = np.zeros(len(box), dtype=bool)
+    for a_pos, a_id in enumerate(cf.space.ids):
+        room = acceptable[box[acceptable, a_pos] < cf.caps[a_pos]]
+        # A bump's deficit is one unit of edge c iff its code is radix[c], the
+        # first of equal weights (edges of capacity 0 follow it).
+        drop = room + radix[a_pos] - chosen_code[room + radix[a_pos]]
+        at = np.searchsorted(-radix, -drop) % len(radix)  # no deficit wraps to 0
+        single = radix[at] == drop
+        codes, cpos = room[single], at[single]
+        m = len(codes)
+        if m < 2 or cpos.min() == cpos.max():
+            continue
+        charged += m * m
+        if charged > budget:
+            break
+        # A batch grows while its union of rows, squared, is at most its charge.
+        grown = np.count_nonzero(seen) + np.count_nonzero(~seen[codes])
+        if not batches or grown**2 > charged - base:
+            seen[:], base = False, charged - m * m
+            batches.append([])
+        seen[codes] = True
+        batches[-1].append((a_id, codes, cpos, charged))
+    return box, chosen_code, radix, batches, charged
 
 
 def _check_gl(cf, budget):
@@ -535,67 +576,49 @@ def _check_gl(cf, budget):
     unit of edge ``a`` bumps exactly one unit at the chain's two ends and
     the bumped edge is the same, the middle must bump that edge too.
 
-    Every bumped vector and every join of two vectors lies in the box, so
-    each selection is read from one pass over the box by its mixed-radix
-    code, the row's index in :func:`box_array`.  The join codes are summed
-    in place in ``np.min_scalar_type(len(box) - 1)``, which holds every
-    code.  With the rows sorted by bumped edge, one ``logical_or.reduceat``
-    each finds the rows ``j`` that some row of a group precedes and those
-    that precede some row of it.  The witness is the first chain in the
-    order (bumped edge, middle row, lower end, upper end), so it does not
-    depend on how the table is reduced.
+    Every selection is read from one pass over the box by mixed-radix code,
+    the row's index in :func:`box_array`.  Which of two rows precedes the
+    other does not depend on ``a``, so each batch of :func:`_gl_plan` builds
+    one table over its union of rows, with no more entries than its edges
+    are charged.  The join is symmetric: the table is built on and above the
+    diagonal, in blocks of about ``_GL_BLOCK`` entries, which bound the int64
+    index of ``take``.  Each edge ORs its rows of the packed table and of
+    its transpose per bumped edge.  The witness is the first chain in the
+    order (bumped edge, middle row, lower end, upper end).
     """
-    box = box_array(cf.caps)
-    chosen = cf.batch_vals(box)
-    weights = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
-    radix = np.array(weights, dtype=np.int64)
-    code_dtype = np.min_scalar_type(len(box) - 1)
-    chosen_code = (chosen.astype(np.int64) @ radix).astype(code_dtype)
-    acceptable = np.flatnonzero(chosen_code == np.arange(len(box)))
-    space = cf.space
-    checked = 0
-    for a_pos, a_id in enumerate(space.ids):
-        room = acceptable[box[acceptable, a_pos] < cf.caps[a_pos]]
-        if len(room) == 0:
-            continue
-        bumped = room + radix[a_pos]
-        deficit = box[bumped] - chosen[bumped]
-        single = deficit.sum(axis=1, dtype=np.int64) == 1
-        codes = room[single]
-        rows = box[codes]
-        cpos = deficit[single].argmax(axis=1)
-        order = np.argsort(cpos, kind="stable")
-        groups, starts = np.unique(cpos[order], return_index=True)
-        m = len(rows)
-        if m < 2 or len(groups) < 2:
-            continue
-        checked += m * m
-        if checked > budget:
-            raise BudgetError(
-                "axiom check passed {} comparisons, budget is {}".format(
-                    checked, budget
-                )
-            )
-        joins = np.zeros((m, m), dtype=code_dtype)
-        part = np.empty_like(joins)
-        for j, r in enumerate(radix.tolist()):
-            col = (rows[:, j].astype(np.int64) * r).astype(code_dtype)
-            joins += np.maximum(col[:, None], col[None, :], out=part)
-        # prec[i, l]: rows[l] is chosen out of the two.  The diagonal is
-        # never read: a group's rows are compared only with rows outside it.
-        prec = chosen_code.take(joins) == codes.astype(code_dtype)
-        into = np.logical_or.reduceat(prec[order], starts, axis=0)
-        out_of = np.logical_or.reduceat(prec[:, order], starts, axis=1)
-        hits = np.flatnonzero(into & out_of.T & (cpos != groups[:, None]))
-        if len(hits) == 0:
-            continue
-        g, j = divmod(int(hits[0]), m)
-        ingrp = np.flatnonzero(cpos == groups[g])
-        i = ingrp[prec[ingrp, j].argmax()]
-        l = ingrp[prec[j, ingrp].argmax()]
-        witness = {"edge": a_id}
-        for key, t in zip(("z1", "z2", "z3"), (i, j, l)):
-            witness[key] = EdgeVector(space, rows[t])
-        witness["rejected"] = tuple(space.ids[cpos[t]] for t in (i, j, l))
-        return AxiomReport("GL", False, witness, checked)
-    return AxiomReport("GL", True, None, checked)
+    box, chosen_code, radix, batches, charged = _gl_plan(cf, budget)
+    for edges in batches:
+        union = np.unique(np.concatenate([e[1] for e in edges])).astype(chosen_code.dtype)
+        u = len(union)
+        cols = (box[union] * radix).T.astype(union.dtype, order="C")
+        # cj[i, l]: the code chosen at the join of rows i and l, in blocks.
+        cj = np.empty((u, u), dtype=union.dtype)
+        step = max(1, _GL_BLOCK // u)
+        for s in range(0, u, step):
+            joins = sum(np.maximum(col[s : s + step, None], col[None, s:]) for col in cols)
+            cj[s : s + step, s:] = chosen_code.take(joins)
+            cj[s:, s : s + step] = cj[s : s + step, s:].T
+        # prec[i, l]: row l is chosen out of rows i and l; prec[i, u + l]: row i.
+        prec = np.hstack([cj == union, cj == union[:, None]])
+        packed = np.packbits(prec, axis=1)
+        for a_id, codes, cpos, checked in edges:
+            idx, order = np.searchsorted(union, codes), np.argsort(cpos, kind="stable")
+            groups, starts = np.unique(cpos[order], return_index=True)
+            # reach[g, j]: a row of group g precedes j; reach[g, u + j]: j precedes one.
+            reach = np.bitwise_or.reduceat(packed[idx[order]], starts)
+            reach = np.unpackbits(reach, axis=1, count=2 * u)
+            hits = np.flatnonzero(reach[:, idx] & reach[:, u + idx] & (cpos != groups[:, None]))
+            if len(hits) == 0:
+                continue
+            g, j = divmod(int(hits[0]), len(codes))
+            ingrp = np.flatnonzero(cpos == groups[g])
+            i, l = (ingrp[prec[idx[j], off + idx[ingrp]].argmax()] for off in (u, 0))
+            z1, z2, z3 = (EdgeVector(cf.space, box[codes[t]]) for t in (i, j, l))
+            rejected = tuple(cf.space.ids[cpos[t]] for t in (i, j, l))
+            witness = {"edge": a_id, "z1": z1, "z2": z2, "z3": z3, "rejected": rejected}
+            return AxiomReport("GL", False, witness, checked)
+    if charged > budget:
+        raise BudgetError(
+            "axiom check passed {} comparisons, budget is {}".format(charged, budget)
+        )
+    return AxiomReport("GL", True, None, charged)

@@ -301,7 +301,7 @@ def project_solution(si, outcome):
                 "projected values are unbalanced at edge {!r}".format(e)
             )
         folded.append(min(a, b))
-    return HalfPartnership(EdgeVector(si.base.space, folded), cycles)
+    return HalfPartnership(EdgeVector._trusted(si.base.space, tuple(folded)), cycles)
 
 
 class SolveResult:

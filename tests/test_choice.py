@@ -13,7 +13,9 @@ from stablepartners.choice import (
     ChoiceFunction,
     LinearOrderQuotaCF,
     TableCF,
+    _GL_BLOCK,
     _bumped,
+    _gl_plan,
     box_dtype,
     check_axiom,
     choice_from_dict,
@@ -532,6 +534,121 @@ def test_gapless_budget_is_enforced():
     cf = quota_cf((3, 3, 3), quota=2)
     with pytest.raises(BudgetError):
         check_axiom(cf, "gl", budget=1)
+
+
+def _menu_less_one_tables(rng, count):
+    """Quota choices on two to five edges of caps 0-3, in a random order, with
+    about 30% of their rows replaced by the menu less one unit.
+    Consecutive edges' GL rows often overlap too little to share a table,
+    so their batches split; an edge of capacity 0 gives two edges the same
+    mixed-radix weight; and an order that does not follow the ids makes
+    rows prefer rows of a lower code."""
+    for _ in range(count):
+        k = rng.randint(2, 5)
+        caps = [rng.randint(0, 3) for _ in range(k)]
+        order = rng.sample(["e{}".format(i + 1) for i in range(k)], k)
+        base = quota_cf(caps, rng.randint(0, sum(caps)), order)
+        rows = []
+        for z in full_box(base):
+            c = base.choose_vals(z)
+            held = [j for j, zj in enumerate(z) if zj]
+            if held and rng.random() < 0.3:
+                j = rng.choice(held)
+                c = z[:j] + (z[j] - 1,) + z[j + 1 :]
+            rows.append((z, c))
+        yield TableCF("v", base.space, caps, rows)
+
+
+def _gl_union_sizes(batches):
+    return [len(np.unique(np.concatenate([edge[1] for edge in b]))) for b in batches]
+
+
+def test_gapless_batches_match_the_oracle_where_they_split():
+    """Verdict, comparison count and witness equal the per-join oracle's
+    where the edges fall into two or more batches, where the witness edge
+    is outside the first batch, and on failing stars with an edge of
+    capacity 0.  The batches' tables hold at most as many entries as the
+    comparisons charged, and on the acceptance stars the 13-edge star's
+    twelve charged edges share one table of 715 rows."""
+    split = later = zero = 0
+    for cf in _menu_less_one_tables(random.Random(38), 250):
+        _, _, _, batches, charged = _gl_plan(cf, 10**8)
+        got, want = check_axiom(cf, "GL"), oracle_check_gl(cf)
+        assert (got.holds, got.pairs_checked, got.witness) == (
+            want.holds,
+            want.pairs_checked,
+            want.witness,
+        )
+        assert sum(n * n for n in _gl_union_sizes(batches)) <= charged
+        assert not got.holds or charged == got.pairs_checked
+        split += len(batches) >= 2
+        zero += 0 in cf.caps and not got.holds
+        if not got.holds:
+            first = [edge[0] for edge in batches[0]]
+            later += got.witness["edge"] not in first
+    assert split >= 50 and later >= 5 and zero >= 20
+    sizes = [
+        _gl_union_sizes(_gl_plan(star_cf(*star), 10**8)[3]) for star in ACCEPTANCE_STARS
+    ]
+    assert sizes == [[715], [155], [75], [56]]
+
+
+def test_gapless_check_matches_its_oracle_where_a_table_spans_blocks():
+    """The 13-edge unit star's table of 715 rows is built in several row
+    blocks, on and above the diagonal, and copied below it.  With two menus
+    that reject the added edge ``s1`` itself, it fails on a chain whose
+    preferences are read on both sides of the diagonal: verdict, comparison
+    count and witness equal the oracle's."""
+
+    def unit(*edges):
+        return tuple(int(i + 1 in edges) for i in range(13))
+
+    star = star_cf(*ACCEPTANCE_STARS[0])
+    flips = {
+        unit(1, 10, 11, 12, 13): unit(10, 11, 12, 13),
+        unit(1, 2, 3, 4, 5): unit(2, 3, 4, 5),
+    }
+    cf = _FlippedQuotaCF(star, flips)
+    assert _gl_union_sizes(_gl_plan(cf, 10**8)[3]) == [715]
+    assert 715 * 715 > 2 * _GL_BLOCK
+    got, want = check_axiom(cf, "GL"), oracle_check_gl(cf)
+    assert (got.holds, got.pairs_checked, got.witness) == (
+        want.holds,
+        want.pairs_checked,
+        want.witness,
+    )
+    assert not got.holds and got.pairs_checked == 495 * 495
+    w = got.witness
+    assert w["edge"] == "s1" and w["rejected"] == ("s1", "s12", "s1")
+    chain = [w[key].vals for key in ("z1", "z2", "z3")]
+    assert chain == [unit(10, 11, 12, 13), unit(9, 10, 11, 12), unit(2, 3, 4, 5)]
+    assert got.reevaluate(cf)
+
+
+def test_gapless_budgets_at_every_edge_charge():
+    """With the budget at each edge's running charge ``S`` and at ``S - 1``,
+    the check returns the oracle's report if the oracle's witness edge (or,
+    when GL holds, every edge) is charged within the budget, and otherwise
+    raises with the first running charge past it.  Batches within the
+    budget are searched before the check raises."""
+    stars = [star_cf(*star) for star in ACCEPTANCE_STARS]
+    for cf in stars + list(_menu_less_one_tables(random.Random(39), 40)):
+        want = oracle_check_gl(cf)
+        charges = [edge[3] for b in _gl_plan(cf, 10**8)[3] for edge in b]
+        assert want.pairs_checked in charges or want.pairs_checked == 0 == len(charges)
+        for budget in sorted({s - d for s in charges for d in (0, 1)}):
+            if want.pairs_checked <= budget:
+                got = check_axiom(cf, "GL", budget=budget)
+                assert (got.holds, got.pairs_checked, got.witness) == (
+                    want.holds,
+                    want.pairs_checked,
+                    want.witness,
+                )
+                continue
+            past = min(s for s in charges if s > budget)
+            message = "passed {} comparisons, budget is {}$".format(past, budget)
+            with pytest.raises(BudgetError, match=message):
+                check_axiom(cf, "GL", budget=budget)
 
 
 def test_unknown_axiom_is_rejected():

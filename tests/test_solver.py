@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stablepartners import core
 from stablepartners import (
     EdgeVector,
     HalfPartnership,
@@ -289,6 +290,19 @@ def test_the_verifier_asks_questions_where_c1_holds(monkeypatch):
     assert asked and set(asked) == {v}
     want = oracle_verify_half_partnership(inst, tampered)
     assert (report.ok, report.violations) == (want.ok, want.violations)
+
+
+def test_library_vectors_skip_the_constructor_checks(monkeypatch):
+    """Deferred acceptance and the projection build their vectors from ints
+    they computed, so a sparse n = 160 solve checks only the double's 940
+    capacities with ``_is_int`` (it made 2,350 calls when both went through
+    the validating constructor)."""
+    inst = instance_from_dict(sparse_graph_doc(random.Random(1), 160, 470))
+    calls = []
+    is_int = core._is_int
+    monkeypatch.setattr(core, "_is_int", lambda v: calls.append(v) or is_int(v))
+    assert solve(inst).report.ok
+    assert len(calls) <= 940
 
 
 def test_c3_runs_the_menu_at_an_end_whose_out_star_alone_fails_c1():
