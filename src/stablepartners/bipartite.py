@@ -11,7 +11,7 @@ from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .core import _ClosedWalk, _is_int
+from .core import _chain, _ClosedWalk, _is_int
 from .choice import _bumped, _weakly_prefers
 
 
@@ -79,18 +79,16 @@ def _blocks(inst, vals, star, p):
     return inst.choice[u].wants(star[u], ju) and inst.choice[v].wants(star[v], jv)
 
 
-def _walk_frame(inst, steps):
-    """Raw data of a closed alternating walk given as ``(v, e)`` steps.
+def _walk_frame(inst, shift):
+    """Raw data of a closed walk given by its :attr:`Rotation.shift`.
 
-    Returns the shift as ``(position, sign)`` pairs (edges at even steps
-    gain a unit, edges at odd steps lose one), the walk's vertices, and the
-    positions of the edges incident to them, both sorted so that checks run
-    in a fixed order (positions sort as the ids do).
+    Returns the shift, the walk's vertices (its edges' ends, read off
+    ``edge_slots``) and the positions of the edges incident to them, both
+    sorted so that checks run in a fixed order.
     """
-    index = inst.space.index
-    shift = tuple((index[e], 1 - 2 * (i % 2)) for i, (_, e) in enumerate(steps))
-    touched = tuple(sorted({v for v, _ in steps}))
-    near = tuple(sorted({p for v in touched for p in inst.star_positions[v]}))
+    slots = inst.edge_slots
+    touched = tuple(sorted({v for p, _ in shift for v in slots[p][::2]}))
+    near = tuple(sorted({q for v in touched for q in inst.star_positions[v]}))
     return shift, touched, near
 
 
@@ -239,13 +237,16 @@ def deferred_acceptance(inst, side):
 class Rotation(_ClosedWalk):
     """A closed alternating walk along which stable vectors can be shifted.
 
-    A closed walk that starts on the W side: edges at odd positions run
-    from the W side and are positive (gain a unit), edges at even
-    positions run back and are negative (lose a unit).  The canonical
-    shift moves by two steps, so it keeps each edge's sign.
+    A closed walk that starts on the W side: edges at even steps run from
+    the W side and gain a unit, edges at odd steps run back and lose one.
+    The canonical shift moves by two steps, so it keeps each edge's sign.
+    The steps are the public form and the sort key; ``shift`` holds the
+    ``(position, sign)`` pairs of the edges in ``space``, in step order:
+    the signed edge set of Gusfield & Irving (1989, section 2.5), the one
+    sign table, which the ray walks and the mirror read.
     """
 
-    __slots__ = ("chi",)
+    __slots__ = ("space", "shift")
     stride = 2
 
     def __init__(self, inst, steps):
@@ -256,20 +257,31 @@ class Rotation(_ClosedWalk):
         sides = [v for v, _ in self.steps]
         if not (w.issuperset(sides[::2]) and f.issuperset(sides[1::2])):
             raise InputError("walk does not alternate sides")
-        vals = [0] * len(inst.space)
-        for e, s in zip(self.edges, (1, -1) * (len(self.edges) // 2)):
-            vals[inst.space.index[e]] = s
-        self.chi = EdgeVector._trusted(inst.space, tuple(vals))
+        self.space, index = inst.space, inst.space.index
+        self.shift = tuple(zip(map(index.get, self.edges), (1, -1) * (len(self) // 2)))
 
     def _check_length(self, n):
         if n < 2 or n % 2:
             raise InputError("a rotation walk has an even number of steps")
 
+    @property
+    def chi(self):
+        """The incidence vector over the whole edge space, read off ``shift``."""
+        sign = dict(self.shift)
+        vals = tuple(sign.get(p, 0) for p in range(len(self.space)))
+        return EdgeVector._trusted(self.space, vals)
+
     def to_dict(self):
         return {
             "steps": [{"v": v, "e": e} for v, e in self.steps],
-            "chi": {e: self.chi[e] for e in sorted(self.edges)},
+            "chi": {self.space.ids[p]: s for p, s in sorted(self.shift)},
         }
+
+
+def _rotation_along(inst, positions):
+    """The rotation along the edges at ``positions``, from the first one's worker."""
+    u, _, v, _ = inst.edge_slots[positions[0]]
+    return Rotation(inst, _chain(inst, positions, u if u in inst.parts[0] else v))
 
 
 def _candidate_walks(inst, succ, roots):
@@ -279,9 +291,9 @@ def _candidate_walks(inst, succ, roots):
     which each node has one successor at most.  Following pointers once
     from each root finds every cycle through a root, for one step per node
     reached; from every node, that is every cycle in ``O(|E|)`` steps.  A
-    cycle that uses an edge twice is no walk.
+    cycle that uses an edge twice is no walk.  Each walk is the list of its
+    edges' positions, starting at a gain (see :func:`_rotation_along`).
     """
-    ids = inst.space.ids
     through = set(roots)
     walks = []
     seen = {}
@@ -295,19 +307,14 @@ def _candidate_walks(inst, succ, roots):
         if seen.get(node) != root:
             continue
         cycle = path[path.index(node) :]
-        edges = [ids[n if n >= 0 else ~n] for n in cycle]
-        if through.isdisjoint(cycle) or len(set(edges)) < len(edges):
+        positions = [n if n >= 0 else ~n for n in cycle]
+        if through.isdisjoint(cycle) or len(set(positions)) < len(positions):
             continue
         # Links alternate gains and losses, and each chains at the vertex
         # shared by its two edges, so the walk closes at the worker it
         # starts on.
         first = next(k for k, n in enumerate(cycle) if n >= 0)
-        here = min(inst.ends(edges[first]), key=lambda v: inst.side(v) != "W")
-        steps = []
-        for e in edges[first:] + edges[:first]:
-            steps.append((here, e))
-            here = inst.other_end(e, here)
-        walks.append(steps)
+        walks.append(positions[first:] + positions[:first])
     return walks
 
 
@@ -456,9 +463,9 @@ class _Discovery:
             for v in c.reads:
                 by_vertex[v] = tuple(r for r in by_vertex[v] if r != rot)
         screen = set()
-        for steps in _candidate_walks(inst, succ, [n for n in changed if n in succ]):
-            rot = Rotation(inst, steps)
-            frame = _walk_frame(inst, rot.steps)
+        for walk in _candidate_walks(inst, succ, [n for n in changed if n in succ]):
+            rot = _rotation_along(inst, walk)
+            frame = _walk_frame(inst, rot.shift)
             nodes = tuple(i if s > 0 else ~i for i, s in frame[0])
             reads = set(frame[1]).union(*(inst.edge_slots[p][::2] for p in frame[2]))
             on_walk = f_side.intersection(frame[1])
@@ -588,11 +595,10 @@ def find_rotations(inst, x, verified=False, state=None, moved=None):
 
 def _verify_aggregate_exchange(inst, x, rot):
     """Each firm must swap the rotation's gains exactly for its losses."""
-    firms = inst.parts[1]
-    chi = rot.chi.vals
-    for f in sorted({v for v, _ in rot.steps} & firms):
+    sign = dict(rot.shift)
+    for f in sorted({v for v, _ in rot.steps} & inst.parts[1]):
         z = _star(inst, x.vals, f)
-        d = _star(inst, chi, f)
+        d = [sign.get(p, 0) for p in inst.star_positions[f]]
         menu = tuple(a + max(s, 0) for a, s in zip(z, d))
         want = tuple(a + s for a, s in zip(z, d))
         if inst.choice[f].choose_vals(menu) != want:
@@ -641,7 +647,7 @@ def climb(inst, x, rot, limit=None, verified=False):
     not ``tau``.
     """
     inst.check_vector(x)
-    if rot.chi.space != inst.space:
+    if rot.space != inst.space:
         raise InputError("rotation does not live on this instance's edges")
     if limit is not None:
         if not _is_int(limit) or limit < 0:
@@ -653,7 +659,7 @@ def climb(inst, x, rot, limit=None, verified=False):
             raise InputError(
                 "rotations climb only between stable vectors: {!r}".format(report)
             )
-    return _climb(inst, x, _walk_frame(inst, rot.steps), limit=limit)
+    return _climb(inst, x, _walk_frame(inst, rot.shift), limit=limit)
 
 
 def _climb(inst, x, frame, ceiling=None, limit=None, screened=False):

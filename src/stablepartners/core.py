@@ -54,7 +54,7 @@ class EdgeSpace:
         return e in self.index
 
     def __eq__(self, other):
-        return isinstance(other, EdgeSpace) and self.ids == other.ids
+        return self is other or isinstance(other, EdgeSpace) and self.ids == other.ids
 
     def __hash__(self):
         return hash(self.ids)
@@ -144,21 +144,11 @@ class EdgeVector:
             self.space, tuple(map(min, self.vals, other.vals))
         )
 
-    def plus(self, other):
-        self._need_same_space(other)
-        return EdgeVector._trusted(
-            self.space, tuple(a + b for a, b in zip(self.vals, other.vals))
-        )
-
     def minus(self, other):
         self._need_same_space(other)
         return EdgeVector._trusted(
             self.space, tuple(a - b for a, b in zip(self.vals, other.vals))
         )
-
-    def scaled(self, k):
-        k = int(k)
-        return EdgeVector._trusted(self.space, tuple(k * v for v in self.vals))
 
     def le(self, other):
         """Componentwise order: true iff self <= other everywhere."""
@@ -386,6 +376,16 @@ class _ClosedWalk:
         return "{}({})".format(
             type(self).__name__, " ".join("{}-{}".format(v, e) for v, e in self.steps)
         )
+
+
+def _chain(inst, positions, here):
+    """The ``(v, e)`` steps along the edges at ``positions``, starting at ``here``."""
+    steps = []
+    for p in positions:
+        steps.append((here, inst.space.ids[p]))
+        u, _, v, _ = inst.edge_slots[p]
+        here = v if here == u else u
+    return steps
 
 
 # -- document parsing and serialization ------------------------------------

@@ -282,7 +282,7 @@ def closed_from_vector(inst, order, x):
     weights, y = {}, order.bottom
     for occ in sorted(order.occurrences, key=lambda o: (len(below.get(o, ())), o)):
         if all(weights.get(a) == order.tau[a] for a in below.get(occ, ())):
-            frame = _walk_frame(inst, occ.rotation.steps)
+            frame = _walk_frame(inst, occ.rotation.shift)
             weights[occ], y = _climb(inst, y, frame, ceiling=x, limit=order.tau[occ])
     if y != x:
         raise VerificationError(
@@ -303,12 +303,12 @@ def vector_from_closed(inst, order, weights):
         weights = ClosedFunction(order, weights)
     if not is_closed(order, weights):
         raise InputError("weight function is not closed for this order")
+    inst.check_vector(order.bottom)
     vals = list(order.bottom.vals)
     for occ in order.occurrences:
         w = weights.weights.get(occ, 0)
-        # The rotation's edges gain and lose ``w`` units in turn, as in its chi.
-        for i, e in enumerate(occ.rotation.edges):
-            vals[inst.space.index[e]] += -w if i % 2 else w
+        for p, sign in occ.rotation.shift:
+            vals[p] += sign * w
     total = EdgeVector._trusted(inst.space, tuple(vals))
     if not inst.in_box(total) or not is_stable(inst, total).stable:
         raise VerificationError("closed weights do not assemble a stable vector")

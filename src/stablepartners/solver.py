@@ -9,7 +9,8 @@ conditions directly on the original instance, without reference to the
 doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
-from .core import EdgeVector, InputError, InternalError, VerificationError, _ClosedWalk
+from .core import EdgeVector, InputError, InternalError, VerificationError
+from .core import _chain, _ClosedWalk
 from .bipartite import _star
 from .choice import _bumped
 from .symmetric import is_singular, run_qb, symmetrize
@@ -236,19 +237,17 @@ def project_cycle(si, rot):
 
     Step ``i + L/2`` of the rotation's ``L`` steps is the mirror of step
     ``i`` (see :func:`is_singular`), so the walk runs twice around one odd
-    cycle, and its first half, with each copy's suffix cut off, is that
-    cycle.
+    cycle, and its first half, each copy read as its base edge
+    (``si.base_positions``), is that cycle.  It starts at the one end its
+    first edge shares with its last.
     """
     if not is_singular(si, rot):
         raise InputError("projection needs a singular rotation")
     base = si.base
-    edges = [e[:-2] for _, e in rot.steps[: len(rot) // 2]]
-    (here,) = set(base.ends(edges[-1])) & set(base.ends(edges[0]))
-    walk = []
-    for e in edges:
-        walk.append((here, e))
-        here = base.other_end(e, here)
-    return OddCycle(base, walk)
+    positions = [si.base_positions[p] for p, _ in rot.shift[: len(rot) // 2]]
+    slots = base.edge_slots
+    (here,) = set(slots[positions[0]][::2]) & set(slots[positions[-1]][::2])
+    return OddCycle(base, _chain(base, positions, here))
 
 
 def lift_vector(si, hp):

@@ -12,49 +12,46 @@ import functools
 import random
 
 from .core import EdgeVector, InputError, Instance, VerificationError
-from .bipartite import Rotation, _discovery_at, _sweep, deferred_acceptance
-
-
-def _mirror(name):
-    """The other copy of a vertex or edge id of the double.
-
-    Every id of the double is a base id followed by ``^0`` or ``^1``, so
-    the mirror swaps the last character and ``name[:-2]`` is the base id,
-    whatever the base id itself holds.
-    """
-    return name[:-1] + ("1" if name[-1] == "0" else "0")
+from .bipartite import _discovery_at, _rotation_along, _sweep, deferred_acceptance
 
 
 class SymmetricInstance:
     """An instance together with its bipartite double.
 
-    The mirror is the copy suffix (:func:`_mirror`).  ``copy_positions[p]``
-    is the pair of positions in ``graph.space`` of the copies ``e^0`` and
-    ``e^1`` of the base edge at position ``p``.
+    ``copy_positions[p]`` holds the positions in ``graph.space`` of the two
+    copies of the base edge at position ``p``.  The mirror swaps them; it
+    is two tables built from ``copy_positions``: ``mirror[q]`` is the other
+    copy of the edge at position ``q`` of ``graph.space`` and
+    ``base_positions[q]`` its base edge's position in ``base.space``.
+    Walks of the double are reflected and projected by these, not by ids.
     """
 
-    __slots__ = ("base", "graph", "copy_positions")
+    __slots__ = ("base", "graph", "copy_positions", "mirror", "base_positions")
 
     def __init__(self, base, graph, copy_positions):
         self.base = base
         self.graph = graph
         self.copy_positions = copy_positions
+        mirror, base_positions = [0] * len(graph.space), [0] * len(graph.space)
+        for p, (q0, q1) in enumerate(copy_positions):
+            mirror[q0], mirror[q1] = q1, q0
+            base_positions[q0] = base_positions[q1] = p
+        self.mirror, self.base_positions = tuple(mirror), tuple(base_positions)
 
     def reflect_vector(self, x):
         self.graph.check_vector(x)
-        vals = list(x.vals)
-        for q0, q1 in self.copy_positions:
-            vals[q0], vals[q1] = vals[q1], vals[q0]
-        return EdgeVector._trusted(self.graph.space, tuple(vals))
+        vals = tuple(map(x.vals.__getitem__, self.mirror))
+        return EdgeVector._trusted(self.graph.space, vals)
 
     def _check_rotation(self, rot):
-        if rot.chi.space != self.graph.space:
+        if rot.space != self.graph.space:
             raise InputError("rotation does not live on the double's edges")
 
     def reflect_rotation(self, rot):
+        """The mirror image of a rotation of the double, from step 1's mirror."""
         self._check_rotation(rot)
-        mapped = [(_mirror(v), _mirror(e)) for v, e in rot.steps]
-        return Rotation(self.graph, mapped[1:] + mapped[:1])
+        mapped = [self.mirror[p] for p, _ in rot.shift]
+        return _rotation_along(self.graph, mapped[1:] + mapped[:1])
 
 
 def symmetrize(inst):
@@ -100,17 +97,16 @@ def is_singular(si, rot):
     Then the mirror is the walk itself, shifted by some ``s`` of its ``L``
     steps: step ``i + s`` is the mirror of step ``i``.  Mirroring twice is
     the identity, so step ``i + 2s`` is step ``i``; the steps are distinct,
-    so ``s = L/2``.  The test is thus the half turn alone, in ``O(L)``.  It
-    needs no length check: the mirror swaps the sides, which alternate
+    so ``s = L/2``.  The test is thus the half turn alone, ``L/2`` lookups
+    in ``si.mirror`` along ``rot.shift``: the edges fix the vertices, as
+    step ``i`` stands at the one end shared by edges ``i - 1`` and ``i``.
+    It needs no length check: the mirror swaps the sides, which alternate
     along the walk, so it can only pass where ``L/2`` is odd.
     """
     si._check_rotation(rot)
-    steps = rot.steps
-    half = len(steps) // 2
-    return all(
-        steps[i + half] == (_mirror(v), _mirror(e))
-        for i, (v, e) in enumerate(steps[:half])
-    )
+    shift, mirror = rot.shift, si.mirror
+    turned = shift[len(shift) // 2 :]
+    return all(mirror[p] == q for (p, _), (q, _) in zip(shift, turned))
 
 
 class QBOutcome:
@@ -163,15 +159,12 @@ def run_qb(si, seed=0):
     # The sweep halved exactly the singular steps; the odd core is those
     # whose half rounded down.
     odd_core = tuple(sorted(s.rotation for s in steps if 2 * s.weight < s.tau))
-    # Each rotation's edges gain and lose a unit in turn, as in its chi.
     expected = list(x.vals)
     for rot in odd_core:
-        for e, sign in zip(rot.edges, (1, -1) * len(rot.edges)):
-            expected[si.graph.space.index[e]] += sign
+        for p, sign in rot.shift:
+            expected[p] += sign
     if si.reflect_vector(x).vals != tuple(expected):
-        raise VerificationError(
-            "balancing sweep failed its reflection identity"
-        )
+        raise VerificationError("balancing sweep failed its reflection identity")
     picks = tuple((s.rotation, s.weight, s.tau) for s in steps)
     return QBOutcome(x, picks, odd_core)
 

@@ -467,6 +467,23 @@ def edgevec(inst, mapping):
     return EdgeVector.from_mapping(inst.space, mapping)
 
 
+def vec_plus(x, y, k=1):
+    """``x + k y``; :class:`InputError` unless both live on one edge space."""
+    return x.minus(EdgeVector(y.space, (-k * v for v in y.vals)))
+
+
+def raw_shift(inst, steps):
+    """The ``(position, sign)`` pairs of an alternating walk, as it is given.
+
+    Edges at even steps gain a unit and edges at odd steps lose one, as in
+    :attr:`Rotation.shift`, but no canonical form is taken: a walk that
+    starts on the F side, such as a rotation run backwards from its
+    landing, is signed from its own first step.
+    """
+    index = inst.space.index
+    return tuple((index[e], 1 if i % 2 == 0 else -1) for i, (_, e) in enumerate(steps))
+
+
 # -- random corpora ----------------------------------------------------------
 
 
@@ -820,6 +837,49 @@ def union_doc(docs):
     return out
 
 
+def renamed_doc(doc, names):
+    """``doc`` with every vertex and edge id ``u`` renamed ``names[u]``."""
+    return {
+        "vertices": [names[v] for v in doc["vertices"]],
+        "edges": [
+            {"id": names[d["id"]], "ends": [names[u] for u in d["ends"]], "cap": d["cap"]}
+            for d in doc["edges"]
+        ],
+        "choice": {
+            names[v]: dict(spec, order=[names[e] for e in spec["order"]])
+            for v, spec in doc["choice"].items()
+        },
+    }
+
+
+# Documents with no stable vector whose base ids hold ``^`` and digits, as
+# the ids of their doubles' copies do.  In the last, the copies sort in
+# another order than their base ids ("a!^0" < "a1^0" < "a^0", but "a" <
+# "a!" < "a1"), so a singular rotation's first step does not leave its
+# edge's first end.
+SUFFIX_NAMES = [
+    (
+        triangle_doc(),
+        {"a": "a", "b": "a^0b", "c": "a^1", "ab": "e1", "bc": "e10", "ca": "e2"},
+    ),
+    (
+        ring_doc(5, 2, 1),
+        {
+            "v1": "a", "v2": "a^0b", "v3": "a^1", "v4": "b^", "v5": "^0",
+            "r1": "e1", "r2": "e10", "r3": "e2", "r4": "e1^0", "r5": "e^1",
+        },
+    ),
+    (
+        triangle_doc(),
+        {"a": "a1", "b": "a", "c": "a!", "ab": "e!", "bc": "e", "ca": "e1"},
+    ),
+]
+
+
+def suffix_named_instances():
+    return [instance_from_dict(renamed_doc(*case)) for case in SUFFIX_NAMES]
+
+
 def high_cap_market(rng, lo=50, hi=500):
     """A labeled bipartite market whose rotation rays are long.
 
@@ -1091,12 +1151,12 @@ def oracle_two_pass_walk(inst, x, rot, ceiling=None):
 
     weight = 0
     here = x
-    while step_ok(here, here.plus(rot.chi)):
+    while step_ok(here, vec_plus(here, rot.chi)):
         weight += 1
-        here = here.plus(rot.chi)
+        here = vec_plus(here, rot.chi)
     here = x
     for _ in range(weight):
-        nxt = here.plus(rot.chi)
+        nxt = vec_plus(here, rot.chi)
         assert step_ok(here, nxt)
         here = nxt
     return weight, here
@@ -1219,7 +1279,7 @@ def oracle_find_rotations(inst, x):
     by_chi = {}
     for steps in oracle_candidate_walks(inst, x):
         rot = Rotation(inst, steps)
-        y = x.plus(rot.chi)
+        y = vec_plus(x, rot.chi)
         if (
             inst.in_box(y)
             and is_stable(inst, y).stable
@@ -1228,7 +1288,7 @@ def oracle_find_rotations(inst, x):
         ):
             by_chi[rot.chi.vals] = rot
     reps = sorted(by_chi.values())
-    landing = {rot: x.plus(rot.chi) for rot in reps}
+    landing = {rot: vec_plus(x, rot.chi) for rot in reps}
     return [
         rot
         for rot in reps
@@ -1838,7 +1898,7 @@ def oracle_mirror_maps(si):
     ``sigma_vertex`` and ``sigma_edge`` swap the two copies of each vertex
     and edge, ``base_edge`` names the base edge of each copy, and
     ``copies[e]`` is ``(e^0, e^1)``.  The library reads the mirror off the
-    copy suffix and ``copy_positions``; these maps check that rule.
+    position tables of :class:`SymmetricInstance`; these maps check them.
     """
     sigma_vertex, sigma_edge, base_edge, copies = {}, {}, {}, {}
     for v in si.base.vertices:

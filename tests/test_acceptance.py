@@ -32,6 +32,7 @@ from conftest import (
     mirror_occurrences,
     star_cf,
     sub_violating_table,
+    vec_plus,
 )
 
 
@@ -225,7 +226,7 @@ def test_verified_solutions_lift_to_stable_vectors_of_the_double(general_corpus)
         shift = si.reflect_vector(lifted).minus(lifted)
         total = edgevec(si.graph, {})
         for cyc in result.hp.cycles:
-            total = total.plus(cycle_rotation(si, cyc).chi)
+            total = vec_plus(total, cycle_rotation(si, cyc).chi)
         assert shift == total
         if result.hp.cycles:
             with_cycles += 1

@@ -44,6 +44,7 @@ from conftest import (
     oracle_find_rotations,
     oracle_precedes_F,
     random_bipartite_doc,
+    raw_shift,
     route_vectors,
     shared_firm_doc,
     sparse_graph_doc,
@@ -393,10 +394,12 @@ def test_the_landing_filter_drops_a_walk_through_two_rotations(monkeypatch):
         ("b2", "b2F"),
         ("F", "a1F"),
     ]
-    landing = _ray_point(inst, lo.vals, _walk_frame(inst, through_both))
-    assert landing == deferred_acceptance(inst, "F").vals
+    frame = _walk_frame(inst, raw_shift(inst, through_both))
+    assert _ray_point(inst, lo.vals, frame) == deferred_acceptance(inst, "F").vals
+    positions = [inst.space.index[e] for _, e in through_both]
+
     def with_both(inst, succ, roots):
-        return _candidate_walks(inst, succ, roots) + [through_both]
+        return _candidate_walks(inst, succ, roots) + [positions]
 
     monkeypatch.setattr(bipartite, "_candidate_walks", with_both)
     state = _Discovery(inst)

@@ -49,9 +49,11 @@ from conftest import (
     high_cap_market,
     oracle_candidate_walks,
     oracle_two_pass_walk,
+    raw_shift,
     ring_doc,
     route_vectors,
     table_market,
+    vec_plus,
     with_edge_limits,
 )
 
@@ -59,8 +61,8 @@ from conftest import (
 def walk_shift(inst, x, steps):
     """``x`` plus the walk's incidence vector, read off the steps directly."""
     vals = list(x.vals)
-    for i, (_, e) in enumerate(steps):
-        vals[inst.space.index[e]] += 1 if i % 2 == 0 else -1
+    for p, sign in raw_shift(inst, steps):
+        vals[p] += sign
     return EdgeVector(inst.space, vals)
 
 
@@ -74,7 +76,7 @@ def local_and_full_verdicts(inst, stable):
     for x in stable:
         walks = [(x, steps) for steps in oracle_candidate_walks(inst, x)]
         walks += [
-            (x.plus(rot.chi), rot.steps[1:] + rot.steps[:1])
+            (vec_plus(x, rot.chi), rot.steps[1:] + rot.steps[:1])
             for rot in find_rotations(inst, x)
         ]
         for base, steps in walks:
@@ -84,7 +86,8 @@ def local_and_full_verdicts(inst, stable):
                 and is_stable(inst, y).stable
                 and precedes_F(inst, base, y)
             )
-            local = _ray_point(inst, base.vals, _walk_frame(inst, steps))
+            frame = _walk_frame(inst, raw_shift(inst, steps))
+            local = _ray_point(inst, base.vals, frame)
             out.append((local is not None, full))
     return out
 
@@ -128,15 +131,15 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
     """
     tau, top = oracle_two_pass_walk(inst, x, rot)
     assert tau >= 1
-    shift, touched, near = _walk_frame(inst, rot.steps)
+    shift, touched, near = _walk_frame(inst, rot.shift)
     holds = []
-    y = x.plus(rot.chi)
+    y = vec_plus(x, rot.chi)
     while inst.in_box(y):
         local = _shift_holds(inst, x.vals, y.vals, touched, near)
         if every_k:
             assert local == (is_stable(inst, y).stable and precedes_F(inst, x, y))
         holds.append(local)
-        y = y.plus(rot.chi)
+        y = vec_plus(y, rot.chi)
     assert holds == [True] * tau + [False] * (len(holds) - tau)
 
     assert climb(inst, x, rot) == (tau, top)
@@ -149,18 +152,18 @@ def check_ray(inst, x, rot, ceilings, rng, every_k=True):
         weights |= {k + d for k in gallop + [tau] for d in (-1, 0, 1)}
         weights |= {rng.randint(1, tau) for _ in range(8)}
     for k in sorted(w for w in weights if 1 <= w <= tau):
-        y = x.plus(rot.chi.scaled(k))
+        y = vec_plus(x, rot.chi, k)
         assert climb(inst, x, rot, limit=k, verified=True) == (k, y)
         assert climb(inst, x, rot, limit=k) == (k, y)
     for limit in (0, tau + 1, 2 * tau + 3):
         w = min(limit, tau)
         assert climb(inst, x, rot, limit=limit, verified=True) == (
             w,
-            x.plus(rot.chi.scaled(w)),
+            vec_plus(x, rot.chi, w),
         )
     assert climb(inst, x, rot, limit=tau + 1) == (tau, top)
-    inside = x.plus(rot.chi.scaled(rng.randint(1, tau)))
-    frame = _walk_frame(inst, rot.steps)
+    inside = vec_plus(x, rot.chi, rng.randint(1, tau))
+    frame = _walk_frame(inst, rot.shift)
     assert firms_off_the_walk_rise_to(inst, x, rot, inside)
     for ceiling in list(ceilings) + [inside]:
         if firms_off_the_walk_rise_to(inst, x, rot, ceiling):
@@ -266,9 +269,9 @@ def test_climb_rejects_a_ceiling_outside_the_box(b4, verified):
     """
     lo = deferred_acceptance(b4, "W")
     rot = find_rotations(b4, lo)[0]
-    frame = _walk_frame(b4, rot.steps)
-    hi = lo.plus(rot.chi)
-    assert b4.in_box(hi) and not b4.in_box(hi.plus(rot.chi))
+    frame = _walk_frame(b4, rot.shift)
+    hi = vec_plus(lo, rot.chi)
+    assert b4.in_box(hi) and not b4.in_box(vec_plus(hi, rot.chi))
     assert climb(b4, lo, rot, verified=verified) == (1, hi)
     assert _climb(b4, lo, frame, hi) == (1, hi)
     under = EdgeVector(b4.space, [-1] * len(b4.space))
@@ -283,7 +286,7 @@ def test_climb_rejects_an_unstable_ceiling_unless_verified(b4):
     """
     lo = deferred_acceptance(b4, "W")
     rot = find_rotations(b4, lo)[0]
-    frame = _walk_frame(b4, rot.steps)
+    frame = _walk_frame(b4, rot.shift)
     zero = EdgeVector(b4.space, [0] * len(b4.space))
     assert not is_stable(b4, zero).stable
     with pytest.raises(InputError, match="stable"):
@@ -388,7 +391,7 @@ def oracle_run_qb(si, seed):
         tau, _ = oracle_two_pass_walk(graph, x, rot)
         weight = tau // 2 if is_singular(si, rot) else tau
         picks.append((x, rot, weight, tau))
-        x = x.plus(rot.chi.scaled(weight))
+        x = vec_plus(x, rot.chi, weight)
         assert is_stable(graph, x).stable
         used.add(rot.steps)
 

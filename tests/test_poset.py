@@ -284,6 +284,16 @@ def test_mapping_weights_are_checked_as_a_closed_function(cycle3):
         ClosedFunction(order, {occ: 1.5})
 
 
+def test_closed_functions_refuse_an_order_of_another_instance(b4, cycle3):
+    """Rotations carry edge positions, so the order must live on ``inst``'s edges."""
+    order = rotation_order(b4)
+    full = {occ: order.tau[occ] for occ in order.occurrences}
+    with pytest.raises(InputError, match="this instance's edges"):
+        vector_from_closed(cycle3, order, full)
+    with pytest.raises(InputError, match="this instance's edges"):
+        closed_from_vector(cycle3, order, deferred_acceptance(cycle3, "W"))
+
+
 def test_second_rotation_needs_the_first(cycle3):
     order = rotation_order(cycle3)
     by_steps = {occ.rotation.steps: occ for occ in order.occurrences}

@@ -35,8 +35,10 @@ from conftest import (
     reversed_steps,
     ring_doc,
     sparse_graph_doc,
+    suffix_named_instances,
     triangle_doc,
     undirected_key,
+    vec_plus,
 )
 
 TRI_CYCLE = ["a", "ca", "c", "bc", "b", "ab"]
@@ -146,7 +148,7 @@ def test_halved_projection_matches_the_mirror_chase(general_corpus, triangle):
         for cap in (1, 3, 11)
     ]
     projected = 0
-    for inst in list(general_corpus) + rings + [triangle]:
+    for inst in list(general_corpus) + rings + [triangle] + suffix_named_instances():
         si = symmetrize(inst)
         for seed in range(3):
             picks = run_qb(si, seed).picks
@@ -175,7 +177,7 @@ def test_lift_matches_the_balancing_sweep(triangle):
     assert is_stable(si.graph, lift).stable
     shift = EdgeVector.zero(si.graph.space)
     for cyc in hp.cycles:
-        shift = shift.plus(cycle_rotation(si, cyc).chi)
+        shift = vec_plus(shift, cycle_rotation(si, cyc).chi)
     assert si.reflect_vector(lift).minus(lift) == shift
 
 

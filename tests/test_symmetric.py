@@ -25,9 +25,10 @@ from stablepartners import (
 )
 from stablepartners import symmetric
 from stablepartners.choice import TableCF
-from stablepartners.symmetric import SymmetricInstance, _mirror
+from stablepartners.symmetric import SymmetricInstance
 
 from conftest import (
+    SUFFIX_NAMES,
     blocks_doc,
     copy_at,
     copy_vertex,
@@ -38,8 +39,10 @@ from conftest import (
     mirror_occurrences,
     oracle_is_singular,
     oracle_mirror_maps,
+    renamed_doc,
     ring_doc,
-    triangle_doc,
+    suffix_named_instances,
+    vec_plus,
 )
 
 TRI_MIN = {"ab^0": 1, "bc^0": 1, "ca^1": 1}
@@ -117,25 +120,32 @@ def test_a_parsed_double_chooses_as_the_double(triangle):
                 assert parsed.choose_vals(vals) == cf.choose_vals(vals)
 
 
+def check_mirror_tables(si):
+    """``mirror``, ``base_positions`` and ``copy_positions`` against the name maps.
+
+    Each copy's image is the other copy of its base edge, with no fixed
+    point; its base position names that base edge; and the mirror of an
+    edge joins the mirrors of its ends, each on the other side.
+    """
+    maps = oracle_mirror_maps(si)
+    g, base_ids = si.graph, si.base.space.ids
+    ids = g.space.ids
+    for q, e in enumerate(ids):
+        image = si.mirror[q]
+        assert ids[image] == maps.sigma_edge[e]
+        assert image != q and si.mirror[image] == q
+        assert base_ids[si.base_positions[q]] == maps.base_edge[e]
+        ends = [maps.sigma_vertex[v] for v in g.ends(e)]
+        assert sorted(ends) == list(g.ends(ids[image]))
+        assert all(g.side(u) != g.side(v) for u, v in zip(ends, g.ends(e)))
+    for e, (q0, q1) in zip(base_ids, si.copy_positions):
+        assert (ids[q0], ids[q1]) == maps.copies[e]
+
+
 def test_mirror_maps_are_involutions(triangle, bipartite_corpus, general_corpus):
-    """The copy suffix and ``copy_positions`` are the maps built from the base."""
+    """The position tables are the maps built from the base."""
     for inst in [triangle] + list(bipartite_corpus) + list(general_corpus):
-        si = symmetrize(inst)
-        maps = oracle_mirror_maps(si)
-        for v in si.graph.vertices:
-            image = _mirror(v)
-            assert image == maps.sigma_vertex[v]
-            assert image != v
-            assert _mirror(image) == v
-        for e in si.graph.space.ids:
-            image = _mirror(e)
-            assert image == maps.sigma_edge[e]
-            assert image != e
-            assert _mirror(image) == e
-            assert image[:-2] == e[:-2] == maps.base_edge[e]
-        ids = si.graph.space.ids
-        for e, (q0, q1) in zip(inst.space.ids, si.copy_positions):
-            assert (ids[q0], ids[q1]) == maps.copies[e]
+        check_mirror_tables(symmetrize(inst))
 
 
 def test_copies_attach_to_the_requested_end(triangle, bipartite_corpus, general_corpus):
@@ -152,41 +162,13 @@ def test_copies_attach_to_the_requested_end(triangle, bipartite_corpus, general_
                     assert si.graph.space.index[copy] in si.copy_positions[p]
 
 
-def _renamed(doc, names):
-    """``doc`` with every vertex and edge id ``u`` renamed ``names[u]``."""
-    return {
-        "vertices": [names[v] for v in doc["vertices"]],
-        "edges": [
-            {"id": names[d["id"]], "ends": [names[u] for u in d["ends"]], "cap": d["cap"]}
-            for d in doc["edges"]
-        ],
-        "choice": {
-            names[v]: dict(spec, order=[names[e] for e in spec["order"]])
-            for v, spec in doc["choice"].items()
-        },
-    }
-
-
-SUFFIX_NAMES = [
-    (
-        triangle_doc(),
-        {"a": "a", "b": "a^0b", "c": "a^1", "ab": "e1", "bc": "e10", "ca": "e2"},
-    ),
-    (
-        ring_doc(5, 2, 1),
-        {
-            "v1": "a", "v2": "a^0b", "v3": "a^1", "v4": "b^", "v5": "^0",
-            "r1": "e1", "r2": "e10", "r3": "e2", "r4": "e1^0", "r5": "e^1",
-        },
-    ),
-]
-
-
-@pytest.mark.parametrize("doc, names", SUFFIX_NAMES, ids=["triangle", "ring5"])
+@pytest.mark.parametrize(
+    "doc, names", SUFFIX_NAMES, ids=["triangle", "ring5", "triangle-copy-order"]
+)
 def test_ids_that_hold_the_suffix_keep_the_answer(doc, names):
     """Base ids with ``^`` and digits in them solve as the plain ids do."""
     plain = instance_from_dict(doc)
-    inst = instance_from_dict(_renamed(doc, names))
+    inst = instance_from_dict(renamed_doc(doc, names))
     for seed in range(3):
         want, got = solve(plain, seed), solve(inst, seed)
         assert got.solvable == want.solvable
@@ -201,14 +183,8 @@ def test_ids_that_hold_the_suffix_keep_the_answer(doc, names):
     assert not want.solvable
 
     si = symmetrize(inst)
-    g = si.graph
-    for v in g.vertices:
-        assert _mirror(v) != v and _mirror(_mirror(v)) == v
-        assert g.side(_mirror(v)) != g.side(v)
-    for e in g.space.ids:
-        assert _mirror(e) != e and _mirror(_mirror(e)) == e
-        assert sorted(map(_mirror, g.ends(e))) == list(g.ends(_mirror(e)))
-    ids = g.space.ids
+    check_mirror_tables(si)
+    ids = si.graph.space.ids
     for e, (q0, q1) in zip(inst.space.ids, si.copy_positions):
         assert (ids[q0], ids[q1]) == (e + "^0", e + "^1")
 
@@ -264,7 +240,8 @@ def test_half_turn_test_matches_the_two_way_oracle(general_corpus, triangle, b4)
         for cap in (1, 3, 11)
     ]
     verdicts = Counter()
-    for inst in list(general_corpus) + rings + [triangle, b4]:
+    suffixed = suffix_named_instances()
+    for inst in list(general_corpus) + rings + [triangle, b4] + suffixed:
         si = symmetrize(inst)
         for seed in range(3):
             for step in build_full_route(si.graph, seed).steps:
@@ -299,7 +276,7 @@ def test_balancing_sweep_hits_the_triangle_odd_core(tri_double):
     assert len(out.odd_core) == 1
     assert out.odd_core
     rot = out.odd_core[0]
-    assert tri_double.reflect_vector(out.vector) == out.vector.plus(rot.chi)
+    assert tri_double.reflect_vector(out.vector) == vec_plus(out.vector, rot.chi)
     for seed in range(4):
         again = run_qb(tri_double, seed=seed)
         assert again.vector == out.vector
