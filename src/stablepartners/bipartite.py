@@ -51,7 +51,7 @@ def is_stable(inst, x):
     if not inst.in_box(x):
         raise InputError("vector is outside the capacity box")
     vals = x.vals
-    star = {v: _star(inst, vals, v) for v in inst.vertices}
+    star = {v: get(vals) for v, get in inst.star_get.items()}
     unacceptable = tuple(v for v in inst.vertices if not inst.choice[v].accepts(star[v]))
     bad = set(unacceptable)
     blocking = tuple(
@@ -61,11 +61,6 @@ def is_stable(inst, x):
     )
     stable = not unacceptable and not blocking
     return StabilityReport(stable, blocking, unacceptable)
-
-
-def _star(inst, vals, v):
-    """The raw star tuple of ``v`` in the raw vector ``vals``."""
-    return inst.star_get[v](vals)
 
 
 def _blocks(inst, vals, star, p):
@@ -114,24 +109,22 @@ def _shift_holds(inst, x_vals, y_vals, touched, near):
     no change.
     Returns at the first failure.
     """
-    choice = inst.choice
+    choice, get, slots = inst.choice, inst.star_get, inst.edge_slots
     star = {}
     for v in touched:
-        z = _star(inst, y_vals, v)
+        z = get[v](y_vals)
         if not choice[v].accepts(z):
             return False
         star[v] = z
     for p in near:
-        for v in inst.edge_slots[p][::2]:
+        for v in slots[p][::2]:
             if v not in star:
-                star[v] = _star(inst, y_vals, v)
+                star[v] = get[v](y_vals)
         if _blocks(inst, y_vals, star, p):
             return False
     firms = inst.parts[1]
     for f in touched:
-        if f in firms and not _weakly_prefers(
-            choice[f], star[f], _star(inst, x_vals, f)
-        ):
+        if f in firms and not _weakly_prefers(choice[f], star[f], get[f](x_vals)):
             return False
     return True
 
@@ -153,8 +146,8 @@ def precedes(inst, x, y, side):
         return False
     group = inst.parts[0] if side == "W" else inst.parts[1]
     for v in sorted(group):
-        xv = _star(inst, x.vals, v)
-        yv = _star(inst, y.vals, v)
+        xv = inst.star_get[v](x.vals)
+        yv = inst.star_get[v](y.vals)
         if xv == yv:
             continue
         cf = inst.choice[v]
@@ -191,10 +184,7 @@ def deferred_acceptance(inst, side):
         raise InputError("side must be W or F")
     proposers = inst.parts[0] if side == "W" else inst.parts[1]
     # The proposer and the receiver of each edge, by position.
-    ends = [
-        (u, v) if u in proposers else (v, u)
-        for u, v in (inst.edge_ends[e] for e in inst.space.ids)
-    ]
+    ends = [(u, v) if u in proposers else (v, u) for u, _, v, _ in inst.edge_slots]
 
     choice = inst.choice
     positions, get = inst.star_positions, inst.star_get
@@ -343,10 +333,8 @@ def _weakly_below(inst, lo, hi, firms):
     filter compares two landings at their walks' firms; :func:`_climb`, a
     probe not yet checked stable with its ceiling at the rotation's firms.
     """
-    return all(
-        _weakly_prefers(inst.choice[f], _star(inst, hi, f), _star(inst, lo, f))
-        for f in firms
-    )
+    choice, get = inst.choice, inst.star_get
+    return all(_weakly_prefers(choice[f], get[f](hi), get[f](lo)) for f in firms)
 
 
 # One candidate walk: its :func:`_walk_frame`, its nodes (``i`` where it
@@ -440,8 +428,8 @@ class _Discovery:
         firms = moved & f_side
         for f in firms:
             relink(positions[f], self._gains(f))
-        ends = inst.edge_ends
-        near = {v for f in firms for e in inst.star_ids[f] for v in ends[e]}
+        slots = inst.edge_slots
+        near = {v for f in firms for p in positions[f] for v in slots[p][::2]}
         for w in (moved | near) & w_side:
             relink([~i for i in positions[w]], self._losses(w))
 
@@ -524,7 +512,7 @@ class _Discovery:
         inst = self.inst
         pos = inst.star_positions[f]
         caps = inst.caps.vals
-        z = _star(inst, self.x.vals, f)
+        z = inst.star_get[f](self.x.vals)
         cf = inst.choice[f]
         bumped = [cf.bumps(z, j) if z[j] < caps[i] else None for j, i in enumerate(pos)]
         return [None if k is None else ~pos[k] for k in bumped]
@@ -535,7 +523,7 @@ class _Discovery:
         pos = inst.star_positions[w]
         caps = inst.caps.vals
         succ = self.succ
-        z = _star(inst, self.x.vals, w)
+        z = inst.star_get[w](self.x.vals)
         cw = inst.choice[w]
         room = [j for j, i in enumerate(pos) if i in succ and z[j] < caps[i]]
         wanted = [j for j in room if cw.refuses(z, j)]
@@ -595,13 +583,19 @@ def find_rotations(inst, x, verified=False, state=None, moved=None):
 
 def _verify_aggregate_exchange(inst, x, rot):
     """Each firm must swap the rotation's gains exactly for its losses."""
-    sign = dict(rot.shift)
-    for f in sorted({v for v, _ in rot.steps} & inst.parts[1]):
-        z = _star(inst, x.vals, f)
-        d = [sign.get(p, 0) for p in inst.star_positions[f]]
-        menu = tuple(a + max(s, 0) for a, s in zip(z, d))
-        want = tuple(a + s for a, s in zip(z, d))
-        if inst.choice[f].choose_vals(menu) != want:
+    firms, slots = inst.parts[1], inst.edge_slots
+    moves = {}
+    for p, s in rot.shift:
+        u, su, v, sv = slots[p]
+        f, j = (u, su) if u in firms else (v, sv)
+        moves.setdefault(f, []).append((j, s))
+    for f in sorted(moves):
+        menu = list(inst.star_get[f](x.vals))
+        want = list(menu)
+        for j, s in moves[f]:
+            menu[j] += max(s, 0)
+            want[j] += s
+        if inst.choice[f].choose_vals(tuple(menu)) != tuple(want):
             raise VerificationError(
                 "firm {!r} does not exchange along the rotation".format(f)
             )

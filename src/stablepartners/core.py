@@ -202,8 +202,9 @@ class Instance:
 
     Each star is kept by edge id (``star_ids``), by position in ``space``
     (``star_positions``) and as a getter of its raw tuple (``star_get``);
-    ``edge_slots[p]`` holds the ends of the edge at position ``p``, each
-    followed by the edge's slot in that end's star.
+    ``edge_slots[p]`` holds the ends of the edge at position ``p``, the
+    lesser id first, each followed by the edge's slot in that end's star:
+    the one record of an edge's ends, which :meth:`ends` reads by id.
     """
 
     def __init__(self, vertices, edges, caps, choice, parts=None, stars=None):
@@ -213,8 +214,7 @@ class Instance:
         vset = set(self.vertices)
 
         ids = sorted(edges)
-        ends = {}
-        seen_pairs = set()
+        pairs, seen_pairs = [], set()
         incident = {v: set() for v in self.vertices}
         for e in ids:
             u, v = edges[e]
@@ -226,13 +226,12 @@ class Instance:
             if pair in seen_pairs:
                 raise InputError("parallel edge {!r}".format(e))
             seen_pairs.add(pair)
-            ends[e] = pair
+            pairs.append(pair)
             incident[u].add(e)
             incident[v].add(e)
-        self.edge_ends = ends
         self.space = EdgeSpace(ids)
 
-        if set(caps) != ends.keys():
+        if set(caps) != self.space.index.keys():
             raise InputError("capacities must cover exactly the edge set")
         for e, c in caps.items():
             if not _is_int(c):
@@ -249,7 +248,7 @@ class Instance:
                 raise InputError("bipartition sides overlap")
             if w | f != vset:
                 raise InputError("bipartition must cover every vertex")
-            for e, (u, v) in ends.items():
+            for e, (u, v) in zip(ids, pairs):
                 if (u in w) == (v in w):
                     raise InputError("edge {!r} does not join the two sides".format(e))
             self.parts = (w, f)
@@ -263,7 +262,7 @@ class Instance:
         elif set(stars) != vset:
             raise InputError("stars must cover exactly the vertex set")
         pos_of = self.space.index.__getitem__
-        firsts = [u for u, _ in ends.values()]
+        firsts = [u for u, _ in pairs]
         first_slot, second_slot = [0] * len(ids), [0] * len(ids)
         self.star_ids, self.star_positions = {}, {}
         for v, cf in choice.items():
@@ -281,30 +280,19 @@ class Instance:
                 (first_slot if firsts[p] == v else second_slot)[p] = s
             self.star_ids[v], self.star_positions[v] = star, positions
         self.choice = dict(choice)
-        seconds = (w for _, w in ends.values())
+        seconds = (w for _, w in pairs)
         self.edge_slots = tuple(zip(firsts, first_slot, seconds, second_slot))
         self.star_get = {v: _getter(p) for v, p in self.star_positions.items()}
 
     # -- basic queries ----------------------------------------------------
 
     def ends(self, e):
+        """The ends of edge ``e``, the lesser id first."""
         try:
-            return self.edge_ends[e]
-        except KeyError:
+            u, _, v, _ = self.edge_slots[self.space.index[e]]
+        except (KeyError, TypeError):
             raise InputError("unknown edge {!r}".format(e)) from None
-
-    def other_end(self, e, v):
-        u, w = self.ends(e)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise InputError("vertex {!r} is not an end of edge {!r}".format(v, e))
-
-    def side(self, v):
-        if self.parts is None:
-            raise InputError("instance carries no bipartition")
-        return "W" if v in self.parts[0] else "F"
+        return u, v
 
     @property
     def is_bipartite_labeled(self):
@@ -342,16 +330,19 @@ class _ClosedWalk:
     stride = 1
 
     def __init__(self, inst, steps):
-        steps = tuple((str(v), str(e)) for v, e in steps)
+        steps = tuple((v, e) for v, e in steps)
         self._check_length(len(steps))
+        ends = [inst.ends(e) for _, e in steps]
         edges = tuple(e for _, e in steps)
         if len(set(edges)) != len(edges):
             raise InputError("a walk traverses each edge at most once")
         here = steps[0][0]
-        for v, e in steps:
+        for (v, e), (u, w) in zip(steps, ends):
             if v != here:
                 raise InputError("walk steps do not chain")
-            here = inst.other_end(e, v)
+            if v != u and v != w:
+                raise InputError("vertex {!r} is not an end of edge {!r}".format(v, e))
+            here = w if v == u else u
         if here != steps[0][0]:
             raise InputError("walk does not close")
         self.steps = min(
@@ -495,8 +486,8 @@ def instance_to_dict(inst):
     doc = {
         "vertices": list(inst.vertices),
         "edges": [
-            {"id": e, "ends": list(inst.ends(e)), "cap": inst.caps[e]}
-            for e in inst.space.ids
+            {"id": e, "ends": [u, v], "cap": cap}
+            for e, (u, _, v, _), cap in zip(inst.space.ids, inst.edge_slots, inst.caps.vals)
         ],
         "choice": {v: inst.choice[v].to_dict(inst.star_ids[v]) for v in inst.vertices},
     }

@@ -10,8 +10,7 @@ doubling, so a solver bug cannot silently certify a wrong answer.
 """
 
 from .core import EdgeVector, InputError, InternalError, VerificationError
-from .core import _chain, _ClosedWalk
-from .bipartite import _star
+from .core import _chain, _ClosedWalk, _is_str_list
 from .choice import _bumped
 from .symmetric import is_singular, run_qb, symmetrize
 
@@ -39,7 +38,7 @@ class OddCycle(_ClosedWalk):
 
     @classmethod
     def from_list(cls, inst, items):
-        if not isinstance(items, list) or len(items) % 2:
+        if not _is_str_list(items) or len(items) % 2:
             raise InputError("a cycle document alternates vertex and edge ids")
         steps = [(items[i], items[i + 1]) for i in range(0, len(items), 2)]
         return cls(inst, steps)
@@ -115,7 +114,7 @@ def verify_half_partnership(inst, hp):
         u, su, _, sw = slots[index[e]]
         return su if v == u else sw
 
-    star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
+    star_in = {v: list(get(hp.x.vals)) for v, get in inst.star_get.items()}
     star_out = {v: list(z) for v, z in star_in.items()}
     visits = {v: [] for v in inst.vertices}
     # hp.x is in the box: a menu can leave it only where a cycle or probe adds a unit.
@@ -267,7 +266,7 @@ def lift_vector(si, hp):
             # The copy of ``e`` at ``v^1`` goes up: it is ``e^1`` exactly
             # where ``v`` is ``e``'s first end (see :func:`symmetrize`).
             p = base.space.index[e]
-            vals[si.copy_positions[p][base.ends(e)[0] == v]] = hp.x.vals[p] + 1
+            vals[si.copy_positions[p][base.edge_slots[p][0] == v]] = hp.x.vals[p] + 1
     return EdgeVector(si.graph.space, vals)
 
 

@@ -66,8 +66,7 @@ def symmetrize(inst):
     ecopies = [(f"{e}^0", f"{e}^1") for e in inst.space.ids]
     edges = {}
     caps = {}
-    ends = inst.edge_ends.values()
-    for (e0, e1), (a, b), cap in zip(ecopies, ends, inst.caps.vals):
+    for (e0, e1), (a, _, b, _), cap in zip(ecopies, inst.edge_slots, inst.caps.vals):
         edges[e0] = (vcopies[a][0], vcopies[b][1])
         edges[e1] = (vcopies[b][0], vcopies[a][1])
         caps[e0] = caps[e1] = cap

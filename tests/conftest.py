@@ -38,7 +38,6 @@ from stablepartners import (
     rotation_order,
     symmetrize,
 )
-from stablepartners.bipartite import _star
 from stablepartners.choice import (
     AxiomReport,
     ChoiceFunction,
@@ -220,6 +219,19 @@ def triangle_doc():
         edges=[("ab", "a", "b", 1), ("bc", "b", "c", 1), ("ca", "c", "a", 1)],
         quotas={"a": 1, "b": 1, "c": 1},
         orders={"a": ["ab", "ca"], "b": ["bc", "ab"], "c": ["ca", "bc"]},
+    )
+
+
+def numbered_triangle_doc():
+    """The triangle with vertex ids ``"1"``, ``"2"``, ``"3"``, edges ``a``, ``b``, ``c``.
+
+    Its one cycle is ``["1", "c", "3", "b", "2", "a"]``; a document that
+    writes a vertex as the JSON number ``1`` must not verify.
+    """
+    return quota_doc(
+        edges=[("a", "1", "2", 1), ("b", "2", "3", 1), ("c", "3", "1", 1)],
+        quotas={"1": 1, "2": 1, "3": 1},
+        orders={"1": ["a", "c"], "2": ["b", "a"], "3": ["c", "b"]},
     )
 
 
@@ -748,8 +760,13 @@ def with_edge_limits(rng, inst, vertices):
             limits = [rng.randint(cf.quota // 2, c) for c in cf.caps]
             choice[v] = EdgeLimitQuotaCF(v, cf.space, cf.caps, cf.quota, cf.order, limits)
     return Instance(
-        inst.vertices, inst.edge_ends, inst.caps.to_mapping(), choice, inst.parts
+        inst.vertices, edge_map(inst), inst.caps.to_mapping(), choice, inst.parts
     )
+
+
+def edge_map(inst):
+    """The ``edges`` argument that rebuilds ``inst``: each edge id to its ends."""
+    return {e: inst.ends(e) for e in inst.space.ids}
 
 
 def sparse_graph_doc(rng, n=160, m=470):
@@ -985,7 +1002,7 @@ def table_market(rng, box_limit=20_000):
                 choice[v] = table
                 tabled.add(v)
     inst = Instance(
-        inst.vertices, inst.edge_ends, inst.caps.to_mapping(), choice, inst.parts
+        inst.vertices, edge_map(inst), inst.caps.to_mapping(), choice, inst.parts
     )
     return inst, tabled
 
@@ -1121,9 +1138,7 @@ def oracle_precedes_F(inst, x_vals, y_vals):
     if x_vals == y_vals:
         return False
     ids = inst.space.ids
-    for v in inst.vertices:
-        if inst.side(v) != "F":
-            continue
+    for v in sorted(inst.parts[1]):
         spots = [ids.index(e) for e in inst.star_ids[v]]
         join = tuple(max(x_vals[i], y_vals[i]) for i in spots)
         if inst.choice[v].choose_vals(join) != tuple(y_vals[i] for i in spots):
@@ -1258,10 +1273,11 @@ def oracle_candidate_walks(inst, x):
         w0 = next(v for v in inst.ends(seq[0][1]) if v in w_side)
         here, steps = w0, []
         for _, e in seq:
-            if here not in inst.ends(e):
+            u, w = inst.ends(e)
+            if here not in (u, w):
                 break
             steps.append((here, e))
-            here = inst.other_end(e, here)
+            here = w if here == u else u
         else:
             if here == w0:
                 walks.append(steps)
@@ -1719,7 +1735,8 @@ def cycle_rotation(si, cyc):
     for t in range(2 * len(es)):
         e = es[t % len(es)]
         steps.append((copy_vertex(here, parity), copy_at(si, e, here, parity)))
-        here = base.other_end(e, here)
+        u, w = base.ends(e)
+        here = w if here == u else u
         parity = 1 - parity
     if (here, parity) != (start, 0):
         raise InternalError("doubled cycle walk does not close")
@@ -1807,7 +1824,7 @@ def oracle_verify_half_partnership(inst, hp):
 
     # Stars are raw tuples in star order; a visit of a cycle to v is the
     # star positions of its (entering, leaving) edges there.
-    star_in = {v: list(_star(inst, hp.x.vals, v)) for v in inst.vertices}
+    star_in = {v: list(inst.star_get[v](hp.x.vals)) for v in inst.vertices}
     star_out = {v: list(z) for v, z in star_in.items()}
     visits = {v: [] for v in inst.vertices}
     for cyc in hp.cycles:

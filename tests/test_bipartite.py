@@ -25,7 +25,6 @@ from stablepartners.bipartite import (
     _Discovery,
     _candidate_walks,
     _ray_point,
-    _star,
     _walk_frame,
     _weakly_below,
 )
@@ -209,6 +208,10 @@ def test_rotation_walks_are_validated(b4, triangle):
             "do not chain",
         ),
         ((("w1", "w1f2"), ("f2", "w2f2")), "does not close"),
+        ((("w1", "w2f2"), ("f2", "w1f2")), "is not an end of edge"),
+        ((("w1", "nope"), ("f1", "w1f1")), "unknown edge"),
+        ((("w1", "w1f1"), ("f1", 1)), "unknown edge"),
+        ((("w1", []), ("f1", "w1f1")), "unknown edge"),
         (B4_STEPS[1:] + B4_STEPS[:1], "alternate sides"),
     ],
     ids=[
@@ -217,6 +220,10 @@ def test_rotation_walks_are_validated(b4, triangle):
         "repeated-edge",
         "steps-do-not-chain",
         "walk-does-not-close",
+        "vertex-not-an-end",
+        "unknown-edge",
+        "edge-id-a-number",
+        "edge-id-a-list",
         "sides-do-not-alternate",
     ],
 )
@@ -493,9 +500,9 @@ def test_local_landing_order_matches_the_whole_instance_order(bipartite_artifact
     seen = {True: 0, False: 0}
     disjoint = 0
     for inst, stable, _ in bipartite_artifacts:
-        firms = sorted(inst.parts[1])
+        firms, get = sorted(inst.parts[1]), inst.star_get
         moved = {
-            (x, y): {f for f in firms if _star(inst, x.vals, f) != _star(inst, y.vals, f)}
+            (x, y): {f for f in firms if get[f](x.vals) != get[f](y.vals)}
             for x in stable
             for y in stable
         }

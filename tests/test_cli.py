@@ -34,6 +34,7 @@ from conftest import (
     hub_doc,
     latin_doc,
     mon_violating_table,
+    numbered_triangle_doc,
     random_general_doc,
     ring_doc,
     star_cf,
@@ -167,6 +168,29 @@ def test_ill_typed_vector_documents_exit_one(
     inst = write_json(tmp_path / "inst.json", build())
     arg = write_json(tmp_path / "arg.json", doc)
     assert run(capsys, command, "--instance", inst, option, arg)[0] == EXIT_INPUT
+
+
+NUMBERED_CYCLE = ["1", "c", "3", "b", "2", "a"]
+
+# Cycle documents on numbered_triangle_doc() whose ids are not all strings:
+# a vertex written as a JSON number, and an edge written as a list.
+BAD_CYCLE_DOCUMENTS = {
+    "vertex-number": [1] + NUMBERED_CYCLE[1:],
+    "edge-list": ["1", []] + NUMBERED_CYCLE[2:],
+}
+
+
+@pytest.mark.parametrize(
+    "cycle", BAD_CYCLE_DOCUMENTS.values(), ids=list(BAD_CYCLE_DOCUMENTS)
+)
+def test_cycle_ids_that_are_not_strings_exit_one(tmp_path, capsys, cycle):
+    inst = write_json(tmp_path / "inst.json", numbered_triangle_doc())
+    x = {"a": 0, "b": 0, "c": 0}
+    good = write_json(tmp_path / "good.json", {"x": x, "K": [NUMBERED_CYCLE]})
+    assert run(capsys, "verify", "--instance", inst, "--solution", good)[0] == EXIT_OK
+    bad = write_json(tmp_path / "bad.json", {"x": x, "K": [cycle]})
+    assert main(["verify", "--instance", inst, "--solution", bad]) == EXIT_INPUT
+    assert "alternates vertex and edge ids" in capsys.readouterr().err
 
 
 def test_unexpected_exceptions_exit_four_with_an_error_line(

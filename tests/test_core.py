@@ -21,7 +21,7 @@ from stablepartners import (
 )
 from stablepartners.choice import LinearOrderQuotaCF
 
-from conftest import b4_doc, bad_table_doc, quota_doc, vec_plus
+from conftest import b4_doc, bad_table_doc, edge_map, quota_doc, vec_plus
 
 
 def space3():
@@ -271,7 +271,7 @@ def test_instance_rejects_choice_function_cap_mismatch():
     with pytest.raises(InputError):
         Instance(
             inst.vertices,
-            inst.edge_ends,
+            edge_map(inst),
             {"ab": 2},
             {"a": wrong, "b": inst.choice["b"]},
         )
@@ -284,7 +284,7 @@ def _with_star(inst, v, ids):
     choice = dict(inst.choice)
     choice[v] = LinearOrderQuotaCF(v, EdgeSpace(ids), caps, cf.quota, cf.order)
     caps_by_edge = inst.caps.to_mapping()
-    return Instance(inst.vertices, inst.edge_ends, caps_by_edge, choice, inst.parts)
+    return Instance(inst.vertices, edge_map(inst), caps_by_edge, choice, inst.parts)
 
 
 def test_a_star_takes_its_order_from_its_choice_function(cycle3, triangle):
@@ -316,12 +316,12 @@ def test_stars_given_apart_from_the_choice_functions_are_checked(cycle3, triangl
         ids = inst.star_ids[v][::-1]
         caps = inst.caps.to_mapping()
         stars = dict(inst.star_ids, **{v: ids})
-        args = (inst.vertices, inst.edge_ends, caps, inst.choice, inst.parts)
+        args = (inst.vertices, edge_map(inst), caps, inst.choice, inst.parts)
         flipped = Instance(*args, stars)
         assert flipped.star_ids == stars and flipped.choice[v] is inst.choice[v]
         for p, (u, su, w, sw) in enumerate(flipped.edge_slots):
             e = inst.space.ids[p]
-            assert (u, w) == inst.edge_ends[e]
+            assert (u, w) == inst.ends(e)
             assert (flipped.star_ids[u][su], flipped.star_ids[w][sw]) == (e, e)
         stranger = next(e for e in inst.space.ids if e not in ids)
         for wrong in (ids[1:], ids[:1] * len(ids), ids + ids[:1], ids + (stranger,)):
@@ -335,7 +335,7 @@ def test_stars_given_apart_from_the_choice_functions_are_checked(cycle3, triangl
         orders={"a": ["ab"], "b": ["ab", "bc"], "c": ["bc"]},
     )
     inst = instance_from_dict(doc)
-    args = (inst.vertices, inst.edge_ends, inst.caps.to_mapping(), inst.choice)
+    args = (inst.vertices, edge_map(inst), inst.caps.to_mapping(), inst.choice)
     with pytest.raises(InputError, match="disagrees with edge capacities"):
         Instance(*args, stars=dict(inst.star_ids, b=("bc", "ab")))
 
@@ -368,22 +368,19 @@ def test_instance_rejects_unknown_document_keys():
         instance_from_dict(doc)
 
 
-def test_instance_side_and_ends_queries(b4):
-    assert b4.side("w1") == "W"
-    assert b4.side("f2") == "F"
+def test_instance_ends_queries(b4):
+    """``ends`` reads the edge's slot, the lesser id first."""
     assert b4.is_bipartite_labeled
     assert b4.ends("w1f2") == ("f2", "w1")
-    assert b4.other_end("w1f2", "w1") == "f2"
-    with pytest.raises(InputError):
-        b4.ends("nope")
-    with pytest.raises(InputError):
-        b4.other_end("w1f2", "f1")
+    for bad in ("nope", 1, []):
+        with pytest.raises(InputError, match="unknown edge"):
+            b4.ends(bad)
 
 
 def test_unlabeled_instance_has_no_sides(triangle):
     assert not triangle.is_bipartite_labeled
-    with pytest.raises(InputError):
-        triangle.side("a")
+    with pytest.raises(InputError, match="need a bipartition"):
+        deferred_acceptance(triangle, "W")
 
 
 def test_in_box_and_check_vector(b4, path3):
@@ -399,7 +396,7 @@ def test_document_round_trip_preserves_structure(b4):
     doc = instance_to_dict(b4)
     again = instance_from_dict(doc)
     assert again.vertices == b4.vertices
-    assert again.edge_ends == b4.edge_ends
+    assert edge_map(again) == edge_map(b4)
     assert again.caps == b4.caps
     assert again.parts == b4.parts
     for v in b4.vertices:

@@ -41,6 +41,7 @@ from conftest import (
     bad_table_doc,
     con_violating_table,
     degenerate_doc,
+    edge_map,
     gl_violating_table,
     mon_violating_table,
     oracle_check_gl,
@@ -138,6 +139,7 @@ def _solution(*cycles):
 @example(_solution(["a", "ab", "b", "bc"]))
 @example(_solution(["a", "ab", "b", "ab", "a", "ca"]))
 @example(_solution(["a", "ab", "c", "ca", "b", "bc"]))
+@example(_solution(["a", [], "c", "bc", "b", "ab"]))
 def test_solution_documents_verify_or_raise_input_error(doc):
     try:
         verify_half_partnership(TRIANGLE, HalfPartnership.from_dict(TRIANGLE, doc))
@@ -194,7 +196,7 @@ def test_serialization_round_trips_exactly(doc):
     assert serialize_instance(again) == text
     assert instance_to_dict(again) == instance_to_dict(inst)
     assert again.vertices == inst.vertices
-    assert again.edge_ends == inst.edge_ends
+    assert edge_map(again) == edge_map(inst)
     assert again.caps == inst.caps
     assert again.parts == inst.parts
     for v in inst.vertices:
@@ -410,11 +412,19 @@ def slot_pool(bipartite_corpus, general_corpus):
 
 
 def _slots_by_name(inst):
-    """``edge_slots`` as the name lookup reads it."""
+    """``edge_slots`` as the star names read it.
+
+    An edge's ends are the two vertices whose stars list it, the lesser
+    id first, and each slot is the edge's index in that star.
+    """
     ids = inst.star_ids
+    ends = {e: [] for e in inst.space.ids}
+    for v in inst.vertices:
+        for e in ids[v]:
+            ends[e].append(v)
     return tuple(
         (u, ids[u].index(e), w, ids[w].index(e))
-        for e, (u, w) in zip(inst.space.ids, map(inst.ends, inst.space.ids))
+        for e, (u, w) in ends.items()
     )
 
 
@@ -432,9 +442,12 @@ def test_a_serialized_double_reparses_with_its_stars(slot_pool, data):
 
     The slot tables of the drawn instance, its double and the re-parsed
     double read as the names do.  A per-edge limit has no document form,
-    so an edge-limited double checks its slots alone.  The corpora's ids
-    sort the same with and without the copy suffixes; ids such as ``e1``
-    and ``e10`` do not, and a re-parsed double lists those stars sorted.
+    so an edge-limited double checks its slots alone.  A document fixes no
+    star order: parsing lists each star by sorted id.  The corpora's ids
+    sort the same with and without the copy suffixes, so their doubles
+    re-parse with the same stars.  Ids such as ``e1`` and ``e10`` do not:
+    ``e10^0`` sorts before ``e1^1``, and a re-parsed star lists the two
+    copies the other way round (as for 1 of 301 instances checked).
     """
     inst = data.draw(st.sampled_from(data.draw(st.sampled_from(slot_pool))))
     double = symmetrize(inst).graph

@@ -72,7 +72,7 @@ def test_double_has_two_copies_of_everything(tri_double):
     assert sorted(g.vertices) == ["a^0", "a^1", "b^0", "b^1", "c^0", "c^1"]
     assert sorted(g.space.ids) == ["ab^0", "ab^1", "bc^0", "bc^1", "ca^0", "ca^1"]
     assert g.is_bipartite_labeled
-    assert {v for v in g.vertices if g.side(v) == "W"} == {"a^0", "b^0", "c^0"}
+    assert g.parts[0] == {"a^0", "b^0", "c^0"}
     for p, (q0, q1) in enumerate(tri_double.copy_positions):
         assert g.caps.vals[q0] == g.caps.vals[q1] == tri_double.base.caps.vals[p]
 
@@ -129,7 +129,7 @@ def check_mirror_tables(si):
     """
     maps = oracle_mirror_maps(si)
     g, base_ids = si.graph, si.base.space.ids
-    ids = g.space.ids
+    ids, w_side = g.space.ids, si.graph.parts[0]
     for q, e in enumerate(ids):
         image = si.mirror[q]
         assert ids[image] == maps.sigma_edge[e]
@@ -137,7 +137,7 @@ def check_mirror_tables(si):
         assert base_ids[si.base_positions[q]] == maps.base_edge[e]
         ends = [maps.sigma_vertex[v] for v in g.ends(e)]
         assert sorted(ends) == list(g.ends(ids[image]))
-        assert all(g.side(u) != g.side(v) for u, v in zip(ends, g.ends(e)))
+        assert all((u in w_side) != (v in w_side) for u, v in zip(ends, g.ends(e)))
     for e, (q0, q1) in zip(base_ids, si.copy_positions):
         assert (ids[q0], ids[q1]) == maps.copies[e]
 
