@@ -123,28 +123,33 @@ def _climb_budget(budget):
 
 
 def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
-    """Compute the occurrence order with one sweep per occurrence.
+    """Compute the occurrence order from one route, sweeping only where it must.
 
     One full sweep, always taking the first rotation found, gives the
     occurrences and their weights ``tau``; it must end at the firm-optimal
-    vector.  Then, for each occurrence ``a``, a sweep goes on from where
-    the full sweep applied ``a`` and takes any rotation but ``a``.  The
-    closed sets that omit ``a`` are closed under union, so that route ends
-    at the largest of them, where ``a`` is the only rotation left; an
-    occurrence ``b`` is missing from it exactly when ``a`` precedes ``b``.
-    This is the rule of Irving & Leather (SIAM J. Comput. 1986): ``a``
-    precedes ``b`` iff ``a`` is used in the least stable vector that
-    exposes ``b``.  Where ``a`` was the only rotation found, its sweep has
-    nothing to do, so a chain costs the full sweep alone.  Elsewhere the
-    full sweep saves its rotation discovery, and ``a``'s sweep goes on
-    from that state instead of finding the same rotations again.
+    vector.  ``a`` precedes ``b`` iff ``a`` is used in the least stable
+    vector that exposes ``b`` (Irving & Leather, SIAM J. Comput. 1986;
+    Gusfield, SIAM J. Comput. 1987, reads it off one route).  So ``a``
+    precedes no earlier occurrence, and none exposed where the full sweep
+    applies ``a``: the next occurrence of each rotation found there lies
+    in a closed set that omits ``a``.  Where every later occurrence is
+    exposed there, ``a`` precedes nothing, so on an antichain the full
+    sweep is the only sweep.  Where ``a`` was the only rotation found, it
+    precedes every later occurrence, so a chain costs the full sweep
+    alone too.  Elsewhere a sweep goes on from the full sweep's saved
+    rotation discovery where it applied ``a``, and takes any rotation but
+    ``a``.  The closed sets that omit ``a`` are closed under union, so
+    that route ends at the largest of them, where ``a`` is the only
+    rotation left; a later occurrence is missing from it exactly when
+    ``a`` precedes it.
 
-    Every step of every sweep must be a known occurrence with its weight
-    ``tau``, and where ``a``'s sweep stops, ``a`` must climb ``tau[a]``;
-    a failure raises :class:`VerificationError`, as different routes
-    then carry different weighted families.  ``budget`` bounds the climbs
-    of all sweeps together, counted from 1; past it :class:`BudgetError`
-    is raised.
+    Every step of such a sweep must be a known occurrence with its weight
+    ``tau``, and where it stops, ``a`` must climb ``tau[a]``; a failure
+    raises :class:`VerificationError`, as different routes then carry
+    different weighted families.  ``budget`` bounds the climbs of all
+    sweeps together, counted from 1: one per occurrence in the full sweep,
+    plus those of the avoidance sweeps that run.  Past it
+    :class:`BudgetError` is raised.
     """
     spend = _climb_budget(budget)
     # The bottom is the verified outcome of the proposal rounds.
@@ -156,18 +161,19 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
 
-    less = set()
+    occs, used, less = list(tau), Counter(), set()
     for i, step in enumerate(steps):
-        a = Occurrence(step.rotation, step.ordinal)
-        seen = {Occurrence(s.rotation, s.ordinal) for s in steps[:i]}
-        # Where a was the only rotation found, its sweep is the full sweep's
-        # own step; found rotations are distinct, so avoid_a reads two at most.
-        if len(step.found) > 1:
-
+        a, later = occs[i], occs[i + 1 :]
+        # An occurrence exposed where a applies is in a closed set that
+        # omits a, so a does not precede it.  a's sweep runs only where
+        # some later occurrence is not exposed there, and not where a was
+        # the only rotation found: then its sweep is the full sweep's step.
+        seen = {Occurrence(r, used[r.steps]) for r in step.found}
+        if len(step.found) > 1 and not seen.issuperset(later):
+            # Found rotations are distinct, so avoid_a reads two at most.
             def avoid_a(rots, used):
                 return [r for r in rots[:2] if (r, used[r.steps]) != a][:1]
 
-            used = Counter(s.rotation.steps for s in steps[:i])
             more, end = _sweep(inst, avoid_a, saved.pop(i), used=used, spend=spend)
             for s in more:
                 occ = Occurrence(s.rotation, s.ordinal)
@@ -184,7 +190,8 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
             spend()
             weight, _ = climb(inst, end.x, a.rotation, verified=True)
             _check_weight(tau, a, weight)
-        less.update((a, b) for b in tau if b != a and b not in seen)
+        used[a.rotation.steps] += 1
+        less.update((a, b) for b in later if b not in seen)
 
     order = RotationOrder(tau.keys(), tau, less, bottom, top.x)
     _sanity_check_order(order)

@@ -34,6 +34,7 @@ from conftest import (
     blocks_doc,
     bridged_blocks_doc,
     count_choices,
+    cycle3_doc,
     edgevec,
     high_cap_market,
     latin_doc,
@@ -49,6 +50,7 @@ from conftest import (
     shared_firm_doc,
     table_market,
     twin_doc,
+    union_doc,
 )
 
 CHAIN_FIRST = (
@@ -69,6 +71,33 @@ CHAIN_SECOND = (
 )
 CHAIN_BOTTOM = {"e11": 1, "e22": 1, "e33": 1}
 CHAIN_TOP = {"e13": 1, "e21": 1, "e32": 1}
+
+
+def _seeded_markets():
+    """150 seeded table markets and 12 high-capacity markets, from one seed."""
+    rng = random.Random(5)
+    markets = [table_market(rng)[0] for _ in range(150)]
+    return markets + [high_cap_market(rng) for _ in range(12)]
+
+
+def block_beside_chain_doc():
+    """A crossed block beside the cyclic 3x3 chain, the block's rotation found first.
+
+    Where the full sweep applies the block's rotation, the chain's second
+    rotation is not exposed, so only an avoidance sweep shows that the
+    block precedes nothing.
+    """
+    parts = [blocks_doc(1), cycle3_doc()]
+    doc = union_doc(parts)
+    doc["bipartition"] = {
+        side: [
+            "u{}.{}".format(i, v)
+            for i, part in enumerate(parts)
+            for v in part["bipartition"][side]
+        ]
+        for side in "WF"
+    }
+    return doc
 
 
 def _family_triples(inst, route):
@@ -411,9 +440,14 @@ def test_occurrences_are_keyed_by_rotation_and_ordinal(b4):
 def test_order_matches_the_principal_graph_oracle(
     bipartite_corpus, doubled_artifacts, b4, b4_scaled, path3, twin, cycle3
 ):
-    """The avoidance sweeps give the order the whole principal graph gives."""
-    fixtures = [b4, b4_scaled, path3, twin, cycle3]
-    pairs = [(inst, rotation_order(inst)) for inst in list(bipartite_corpus) + fixtures]
+    """One route and its avoidance sweeps give the order the whole principal graph gives.
+
+    On the bipartite corpus, the fixtures, the seeded table and
+    high-capacity markets and the doubles of the general corpus.
+    """
+    markets = list(bipartite_corpus) + [b4, b4_scaled, path3, twin, cycle3]
+    markets.append(instance_from_dict(block_beside_chain_doc()))
+    pairs = [(inst, rotation_order(inst)) for inst in markets + _seeded_markets()]
     pairs += [(si.graph, order) for _, si, order, _ in doubled_artifacts]
     for inst, order in pairs:
         expected = oracle_rotation_order(inst)
@@ -469,19 +503,57 @@ def _count_discovery_steps(monkeypatch):
 
 
 def test_order_of_many_blocks_costs_few_sweeps(monkeypatch):
-    """k disjoint blocks make 2**k principal states but k + 1 sweeps.
+    """k disjoint blocks make 2**k principal states but one sweep.
 
     Exploring the principal graph takes one discovery per state, 4,096 at
-    k = 12.  The sweep that avoids the i-th occurrence goes on from the
-    full sweep's discovery state where it applied that occurrence, so the
-    sweeps make 13 + (11 + 10 + ... + 1) = 79 discovery steps (90 when
-    each avoidance sweep discovered its start again).
+    k = 12.  Where the full sweep applies an occurrence, every later one
+    is exposed, so none of them follows it and no avoidance sweep runs:
+    the order costs the full sweep's k + 1 discovery steps.  One avoidance
+    sweep per occurrence made 13 + (11 + 10 + ... + 1) = 79.
     """
     calls = _count_discovery_steps(monkeypatch)
     k = 12
     order = rotation_order(instance_from_dict(blocks_doc(k)))
     assert len(order.occurrences) == k and not order.less
-    assert calls[0] <= (k + 1) * (k + 2) // 2
+    assert calls[0] == k + 1
+
+
+def test_order_of_many_blocks_climbs_once_per_occurrence():
+    """The budget counts the full sweep's k climbs, from 1, and no other.
+
+    One avoidance sweep per occurrence needed a budget of 90 at k = 12.
+    """
+    inst = instance_from_dict(blocks_doc(12))
+    assert len(rotation_order(inst, budget=13).occurrences) == 12
+    with pytest.raises(BudgetError, match="budget of 12 climbs"):
+        rotation_order(inst, budget=12)
+
+
+def test_avoidance_sweeps_still_run_where_co_exposure_does_not_settle(
+    monkeypatch, bipartite_corpus
+):
+    """Some occurrences need their avoidance sweep, and most are settled without.
+
+    An occurrence's sweep runs only where two or more rotations are found
+    and some later occurrence is not exposed.  Over the bipartite corpus
+    and the seeded table and high-capacity markets, at least 20 sweeps run,
+    and fewer than the full sweeps' steps with more than one rotation
+    found, each of which ran one when every occurrence had its sweep.
+    """
+    sweeps, branching = [0], [0]
+
+    def counting(inst, pick, state, **kwargs):
+        steps, end = bipartite._sweep(inst, pick, state, **kwargs)
+        if "saved" in kwargs:
+            branching[0] += sum(len(s.found) > 1 for s in steps)
+        else:
+            sweeps[0] += 1
+        return steps, end
+
+    monkeypatch.setattr(poset, "_sweep", counting)
+    for inst in list(bipartite_corpus) + _seeded_markets():
+        rotation_order(inst)
+    assert 20 <= sweeps[0] < branching[0]
 
 
 def test_order_of_a_chain_costs_one_sweep(monkeypatch):
@@ -506,7 +578,7 @@ def test_sweeps_compare_and_check_locally(monkeypatch):
     nothing; comparing every pair of landings with ``precedes_F`` made
     2,574 ``precedes`` calls at k = 12.  The sweeps hold verified vectors
     only, so ``is_stable`` runs in the two proposal rounds and not in the
-    79 discovery steps.
+    13 discovery steps.
     """
     compared = _count_calls(monkeypatch, "precedes")
     checked = _count_calls(monkeypatch, "is_stable")
@@ -522,12 +594,13 @@ def test_order_of_forty_blocks_costs_few_choice_calls(monkeypatch):
 
     When every sweep step rebuilt the whole exposed-rotation graph and
     screened every candidate again, the order on 40 disjoint blocks made
-    248,738 choice calls.
+    248,738 choice calls, and 3,472 with one avoidance sweep per
+    occurrence; the full sweep alone makes 1,600.
     """
     calls = count_choices(monkeypatch)
     order = rotation_order(instance_from_dict(blocks_doc(40)))
     assert len(order.occurrences) == 40 and not order.less
-    assert calls[0] <= 75_000
+    assert calls[0] <= 1_600
 
 
 def bridged_chain_doc(k):
@@ -626,9 +699,7 @@ def test_every_sweep_step_finds_what_discovery_from_scratch_finds(
         rotation_order(gated, budget=100)
     for seed in range(4):
         build_full_route(gated, seed)
-    rng = random.Random(5)
-    markets = list(bipartite_corpus) + [table_market(rng)[0] for _ in range(150)]
-    markets += [high_cap_market(rng) for _ in range(12)]
+    markets = list(bipartite_corpus) + _seeded_markets()
     markets += [instance_from_dict(make()) for make in (bridged_blocks_doc, shared_firm_doc)]
     for inst in markets:
         order = rotation_order(inst, budget=100)

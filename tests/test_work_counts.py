@@ -20,6 +20,7 @@ from conftest import (
     complete_doc,
     count_choices,
     latin_doc,
+    random_bipartite_doc,
     ring_doc,
     sparse_graph_doc,
     union_doc,
@@ -44,7 +45,14 @@ LEDGER = {
         solve,
         4_669,
     ),
-    "blocks-20-order": (lambda: blocks_doc(20), rotation_order, 1_332),
+    "blocks-20-order": (lambda: blocks_doc(20), rotation_order, 800),
+    # Seed 0 draws a market of three occurrences whose order still runs
+    # one avoidance sweep.
+    "random-bipartite-0-order": (
+        lambda: random_bipartite_doc(random.Random(0)),
+        rotation_order,
+        194,
+    ),
 }
 
 
