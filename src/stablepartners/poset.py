@@ -12,6 +12,7 @@ from collections import Counter, namedtuple
 
 from .core import BudgetError, EdgeVector, InputError, InternalError, VerificationError
 from .core import _is_int
+from .choice import LinearOrderQuotaCF
 from .bipartite import (
     Route,
     RouteStep,
@@ -131,24 +132,25 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     vector that exposes ``b`` (Irving & Leather, SIAM J. Comput. 1986;
     Gusfield, SIAM J. Comput. 1987, reads it off one route).  So ``a``
     precedes no earlier occurrence, and none exposed where the full sweep
-    applies ``a``: the next occurrence of each rotation found there lies
-    in a closed set that omits ``a``.  Where every later occurrence is
-    exposed there, ``a`` precedes nothing, so on an antichain the full
-    sweep is the only sweep.  Where ``a`` was the only rotation found, it
-    precedes every later occurrence, so a chain costs the full sweep
-    alone too.  Elsewhere a sweep goes on from the full sweep's saved
-    rotation discovery where it applied ``a``, and takes any rotation but
-    ``a``.  The closed sets that omit ``a`` are closed under union, so
-    that route ends at the largest of them, where ``a`` is the only
-    rotation left; a later occurrence is missing from it exactly when
-    ``a`` precedes it.
+    applies ``a``.  Where every later occurrence is exposed there, ``a``
+    precedes nothing, so on an antichain the full sweep is the only sweep.
+    Where ``a`` was the only rotation found, it precedes every later
+    occurrence, so a chain costs the full sweep alone too.  Elsewhere a
+    sweep goes on from the full sweep's saved rotation discovery where it
+    applied ``a``, and takes any rotation but ``a``.  The closed sets that
+    omit ``a`` are closed under union, so that route ends at the largest
+    of them, where ``a`` is the only rotation left; a later occurrence is
+    missing from it exactly when ``a`` precedes it.
 
-    Every step of such a sweep must be a known occurrence with its weight
-    ``tau``, and where it stops, ``a`` must climb ``tau[a]``; a failure
-    raises :class:`VerificationError`, as different routes then carry
-    different weighted families.  ``budget`` bounds the climbs of all
-    sweeps together, counted from 1: one per occurrence in the full sweep,
-    plus those of the avoidance sweeps that run.  Past it
+    Exposure settles precedence only where every route carries one
+    weighted family: linear-order quotas (stable allocation) do, but a
+    table can pass the axiom checks and break it, so with any other
+    choice function each ``a`` found beside another rotation gets its
+    sweep.  Every step of a sweep must be a known occurrence with its
+    weight ``tau``, and where it stops, ``a`` must climb ``tau[a]``, or
+    :class:`VerificationError` is raised.  ``budget`` bounds the climbs of
+    all sweeps together, counted from 1: one per occurrence in the full
+    sweep, plus those of the avoidance sweeps that run.  Past it
     :class:`BudgetError` is raised.
     """
     spend = _climb_budget(budget)
@@ -162,14 +164,14 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
 
     occs, used, less = list(tau), Counter(), set()
+    quotas = all(type(cf) is LinearOrderQuotaCF for cf in inst.choice.values())
     for i, step in enumerate(steps):
         a, later = occs[i], occs[i + 1 :]
-        # An occurrence exposed where a applies is in a closed set that
-        # omits a, so a does not precede it.  a's sweep runs only where
-        # some later occurrence is not exposed there, and not where a was
-        # the only rotation found: then its sweep is the full sweep's step.
-        seen = {Occurrence(r, used[r.steps]) for r in step.found}
-        if len(step.found) > 1 and not seen.issuperset(later):
+        # On quotas, an occurrence exposed where a applies does not follow
+        # it, so a's sweep runs only where some later one is not exposed.
+        # Where a was the only rotation found, its sweep is that step.
+        seen = {Occurrence(r, used[r.steps]) for r in step.found} if quotas else set()
+        if len(step.found) > 1 and not (quotas and seen.issuperset(later)):
             # Found rotations are distinct, so avoid_a reads two at most.
             def avoid_a(rots, used):
                 return [r for r in rots[:2] if (r, used[r.steps]) != a][:1]

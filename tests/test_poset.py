@@ -10,7 +10,9 @@ from stablepartners import (
     BudgetError,
     ClosedFunction,
     InputError,
+    Instance,
     Occurrence,
+    TableCF,
     VerificationError,
     build_full_route,
     closed_from_vector,
@@ -20,6 +22,7 @@ from stablepartners import (
     find_rotations,
     full_routes,
     instance_from_dict,
+    instance_to_dict,
     is_closed,
     precedes_F,
     rotation_order,
@@ -35,6 +38,7 @@ from conftest import (
     bridged_blocks_doc,
     count_choices,
     cycle3_doc,
+    edge_map,
     edgevec,
     high_cap_market,
     latin_doc,
@@ -365,11 +369,72 @@ def test_family_labels_repeated_uses_of_one_rotation(gated):
     assert ordinals == [0, 1]
 
 
+def _renamed(inst, names):
+    """``inst`` read back from its document with the vertices in ``names`` renamed."""
+
+    def swap(item):
+        if isinstance(item, str):
+            return names.get(item, item)
+        if isinstance(item, list):
+            return [swap(x) for x in item]
+        if isinstance(item, dict):
+            return {swap(k): swap(v) for k, v in item.items()}
+        return item
+
+    return instance_from_dict(swap(instance_to_dict(inst)))
+
+
 def test_family_disagreement_is_detected(gated):
-    with pytest.raises(VerificationError, match="disagree"):
-        rotation_order(gated)
-    with pytest.raises(VerificationError, match="disagree"):
-        list(full_routes(gated))
+    """The detector does not hang on which rotation the full sweep takes first.
+
+    In ``gated`` the big block's rotation R sorts first, and the full
+    sweep climbs it at the bottom with weight 1.  Renaming the small
+    block's workers to sort before ``w1`` makes the full sweep apply S
+    there first, and R then climbs 2.  R is exposed where S applies, yet
+    the sweep that avoids S runs, as ``w1`` is a table, and climbs R at
+    the bottom with weight 1.
+    """
+    small = _renamed(gated, {"w3": "v3", "w4": "v4"})
+    for inst, first in ((gated, "w1"), (small, "v3")):
+        found = find_rotations(inst, deferred_acceptance(inst, "W"))
+        assert len(found) == 2 and found[0].steps[0][0] == first
+        with pytest.raises(VerificationError, match="disagree"):
+            rotation_order(inst)
+        with pytest.raises(VerificationError, match="disagree"):
+            list(full_routes(inst))
+
+
+def test_table_choices_keep_every_avoidance_sweep(monkeypatch):
+    """Exposure settles precedence on linear-order quotas only.
+
+    The same blocks with every choice written as its table give the same
+    order, but each occurrence found beside another rotation runs its
+    avoidance sweep: k - 1 of them on k blocks, where quotas run none.
+    """
+    sweeps = [0]
+
+    def counting(inst, pick, state, **kwargs):
+        sweeps[0] += "saved" not in kwargs
+        return bipartite._sweep(inst, pick, state, **kwargs)
+
+    monkeypatch.setattr(poset, "_sweep", counting)
+    quotas = instance_from_dict(blocks_doc(4))
+    tables = {}
+    for v, cf in quotas.choice.items():
+        box = itertools.product(*(range(c + 1) for c in cf.caps))
+        tables[v] = TableCF(v, cf.space, cf.caps, [(z, cf.choose_vals(z)) for z in box])
+    tabled = Instance(
+        quotas.vertices, edge_map(quotas), quotas.caps.to_mapping(), tables, quotas.parts
+    )
+    expected = rotation_order(quotas)
+    assert sweeps[0] == 0 and len(expected.occurrences) == 4 and not expected.less
+    order = rotation_order(tabled)
+    assert sweeps[0] == 3
+    assert (order.occurrences, order.tau, order.less) == (
+        expected.occurrences,
+        expected.tau,
+        expected.less,
+    )
 
 
 def test_full_routes_check_the_order_against_discovery(monkeypatch):
