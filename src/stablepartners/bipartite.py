@@ -397,15 +397,6 @@ class _Discovery:
         self.succ, self.walks, self.by_node, self.by_vertex = {}, {}, {}, {}
         self.found = []
 
-    def copy(self):
-        """A state that refreshes apart from this one."""
-        twin = _Discovery(self.inst)
-        # refresh rebinds found and mutates no dict value: shallow copies do.
-        twin.x, twin.found = self.x, self.found
-        twin.succ, twin.walks = self.succ.copy(), self.walks.copy()
-        twin.by_node, twin.by_vertex = self.by_node.copy(), self.by_vertex.copy()
-        return twin
-
     def refresh(self, x, vertices):
         """Move to the stable ``x``, which differs only at the stars of ``vertices``."""
         inst, succ, walks = self.inst, self.succ, self.walks
@@ -736,53 +727,38 @@ class Route:
         return "Route({} steps)".format(len(self.steps))
 
 
-def _discovery_at(inst, x):
-    """A new discovery state at ``x``, which the caller has verified stable.
-
-    Every rotation sweep starts from one (see :func:`_sweep`); the step
-    goes through :func:`find_rotations` like every other.
-    """
-    state = _Discovery(inst)
-    find_rotations(inst, x, verified=True, state=state)
-    return state
-
-
-def _sweep(inst, pick, state, used=None, half=None, spend=None, saved=None):
+def _sweep(inst, pick, x, half=None, spend=None):
     """Climb rotations upward from a stable vector until none is taken.
 
     This is the one loop over rotation discovery (:func:`find_rotations`)
     and :func:`_climb`; callers differ only in their pick policy.  It
-    starts at the vector of the discovery ``state`` (made by
-    :func:`_discovery_at`) and takes the state over, refreshing it in
-    place; a caller that keeps the state passes a copy.  Every later
-    vector is a landing checked by :func:`_shift_holds`, so none is
+    starts at ``x``, which the caller has verified stable, with a new
+    discovery state of its own, and refreshes that state in place.  Every
+    later vector is a landing checked by :func:`_shift_holds`, so none is
     checked whole again.  It stops where no rotation is taken.  Where the
-    state has rotations, ``pick(rots, used)`` names the ones to try, in order;
-    ``used`` counts the applications of each rotation so far (on top of
-    the ``used`` given to a sweep that starts higher up), keyed by its
-    steps, which is also the ordinal of its next occurrence.  The first
-    whose climb moves at all is applied with the climb's weight ``tau``,
-    or with ``tau // 2`` where ``half(rot)`` holds, a landing checked by
-    one more probe of the ray.  The climb starts past the probe at
-    ``k = 1``, which discovery has screened.  ``spend``, if given, is
-    called before every climb.
+    state has rotations, ``pick(rots, used)`` names the ones to try, in
+    order; ``used`` counts the applications of each rotation in this
+    sweep, keyed by its steps, which is also the ordinal of its next
+    occurrence.  The first whose climb moves at all is applied with the
+    climb's weight ``tau``, or with ``tau // 2`` where ``half(rot)``
+    holds, a landing checked by one more probe of the ray.  The climb
+    starts past the probe at ``k = 1``, which discovery has screened.
+    ``spend``, if given, is called before every climb.
 
     A climb along R changes only the stars of R's vertices, so the state
-    is refreshed at those alone (see :class:`_Discovery`).  ``saved``, if
-    given, receives a copy of the state at every vector where more than
-    one rotation was found, keyed by the index of the step taken there.
+    is refreshed at those alone (see :class:`_Discovery`).
 
     Returns ``(steps, moved)``: the steps as :data:`RouteStep` records and
     the state where the sweep stopped, at ``moved.x`` with the rotations
     ``moved.found``.
     """
-    used = Counter(used)
+    state = _Discovery(inst)
+    find_rotations(inst, x, verified=True, state=state)
+    used = Counter()
     steps = []
     fuel = (inst.caps.total() + 2) * max(1, len(inst.space)) + 2
     while True:
         x, rots = state.x, state.found
-        if saved is not None and len(rots) > 1:
-            saved[len(steps)] = state.copy()
         for rot in pick(rots, used) if rots else ():
             if spend is not None:
                 spend()
@@ -821,11 +797,7 @@ def build_full_route(inst, seed=0):
     """
     rng = random.Random(seed)
     bottom = deferred_acceptance(inst, "W")
-    steps, end = _sweep(
-        inst,
-        lambda rots, used: [rots[rng.randrange(len(rots))]],
-        _discovery_at(inst, bottom),
-    )
+    steps, end = _sweep(inst, lambda rots, _: [rots[rng.randrange(len(rots))]], bottom)
     if end.x != deferred_acceptance(inst, "F"):
         raise VerificationError("route stalled before the firm-optimal vector")
     return Route(bottom, steps)

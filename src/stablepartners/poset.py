@@ -17,7 +17,6 @@ from .bipartite import (
     Route,
     RouteStep,
     _climb,
-    _discovery_at,
     _sweep,
     _walk_frame,
     climb,
@@ -108,8 +107,11 @@ def _climb_budget(budget):
     """A counter for the climbs of one computation that raises past ``budget``.
 
     Call it once before each climb.  The count starts at 1, so a budget of
-    1 allows no climb at all.
+    1 allows no climb at all.  A budget that is not an integer, ``bool``
+    excluded, raises :class:`InputError`.
     """
+    if not _is_int(budget):
+        raise InputError("budget must be an integer")
     spent = 1
 
     def spend():
@@ -136,7 +138,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     precedes nothing, so on an antichain the full sweep is the only sweep.
     Where ``a`` was the only rotation found, it precedes every later
     occurrence, so a chain costs the full sweep alone too.  Elsewhere a
-    sweep goes on from the full sweep's saved rotation discovery where it
+    sweep starts a new discovery at the vector where the full sweep
     applied ``a``, and takes any rotation but ``a``.  The closed sets that
     omit ``a`` are closed under union, so that route ends at the largest
     of them, where ``a`` is the only rotation left; a later occurrence is
@@ -156,9 +158,7 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
     spend = _climb_budget(budget)
     # The bottom is the verified outcome of the proposal rounds.
     bottom = deferred_acceptance(inst, "W")
-    saved = {}
-    first = _discovery_at(inst, bottom)
-    steps, top = _sweep(inst, lambda rots, _: rots[:1], first, spend=spend, saved=saved)
+    steps, top = _sweep(inst, lambda rots, _: rots[:1], bottom, spend=spend)
     if top.x != deferred_acceptance(inst, "F"):
         raise VerificationError("the sweep stalled before the firm-optimal vector")
     tau = {Occurrence(s.rotation, s.ordinal): s.weight for s in steps}
@@ -173,12 +173,14 @@ def rotation_order(inst, budget=DEFAULT_GRAPH_BUDGET):
         seen = {Occurrence(r, used[r.steps]) for r in step.found} if quotas else set()
         if len(step.found) > 1 and not (quotas and seen.issuperset(later)):
             # Found rotations are distinct, so avoid_a reads two at most.
-            def avoid_a(rots, used):
-                return [r for r in rots[:2] if (r, used[r.steps]) != a][:1]
+            # The sweep never applies a, so its rotation stays at a's ordinal.
+            def avoid_a(rots, _):
+                return [r for r in rots[:2] if r != a.rotation][:1]
 
-            more, end = _sweep(inst, avoid_a, saved.pop(i), used=used, spend=spend)
+            more, end = _sweep(inst, avoid_a, step.source, spend=spend)
             for s in more:
-                occ = Occurrence(s.rotation, s.ordinal)
+                # The sweep numbers its own uses, from where the full sweep was.
+                occ = Occurrence(s.rotation, used[s.rotation.steps] + s.ordinal)
                 if occ not in tau:
                     raise VerificationError(
                         "a sweep used {!r}, which the full sweep did not".format(occ)
@@ -337,9 +339,12 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
     :class:`VerificationError`.  Each vector's steps are climbed once, for
     all routes through it.  The vectors visited are the order's bottom and
     climb landings, all verified, so discovery does not check them again.
-    At most ``limit`` routes are produced; ``budget`` bounds the order's
-    climbs and, counted apart, the walk's.
+    At most ``limit`` routes are produced, where ``limit`` is None or a
+    non-negative integer, ``bool`` excluded; otherwise :class:`InputError`.
+    ``budget`` bounds the order's climbs and, counted apart, the walk's.
     """
+    if limit is not None and (not _is_int(limit) or limit < 0):
+        raise InputError("limit must be a non-negative integer")
     order = rotation_order(inst, budget)
     spend = _climb_budget(budget)
     below = {b: {a for a, c in order.less if c == b} for b in order.occurrences}
@@ -367,6 +372,8 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
 
     def walk(x, done, steps):
         nonlocal produced
+        if limit is not None and produced >= limit:
+            return
         out = out_edges(x, done)
         if not out:
             if x != order.top:
@@ -375,8 +382,6 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
             yield Route(order.bottom, steps)
             return
         for occ, step in out:
-            if limit is not None and produced >= limit:
-                return
             yield from walk(step.target, done | {occ}, steps + [step])
 
     yield from walk(order.bottom, frozenset(), [])

@@ -12,7 +12,7 @@ import functools
 import random
 
 from .core import EdgeVector, InputError, Instance, VerificationError
-from .bipartite import _discovery_at, _rotation_along, _sweep, deferred_acceptance
+from .bipartite import _rotation_along, _sweep, deferred_acceptance
 
 
 class SymmetricInstance:
@@ -150,9 +150,9 @@ def run_qb(si, seed=0):
         fresh = [r for r in rots if mirror(r) not in used]
         return [fresh[rng.randrange(len(fresh))]] if fresh else []
 
-    start = _discovery_at(si.graph, deferred_acceptance(si.graph, "W"))
+    bottom = deferred_acceptance(si.graph, "W")
     steps, end = _sweep(
-        si.graph, mirror_fresh, start, half=lambda rot: is_singular(si, rot)
+        si.graph, mirror_fresh, bottom, half=lambda rot: is_singular(si, rot)
     )
     x = end.x
     # The sweep halved exactly the singular steps; the odd core is those

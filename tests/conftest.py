@@ -939,6 +939,20 @@ def _greedy(z, perm, quota, group=(), group_quota=0):
     return tuple(out)
 
 
+def tabled_doc(doc):
+    """``doc`` with every choice written out as its table over the star's box.
+
+    The tables choose what the original choices choose, so the stable set,
+    the routes and the order are unchanged; only the choice type differs.
+    """
+    out = dict(doc, choice=dict(doc["choice"]))
+    for v, cf in instance_from_dict(doc).choice.items():
+        box = itertools.product(*(range(c + 1) for c in cf.caps))
+        rows = [(z, cf.choose_vals(z)) for z in box]
+        out["choice"][v] = TableCF(v, cf.space, cf.caps, rows).to_dict()
+    return out
+
+
 def table_choice(rng, cf):
     """A table on the star of the quota choice ``cf`` that keeps the axioms.
 

@@ -10,9 +10,7 @@ from stablepartners import (
     BudgetError,
     ClosedFunction,
     InputError,
-    Instance,
     Occurrence,
-    TableCF,
     VerificationError,
     build_full_route,
     closed_from_vector,
@@ -38,7 +36,7 @@ from conftest import (
     bridged_blocks_doc,
     count_choices,
     cycle3_doc,
-    edge_map,
+    degenerate_doc,
     edgevec,
     high_cap_market,
     latin_doc,
@@ -49,12 +47,15 @@ from conftest import (
     oracle_principal_graph,
     oracle_rotation_order,
     oracle_stable_set,
+    path3_doc,
     random_bipartite_doc,
     route_vectors,
     shared_firm_doc,
     table_market,
+    tabled_doc,
     twin_doc,
     union_doc,
+    wide_cap_doc,
 )
 
 CHAIN_FIRST = (
@@ -350,6 +351,21 @@ def test_route_enumeration_respects_the_limit(twin):
     assert len(list(full_routes(twin, limit=1))) == 1
     assert len(list(full_routes(twin, limit=5))) == 2
     assert len(list(full_routes(twin))) == 2
+    assert list(full_routes(twin, limit=0)) == []
+
+
+@pytest.mark.parametrize("make", [path3_doc, degenerate_doc, wide_cap_doc])
+def test_a_zero_limit_yields_no_route_where_one_vector_is_stable(make):
+    """The walk's one route is its start, and a limit of 0 still holds it back."""
+    inst = instance_from_dict(make())
+    assert len(list(full_routes(inst))) == 1
+    assert list(full_routes(inst, limit=0)) == []
+
+
+@pytest.mark.parametrize("limit", [-1, True, 1.0, "1"])
+def test_route_limits_must_be_non_negative_integers(twin, limit):
+    with pytest.raises(InputError, match="limit"):
+        list(full_routes(twin, limit=limit))
 
 
 def test_family_labels_repeated_uses_of_one_rotation(gated):
@@ -404,6 +420,23 @@ def test_family_disagreement_is_detected(gated):
             list(full_routes(inst))
 
 
+def _record_sweeps(monkeypatch):
+    """Record the steps of each sweep the order runs, in call order.
+
+    The first sweep of each :func:`rotation_order` is its full sweep; the
+    rest are avoidance sweeps.
+    """
+    sweeps = []
+
+    def recording(*args, **kwargs):
+        steps, end = bipartite._sweep(*args, **kwargs)
+        sweeps.append(steps)
+        return steps, end
+
+    monkeypatch.setattr(poset, "_sweep", recording)
+    return sweeps
+
+
 def test_table_choices_keep_every_avoidance_sweep(monkeypatch):
     """Exposure settles precedence on linear-order quotas only.
 
@@ -411,25 +444,12 @@ def test_table_choices_keep_every_avoidance_sweep(monkeypatch):
     order, but each occurrence found beside another rotation runs its
     avoidance sweep: k - 1 of them on k blocks, where quotas run none.
     """
-    sweeps = [0]
-
-    def counting(inst, pick, state, **kwargs):
-        sweeps[0] += "saved" not in kwargs
-        return bipartite._sweep(inst, pick, state, **kwargs)
-
-    monkeypatch.setattr(poset, "_sweep", counting)
-    quotas = instance_from_dict(blocks_doc(4))
-    tables = {}
-    for v, cf in quotas.choice.items():
-        box = itertools.product(*(range(c + 1) for c in cf.caps))
-        tables[v] = TableCF(v, cf.space, cf.caps, [(z, cf.choose_vals(z)) for z in box])
-    tabled = Instance(
-        quotas.vertices, edge_map(quotas), quotas.caps.to_mapping(), tables, quotas.parts
-    )
-    expected = rotation_order(quotas)
-    assert sweeps[0] == 0 and len(expected.occurrences) == 4 and not expected.less
-    order = rotation_order(tabled)
-    assert sweeps[0] == 3
+    sweeps = _record_sweeps(monkeypatch)
+    expected = rotation_order(instance_from_dict(blocks_doc(4)))
+    assert len(sweeps) == 1 and len(expected.occurrences) == 4 and not expected.less
+    sweeps.clear()
+    order = rotation_order(instance_from_dict(tabled_doc(blocks_doc(4))))
+    assert len(sweeps) - 1 == 3
     assert (order.occurrences, order.tau, order.less) == (
         expected.occurrences,
         expected.tau,
@@ -470,6 +490,14 @@ def test_graph_budget_is_respected(b4):
         rotation_order(b4, budget=1)
     with pytest.raises(BudgetError):
         list(full_routes(b4, budget=1))
+
+
+@pytest.mark.parametrize("budget", [None, "x", 2.5, True])
+def test_graph_budgets_must_be_integers(b4, budget):
+    with pytest.raises(InputError, match="budget"):
+        rotation_order(b4, budget)
+    with pytest.raises(InputError, match="budget"):
+        list(full_routes(b4, budget=budget))
 
 
 def test_routes_match_an_independent_walk(b4, b4_scaled, twin, cycle3):
@@ -605,20 +633,15 @@ def test_avoidance_sweeps_still_run_where_co_exposure_does_not_settle(
     and fewer than the full sweeps' steps with more than one rotation
     found, each of which ran one when every occurrence had its sweep.
     """
-    sweeps, branching = [0], [0]
-
-    def counting(inst, pick, state, **kwargs):
-        steps, end = bipartite._sweep(inst, pick, state, **kwargs)
-        if "saved" in kwargs:
-            branching[0] += sum(len(s.found) > 1 for s in steps)
-        else:
-            sweeps[0] += 1
-        return steps, end
-
-    monkeypatch.setattr(poset, "_sweep", counting)
+    sweeps = _record_sweeps(monkeypatch)
+    avoiding, branching = 0, 0
     for inst in list(bipartite_corpus) + _seeded_markets():
+        sweeps.clear()
         rotation_order(inst)
-    assert 20 <= sweeps[0] < branching[0]
+        full, *rest = sweeps
+        branching += sum(len(s.found) > 1 for s in full)
+        avoiding += len(rest)
+    assert 20 <= avoiding < branching
 
 
 def test_order_of_a_chain_costs_one_sweep(monkeypatch):
@@ -830,23 +853,32 @@ def test_a_sweep_never_moves_the_state_it_starts_from(bipartite_corpus):
         assert order.bottom == deferred_acceptance(inst, "W")
 
 
-def test_a_sweep_takes_over_the_state_it_is_given(
-    monkeypatch, bipartite_corpus, general_corpus, triangle
-):
-    """A route and a solve keep no start state, so neither copies one."""
-    copies = [0]
-    copy = bipartite._Discovery.copy
+def test_each_sweep_makes_one_discovery_state(monkeypatch):
+    """A sweep builds its own state at its start and keeps it to the end.
 
-    def counting(state):
-        copies[0] += 1
-        return copy(state)
+    The order on 12 disjoint blocks runs its full sweep alone, and a route
+    and a solve run one sweep each, so each makes one state.  The order on
+    4 tabled blocks makes one more for each of its 3 avoidance sweeps.
+    """
+    made = [0]
+    init = bipartite._Discovery.__init__
 
-    monkeypatch.setattr(bipartite._Discovery, "copy", counting)
-    for inst in bipartite_corpus[:30] + [instance_from_dict(blocks_doc(6))]:
-        build_full_route(inst, 1)
-    for inst in general_corpus[:30] + [triangle]:
-        solve(inst)
-    assert copies[0] == 0
+    def counting(self, inst):
+        made[0] += 1
+        init(self, inst)
+
+    monkeypatch.setattr(bipartite._Discovery, "__init__", counting)
+    blocks = instance_from_dict(blocks_doc(12))
+    tabled = instance_from_dict(tabled_doc(blocks_doc(4)))
+    for run, inst, states in (
+        (rotation_order, blocks, 1),
+        (build_full_route, blocks, 1),
+        (solve, blocks, 1),
+        (rotation_order, tabled, 4),
+    ):
+        made[0] = 0
+        run(inst)
+        assert made[0] == states, run.__name__
 
 
 def test_an_orders_bottom_is_checked_once_per_instance(monkeypatch, twin):

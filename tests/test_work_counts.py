@@ -23,6 +23,7 @@ from conftest import (
     random_bipartite_doc,
     ring_doc,
     sparse_graph_doc,
+    tabled_doc,
     union_doc,
 )
 
@@ -47,12 +48,14 @@ LEDGER = {
     ),
     "blocks-20-order": (lambda: blocks_doc(20), rotation_order, 800),
     # Seed 0 draws a market of three occurrences whose order still runs
-    # one avoidance sweep.
+    # one avoidance sweep, which starts with a discovery of its own.
     "random-bipartite-0-order": (
         lambda: random_bipartite_doc(random.Random(0)),
         rotation_order,
-        194,
+        250,
     ),
+    # Tables settle no precedence by co-exposure: 3 avoidance sweeps.
+    "tabled-blocks-4-order": (lambda: tabled_doc(blocks_doc(4)), rotation_order, 346),
 }
 
 
