@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .core import BudgetError, EdgeVector, VerificationError
+from .core import BudgetError, EdgeVector, VerificationError, _budget
 from .choice import box_array, box_dtype
 from .bipartite import precedes_F
 
@@ -20,7 +20,8 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
     """All stable vectors of the instance, in lexicographic order.
 
     Works on any instance, bipartite or not.  Raises :class:`BudgetError`
-    when the capacity box holds more than ``budget`` vectors.
+    when the capacity box holds more than ``budget`` vectors, and
+    :class:`InputError` when ``budget`` is not an integer.
 
     Rows grow one edge column at a time in index order, each repeated once
     per value of the new column, so they stay lexicographic.  A row goes as
@@ -29,7 +30,7 @@ def enumerate_stable(inst, budget=DEFAULT_ENUM_BUDGET):
     mixed-radix code.  Complete stars never change, so a dropped row has no
     stable completion and the rows left are exactly the stable vectors.
     """
-    n = inst.box_size()
+    n, budget = inst.box_size(), _budget(budget)
     if n > budget:
         raise BudgetError("capacity box holds {} vectors, budget is {}".format(n, budget))
     caps, positions = inst.caps.vals, inst.star_positions
@@ -85,6 +86,7 @@ def lattice_extremes(inst, stable=None, budget=DEFAULT_ENUM_BUDGET):
     :class:`VerificationError`: both are impossible when the choice
     functions obey their axioms.
     """
+    budget = _budget(budget)
     if stable is None:
         stable = enumerate_stable(inst, budget)
     if not stable:

@@ -24,6 +24,7 @@ from .core import (
     EdgeVector,
     InputError,
     InternalError,
+    _budget,
     _is_int,
     _is_str_list,
 )
@@ -41,12 +42,12 @@ def box_array(caps):
     """All integer vectors of the box ``0 <= z <= caps`` in lexicographic order.
 
     Returns an ``(n, k)`` array of dtype :func:`box_dtype` whose rows are
-    sorted with the first coordinate most significant.
+    sorted with the first coordinate most significant, stored column-major:
+    each edge's column is contiguous, and the box kernels read columns.
     """
     caps = tuple(int(c) for c in caps)
     n = math.prod(c + 1 for c in caps)
-    grid = np.indices([c + 1 for c in caps], dtype=box_dtype(caps))
-    return np.ascontiguousarray(grid.reshape(len(caps), n).T)
+    return np.indices([c + 1 for c in caps], dtype=box_dtype(caps)).reshape(len(caps), n).T
 
 
 def _bumped(z, j, d=1):
@@ -245,24 +246,20 @@ class LinearOrderQuotaCF(ChoiceFunction):
                 return p
 
     def batch_vals(self, arr):
+        """Greedy, by column: edge ``i`` keeps ``min(P_i, q) - min(P_{i-1}, q)``
+        of the prefix sums ``P`` in preference order, where ``q`` is the quota
+        clipped at the sum of the capacities, which the prefix dtype holds."""
         arr = np.asarray(arr)
-        n, k = arr.shape
-        if n == 0 or k == 0:
-            return arr.copy()
-        perm = np.asarray(self._perm)
-        zp = arr[:, perm]
-        # No prefix sum of a box row passes the sum of the capacities.
-        prefix = np.cumsum(zp, axis=1, dtype=np.min_scalar_type(sum(self.caps)))
-        q = self.quota
-        out = np.where(prefix <= q, zp, 0).astype(arr.dtype)
-        over = np.nonzero(prefix[:, -1] > q)[0]
-        if len(over):
-            jstar = (prefix[over] <= q).sum(axis=1)
-            run = np.where(jstar > 0, prefix[over, np.maximum(jstar - 1, 0)], 0)
-            out[over, jstar] = q - run
-        res = np.empty_like(out)
-        res[:, perm] = out
-        return res
+        total = sum(self.caps)
+        quota = min(self.quota, total)
+        run = np.zeros(len(arr), np.result_type(arr.dtype, np.min_scalar_type(total)))
+        out, kept = np.empty_like(arr), 0
+        for p in self._perm:
+            run += arr[:, p]
+            clipped = np.minimum(run, quota)
+            out[:, p] = clipped - kept
+            kept = clipped
+        return out
 
     def to_dict(self, ids=None):
         ids = self.space.ids if ids is None else ids
@@ -456,9 +453,10 @@ def check_axiom(cf, axiom, budget=DEFAULT_AXIOM_BUDGET):
     counts the covering pairs a SUB, MON or CON check compares, one per
     box vector and coordinate, and the preference comparisons GL reads,
     which its tables never outnumber; exceeding it raises
-    :class:`BudgetError` rather than returning a partial verdict.
+    :class:`BudgetError` rather than returning a partial verdict; one that
+    is not an integer, ``bool`` excluded, raises :class:`InputError`.
     """
-    axiom = str(axiom).upper()
+    axiom, budget = str(axiom).upper(), _budget(budget)
     if axiom in ("SUB", "MON", "CON"):
         return _check_pairwise(cf, axiom, budget)
     if axiom == "GL":
@@ -534,17 +532,18 @@ def _gl_plan(cf, budget):
 
     Edge ``a`` compares the ``m`` acceptable rows with room at ``a`` whose
     bump rejects one unit, from two or more edges, for ``m * m`` of the
-    charge in edge order, up to the edge past ``budget``.  A batch lists
-    its edges as ``(id, row codes, bumped positions, charge so far)``.
+    charge in edge order, up to the edge past ``budget``.  A batch is its row
+    mask over the box and its edges ``(id, codes, bumped positions, charge)``.
     """
     box = box_array(cf.caps)
     chosen = cf.batch_vals(box)
     weights = [math.prod(c + 1 for c in cf.caps[j + 1 :]) for j in range(len(cf.caps))]
     radix = np.array(weights, dtype=np.int64)
-    chosen_code = (chosen.astype(np.int64) @ radix).astype(np.min_scalar_type(len(box) - 1))
+    # No weight, code or partial sum of one passes the size of the box.
+    dtype = np.min_scalar_type(len(box))
+    chosen_code = sum(col.astype(dtype) * w for col, w in zip(chosen.T, weights))
     acceptable = np.flatnonzero(chosen_code == np.arange(len(box)))
-    batches, charged, base = [], 0, 0
-    seen = np.zeros(len(box), dtype=bool)
+    batches, charged, base, seen = [], 0, 0, np.zeros(len(box), dtype=bool)
     for a_pos, a_id in enumerate(cf.space.ids):
         room = acceptable[box[acceptable, a_pos] < cf.caps[a_pos]]
         # A bump's deficit is one unit of edge c iff its code is radix[c], the
@@ -562,10 +561,10 @@ def _gl_plan(cf, budget):
         # A batch grows while its union of rows, squared, is at most its charge.
         grown = np.count_nonzero(seen) + np.count_nonzero(~seen[codes])
         if not batches or grown**2 > charged - base:
-            seen[:], base = False, charged - m * m
-            batches.append([])
+            seen, base = np.zeros(len(box), dtype=bool), charged - m * m
+            batches.append((seen, []))
         seen[codes] = True
-        batches[-1].append((a_id, codes, cpos, charged))
+        batches[-1][1].append((a_id, codes, cpos, charged))
     return box, chosen_code, radix, batches, charged
 
 
@@ -587,10 +586,10 @@ def _check_gl(cf, budget):
     order (bumped edge, middle row, lower end, upper end).
     """
     box, chosen_code, radix, batches, charged = _gl_plan(cf, budget)
-    for edges in batches:
-        union = np.unique(np.concatenate([e[1] for e in edges])).astype(chosen_code.dtype)
+    for seen, edges in batches:
+        union = np.flatnonzero(seen).astype(chosen_code.dtype)
         u = len(union)
-        cols = (box[union] * radix).T.astype(union.dtype, order="C")
+        cols = (box.T.take(union, axis=1) * radix[:, None]).astype(union.dtype)
         # cj[i, l]: the code chosen at the join of rows i and l, in blocks.
         cj = np.empty((u, u), dtype=union.dtype)
         step = max(1, _GL_BLOCK // u)

@@ -402,6 +402,13 @@ def _is_int(value):
     )
 
 
+def _budget(value):
+    """``value`` as a work budget: an integer, ``bool`` excluded, or :class:`InputError`."""
+    if not _is_int(value):
+        raise InputError("budget must be an integer")
+    return int(value)
+
+
 def _is_str_list(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 

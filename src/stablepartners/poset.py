@@ -11,7 +11,7 @@ assignments that are closed for that order.
 from collections import Counter, namedtuple
 
 from .core import BudgetError, EdgeVector, InputError, InternalError, VerificationError
-from .core import _is_int
+from .core import _budget, _is_int
 from .choice import LinearOrderQuotaCF
 from .bipartite import (
     Route,
@@ -110,9 +110,7 @@ def _climb_budget(budget):
     1 allows no climb at all.  A budget that is not an integer, ``bool``
     excluded, raises :class:`InputError`.
     """
-    if not _is_int(budget):
-        raise InputError("budget must be an integer")
-    spent = 1
+    budget, spent = _budget(budget), 1
 
     def spend():
         nonlocal spent
@@ -342,6 +340,7 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
     At most ``limit`` routes are produced, where ``limit`` is None or a
     non-negative integer, ``bool`` excluded; otherwise :class:`InputError`.
     ``budget`` bounds the order's climbs and, counted apart, the walk's.
+    Both are checked, and the order is built, at the call; routes come lazily.
     """
     if limit is not None and (not _is_int(limit) or limit < 0):
         raise InputError("limit must be a non-negative integer")
@@ -384,4 +383,4 @@ def full_routes(inst, limit=None, budget=DEFAULT_GRAPH_BUDGET):
         for occ, step in out:
             yield from walk(step.target, done | {occ}, steps + [step])
 
-    yield from walk(order.bottom, frozenset(), [])
+    return walk(order.bottom, frozenset(), [])

@@ -5,6 +5,7 @@ import pytest
 
 from stablepartners import (
     BudgetError,
+    InputError,
     VerificationError,
     brute,
     deferred_acceptance,
@@ -80,6 +81,21 @@ def test_a_double_tables_each_choice_function_once(monkeypatch, general_corpus):
         functions = [inst.choice[v] for v in inst.vertices if inst.star_ids[v]]
         assert sorted(map(id, built)) == sorted(map(id, functions))
         assert stable == oracle_enumerate_stable(g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst: enumerate_stable(inst, budget="x"),
+        lambda inst: lattice_extremes(inst, budget=None),
+        lambda inst: check_axiom(inst.choice["w1"], "SUB", budget="x"),
+        lambda inst: check_axiom(inst.choice["w1"], "GL", budget=1.5),
+    ],
+)
+def test_budgets_must_be_integers(b4, call):
+    """A budget that is not an integer is unusable input, whatever it bounds."""
+    with pytest.raises(InputError, match="budget must be an integer"):
+        call(b4)
 
 
 def test_enumeration_respects_its_budget(b4_scaled):

@@ -1,13 +1,18 @@
 """Choice functions: the greedy quota rule, tables, other stars, axiom checks."""
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stablepartners
 from stablepartners import BudgetError, InputError, InternalError, symmetrize
 from stablepartners.choice import (
     ChoiceFunction,
@@ -16,6 +21,7 @@ from stablepartners.choice import (
     _GL_BLOCK,
     _bumped,
     _gl_plan,
+    box_array,
     box_dtype,
     check_axiom,
     choice_from_dict,
@@ -138,6 +144,68 @@ def test_batch_prefix_sums_past_int16_match_the_scalar_rule():
             assert batch.dtype == arr.dtype
             for row, got in zip(rows, batch.tolist()):
                 assert tuple(got) == cf.choose_vals(row), (caps, quota, row)
+
+
+@st.composite
+def batch_cases(draw):
+    """A choice function and rows of its box, in one of four layouts.
+
+    A quota choice, with per-edge limits or not, has caps 0-3 or past int16
+    (up to 70,000), and a quota that may pass the sum of its caps or every
+    fixed-width dtype; a table has caps 0-3.  The rows come as a C-order or
+    an F-order array, as a strided slice of a larger one, or as a list.
+    """
+    kind = draw(st.sampled_from(["quota", "edge_limit", "table"]))
+    small = st.integers(0, 3)
+    cap = small if kind == "table" else st.one_of(small, st.integers(32767, 70000))
+    caps = draw(st.lists(cap, max_size=4))
+    space = EdgeSpace(["e{}".format(i + 1) for i in range(len(caps))])
+    order = draw(st.permutations(space.ids))
+    total = sum(caps)
+    quota = draw(st.one_of(st.integers(0, total), st.sampled_from([total + 1, 70000, 2**70])))
+    cf = LinearOrderQuotaCF("v", space, caps, quota, order)
+    if kind == "edge_limit":
+        limits = [draw(st.integers(0, c)) for c in caps]
+        cf = EdgeLimitQuotaCF("v", space, caps, quota, order, limits)
+    elif kind == "table":
+        cf = TableCF("v", space, caps, [(z, cf.choose_vals(z)) for z in full_box(cf)])
+    row = st.tuples(*(st.integers(0, c) for c in caps))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    arr = np.array(rows, dtype=box_dtype(caps)).reshape(len(rows), len(caps))
+    layout = draw(st.sampled_from(["C", "F", "strided", "list"]))
+    if layout == "F":
+        return cf, np.asfortranarray(arr)
+    if layout == "strided":
+        wide = np.zeros((2 * len(rows), 2 * len(caps)), dtype=arr.dtype)
+        wide[1::2, ::2] = arr
+        return cf, wide[1::2, ::2]
+    return cf, arr if layout == "C" else rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(batch_cases())
+@example((quota_cf((40000, 1, 40000), 70000), [(40000, 1, 40000), (39999, 0, 40000)]))
+@example((quota_cf((70000, 70000), 2**70, ("e2", "e1")), np.asfortranarray([[70000, 1]] * 3)))
+def test_batches_keep_the_scalar_rule_and_the_dtype_in_every_layout(case):
+    """``batch_vals`` equals ``choose_vals`` row by row and keeps the dtype
+    of its input, whatever the memory layout of the rows."""
+    cf, rows = case
+    arr = np.asarray(rows)
+    batch = cf.batch_vals(rows)
+    assert batch.dtype == arr.dtype and batch.shape == arr.shape
+    assert batch.tolist() == [list(cf.choose_vals(tuple(z))) for z in arr.tolist()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 3), max_size=5))
+@example([32768])
+@example([0, 2, 0])
+def test_the_box_lists_the_product_order_column_major(caps):
+    """Rows in ``itertools.product`` order; each edge's column contiguous."""
+    box = box_array(caps)
+    assert box.shape == (math.prod(c + 1 for c in caps), len(caps))
+    assert box.dtype == box_dtype(caps) and box.T.flags.c_contiguous
+    assert box.tolist() == [list(z) for z in itertools.product(*(range(c + 1) for c in caps))]
 
 
 def test_choosing_twice_changes_nothing():
@@ -502,6 +570,28 @@ def test_each_axiom_check_selects_once_over_the_box():
             assert calls == [cf.box_size()], (caps, axiom)
 
 
+def test_axiom_checks_leave_numpy_ma_unloaded():
+    """GL marks its union of rows instead of calling ``np.unique``, which
+    imports ``numpy.ma`` (about 10 ms) on its first call in a process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stablepartners.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from conftest import ACCEPTANCE_STARS, star_cf\n"
+        "from stablepartners import check_axiom\n"
+        "cf = star_cf(*ACCEPTANCE_STARS[0])\n"
+        "for axiom in ('SUB', 'MON', 'CON', 'GL'):\n"
+        "    assert check_axiom(cf, axiom, budget=10**8).holds\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_pairwise_budget_is_enforced_before_work_starts():
     cf = quota_cf((9, 9, 9), quota=10)
     with pytest.raises(BudgetError):
@@ -560,7 +650,14 @@ def _menu_less_one_tables(rng, count):
 
 
 def _gl_union_sizes(batches):
-    return [len(np.unique(np.concatenate([edge[1] for edge in b]))) for b in batches]
+    """Each batch's number of rows; its mark over the box is the union of
+    its edges' rows."""
+    sizes = []
+    for seen, edges in batches:
+        union = np.unique(np.concatenate([edge[1] for edge in edges]))
+        assert np.array_equal(np.flatnonzero(seen), union)
+        sizes.append(len(union))
+    return sizes
 
 
 def test_gapless_batches_match_the_oracle_where_they_split():
@@ -584,7 +681,7 @@ def test_gapless_batches_match_the_oracle_where_they_split():
         split += len(batches) >= 2
         zero += 0 in cf.caps and not got.holds
         if not got.holds:
-            first = [edge[0] for edge in batches[0]]
+            first = [edge[0] for edge in batches[0][1]]
             later += got.witness["edge"] not in first
     assert split >= 50 and later >= 5 and zero >= 20
     sizes = [
@@ -634,7 +731,7 @@ def test_gapless_budgets_at_every_edge_charge():
     stars = [star_cf(*star) for star in ACCEPTANCE_STARS]
     for cf in stars + list(_menu_less_one_tables(random.Random(39), 40)):
         want = oracle_check_gl(cf)
-        charges = [edge[3] for b in _gl_plan(cf, 10**8)[3] for edge in b]
+        charges = [edge[3] for _, b in _gl_plan(cf, 10**8)[3] for edge in b]
         assert want.pairs_checked in charges or want.pairs_checked == 0 == len(charges)
         for budget in sorted({s - d for s in charges for d in (0, 1)}):
             if want.pairs_checked <= budget:

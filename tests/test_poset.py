@@ -368,6 +368,14 @@ def test_route_limits_must_be_non_negative_integers(twin, limit):
         list(full_routes(twin, limit=limit))
 
 
+@pytest.mark.parametrize("kwargs", [{"limit": -1}, {"budget": "x"}])
+def test_route_arguments_are_checked_at_the_call(twin, kwargs):
+    """A bad limit or budget raises before any route is asked for."""
+    name = next(iter(kwargs))
+    with pytest.raises(InputError, match=name):
+        full_routes(twin, **kwargs)
+
+
 def test_family_labels_repeated_uses_of_one_rotation(gated):
     """A rotation acting twice gets ordinals 0 and 1 in the family."""
     route = build_full_route(gated, seed=1)
